@@ -150,7 +150,7 @@ def _cmd_simulate(args) -> int:
     names = sorted(traj.values)
     rows = ["t," + ",".join(names)]
     for k, t in enumerate(traj.times):
-        rows.append(f"{t!r}," + ",".join(repr(float(traj.values[n][k])) for n in names))
+        rows.append(repr(float(t)) + "," + ",".join(repr(float(traj.values[n][k])) for n in names))
     _write("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .architecture import Architecture, Classification, classify, validate_coverage
-from .errors import CoverageViolation, Infeasible
+from .errors import CoverageViolation, Infeasible, NonFinite
 from .intervals import Interval, RangeMap, VarId, names_subset, rangemap_merge
 from .simulation import Envelope, SamplingPlan, envelope_over_box
 
@@ -30,6 +30,8 @@ __all__ = ["FeasibleSpaces", "NarrowingResult", "EnvelopeEscape",
 
 #: bisection iterations spent on each interval bound while narrowing
 _BISECT_ITERS = 12
+#: bisection levels whose probes are simulated together in one bundle
+_BUNDLE_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,8 @@ def _narrowable(arch: Architecture, cls: Classification) -> list[str]:
     return sorted(v.name for v in (cls.c | cls.c_tilde))
 
 
-def _feasible(arch: Architecture, box: RangeMap, fps: RangeMap,
-              windows: dict[str, list[tuple[float, float, Interval]]],
-              plan: SamplingPlan) -> bool:
-    env = envelope_over_box(arch, box, plan,
-                            windows={k: [(t0, t1) for t0, t1, _ in ws]
-                                     for k, ws in windows.items()})
+def _fits(env: Envelope, fps: RangeMap,
+          windows: dict[str, list[tuple[float, float, Interval]]]) -> bool:
     for v, iv in fps.items():
         lo, hi = env.bounds[v.name]
         if lo < iv.lo or hi > iv.hi:
@@ -161,6 +159,42 @@ def _feasible(arch: Architecture, box: RangeMap, fps: RangeMap,
     return True
 
 
+def _bisection_round(work: RangeMap, var: VarId, side: str, ok: float, target: float,
+                     depth: int, check) -> tuple[float, float, RangeMap]:
+    """``depth`` steps of the bisection of one bound, speculatively.
+
+    Every probe the sequential search could make in those steps is built
+    up front: node ``i`` of the tree (heap order) bisects its own
+    ``(ok, target)`` pair, its child ``2i+1`` continues after a pass and
+    ``2i+2`` after a fail.  ``check`` judges all probe boxes in one call;
+    the tree is then walked by its verdicts, so the result is the
+    sequential one even where feasibility is not monotone.  A probe's
+    :class:`NonFinite` error is raised only if the walk reaches it.
+    """
+    cur = work[var]
+    pairs = [(ok, target)]
+    trials: list[float] = []
+    boxes: list[RangeMap] = []
+    for i in range(2 ** depth - 1):
+        o, g = pairs[i]
+        trial = 0.5 * (o + g)
+        pairs += [(trial, g), (o, trial)]
+        trials.append(trial)
+        cand = (Interval(trial, cur.hi, cur.unit) if side == "lo"
+                else Interval(cur.lo, trial, cur.unit))
+        boxes.append(work.with_entry(var, cand))
+    verdicts = check(boxes)
+    i = 0
+    for _ in range(depth):
+        if isinstance(verdicts[i], NonFinite):
+            raise verdicts[i]
+        if verdicts[i]:
+            ok, work, i = trials[i], boxes[i], 2 * i + 1
+        else:
+            target, i = trials[i], 2 * i + 2
+    return ok, target, work
+
+
 def narrow(arch: Architecture, spaces: FeasibleSpaces,
            plan: SamplingPlan | None = None) -> NarrowingResult:
     """Shrink the controllable ranges of ``spaces.fds`` until the simulated
@@ -170,19 +204,28 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
     Otherwise every controllable interval collapses to its midpoint and each
     bound is grown back outward by bisection (lower bound first, variables in
     name order, a fixed number of iterations per bound).  Infeasibility at
-    the all-midpoint box raises :class:`Infeasible`.
+    the all-midpoint box raises :class:`Infeasible`.  The probes of up to
+    ``_BUNDLE_DEPTH`` consecutive bisection steps are simulated as one
+    bundle (see :func:`_bisection_round`); the result is that of probing
+    one at a time.
     """
     plan = plan or SamplingPlan()
     check_plan = plan.reduced()
     windows = top_windows(arch)
+    env_windows = {k: [(t0, t1) for t0, t1, _ in ws] for k, ws in windows.items()}
     cls = classify(arch)
     candidates = _narrowable(arch, cls)
-    log: list[dict] = [{"step": "narrow-start",
-                        "candidates": candidates,
-                        "samples_per_check": None}]
+
+    def check(boxes: list[RangeMap]) -> list:
+        return [r if isinstance(r, NonFinite) else _fits(r, spaces.fps, windows)
+                for r in envelope_over_box(arch, boxes, check_plan, windows=env_windows)]
 
     fds = spaces.fds
-    if _feasible(arch, fds, spaces.fps, windows, check_plan):
+    full_check = envelope_over_box(arch, fds, check_plan, windows=env_windows)
+    log: list[dict] = [{"step": "narrow-start",
+                        "candidates": candidates,
+                        "samples_per_check": full_check.n_samples}]
+    if _fits(full_check, spaces.fps, windows):
         log.append({"step": "full-box-feasible", "narrowed": False})
         narrowed_fds = fds
     else:
@@ -192,32 +235,28 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
             iv = fds[VarId(name)]
             work = work.with_entry(VarId(name, iv.unit),
                                    Interval(iv.mid, iv.mid, iv.unit))
-        if not _feasible(arch, work, spaces.fps, windows, check_plan):
+        if not _fits(envelope_over_box(arch, work, check_plan, windows=env_windows),
+                     spaces.fps, windows):
             raise Infeasible("no feasible design at the controllable midpoints")
+        # a probe box is a sub-box of the full one, so it has at most as
+        # many samples; keep every bundle within the plan's cap
+        depth = max(d for d in range(1, _BUNDLE_DEPTH + 1)
+                    if (2 ** d - 1) * full_check.n_samples <= check_plan.cap)
         for name in candidates:
             full = fds[VarId(name)]
-            cur = work[VarId(name)]
+            var = VarId(name, full.unit)
             for side in ("lo", "hi"):
-                ok = getattr(cur, side)          # known-feasible bound value
+                ok = getattr(work[var], side)    # known-feasible bound value
                 target = getattr(full, side)     # most generous bound value
-                for _ in range(_BISECT_ITERS):
-                    trial = 0.5 * (ok + target)
-                    cand = (Interval(trial, cur.hi, full.unit) if side == "lo"
-                            else Interval(cur.lo, trial, full.unit))
-                    probe = work.with_entry(VarId(name, full.unit), cand)
-                    if _feasible(arch, probe, spaces.fps, windows, check_plan):
-                        ok = trial
-                        cur = cand
-                        work = probe
-                    else:
-                        target = trial
+                for done in range(0, _BISECT_ITERS, depth):
+                    ok, target, work = _bisection_round(
+                        work, var, side, ok, target,
+                        min(depth, _BISECT_ITERS - done), check)
                 log.append({"step": "bound-grown", "variable": name,
                             "side": side, "value": ok})
         narrowed_fds = work
 
-    env = envelope_over_box(
-        arch, narrowed_fds, plan,
-        windows={k: [(t0, t1) for t0, t1, _ in ws] for k, ws in windows.items()})
+    env = envelope_over_box(arch, narrowed_fds, plan, windows=env_windows)
 
     # attainable performance box, clipped to the allowed space where the
     # padded empirical envelope pokes out

@@ -11,14 +11,15 @@ it says so.
 
 All samples of a bundle are integrated simultaneously as numpy vectors, so
 the cost is dominated by the number of time steps, not the number of samples.
+That is why ``envelope_over_box`` also takes several boxes at once (the
+probes of one narrowing round) and reduces the bundle per box.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,23 +77,6 @@ class Envelope:
     bounds: dict[str, tuple[float, float]]
     windows: dict[str, dict[tuple[float, float], tuple[float, float]]] = field(default_factory=dict)
     n_samples: int = 0
-
-    def merged(self, other: "Envelope") -> "Envelope":
-        bounds = dict(self.bounds)
-        for k, (lo, hi) in other.bounds.items():
-            if k in bounds:
-                bounds[k] = (min(bounds[k][0], lo), max(bounds[k][1], hi))
-            else:
-                bounds[k] = (lo, hi)
-        windows: dict = {k: dict(v) for k, v in self.windows.items()}
-        for k, ws in other.windows.items():
-            tgt = windows.setdefault(k, {})
-            for w, (lo, hi) in ws.items():
-                if w in tgt:
-                    tgt[w] = (min(tgt[w][0], lo), max(tgt[w][1], hi))
-                else:
-                    tgt[w] = (lo, hi)
-        return Envelope(bounds, windows, self.n_samples + other.n_samples)
 
 
 def _design_var_names(arch: Architecture) -> list[str]:
@@ -185,8 +169,9 @@ def build_ode(arch: Architecture, point: dict[str, float]) -> OdeSystem:
                      algebraic_order=tuple(order), initial_state=initial, rhs=rhs)
 
 
-def _rk4_step(rhs, state: list, h: float):
-    k1, _ = rhs(*state)
+def _rk4_step(rhs, state: list, h: float, k1):
+    """One RK4 step; ``k1`` holds the derivatives at ``state``, which every
+    caller has already evaluated along with the outputs it records."""
     k2, _ = rhs(*(s + 0.5 * h * d for s, d in zip(state, k1)))
     k3, _ = rhs(*(s + 0.5 * h * d for s, d in zip(state, k2)))
     k4, _ = rhs(*(s + h * d for s, d in zip(state, k3)))
@@ -206,7 +191,7 @@ def integrate(sys: OdeSystem, horizon: float, step: float) -> Trajectory:
     for k in range(n + 1):
         t = k * step
         times[k] = t
-        _, outs = sys.rhs(*state)
+        derivs, outs = sys.rhs(*state)
         for name, val in zip(sys.output_names, outs):
             series[name].append(val)
         if not all(np.all(np.isfinite(np.asarray(s))) for s in state):
@@ -214,7 +199,7 @@ def integrate(sys: OdeSystem, horizon: float, step: float) -> Trajectory:
                        if not np.all(np.isfinite(np.asarray(s))))
             raise NonFinite(bad, t)
         if k < n:
-            state = _rk4_step(sys.rhs, state, step)
+            state = _rk4_step(sys.rhs, state, step, derivs)
     return Trajectory(times=times,
                       values={k: np.asarray(v) for k, v in series.items()})
 
@@ -224,31 +209,41 @@ def design_samples(box: RangeMap, plan: SamplingPlan) -> list[dict[str, float]]:
     grid, deduplicated; beyond the cap, a Halton low-discrepancy set."""
     items = box.items()
     names = [v.name for v, _ in items]
-    axes_corners = [(iv.lo, iv.hi) if iv.lo < iv.hi else (iv.lo,) for _, iv in items]
-    pts: list[tuple[float, ...]] = []
+    lattices = []
     if plan.corners:
-        pts.extend(itertools.product(*axes_corners))
+        lattices.append([(iv.lo, iv.hi) if iv.lo < iv.hi else (iv.lo,) for _, iv in items])
     if plan.grid > 0:
-        axes_grid = []
-        for _, iv in items:
-            if iv.lo == iv.hi or plan.grid == 1:
-                axes_grid.append((iv.mid,))
-            else:
-                axes_grid.append(tuple(np.linspace(iv.lo, iv.hi, plan.grid)))
-        pts.extend(itertools.product(*axes_grid))
+        lattices.append([(iv.mid,) if iv.lo == iv.hi or plan.grid == 1
+                         else tuple(np.linspace(iv.lo, iv.hi, plan.grid))
+                         for _, iv in items])
+    # count the union before building it: the 2^d corners and 3^d grid
+    # points outgrow memory long before they reach the cap
+    count = sum(math.prod(len(set(axis)) for axis in lattice) for lattice in lattices)
+    if len(lattices) == 2:
+        count -= math.prod(len(set(c) & set(g)) for c, g in zip(*lattices))
+    if count > plan.cap:
+        return [dict(zip(names, p)) for p in _halton_samples(items, plan.cap)]
     seen = set()
     unique: list[tuple[float, ...]] = []
-    for p in pts:
+    for p in itertools.chain.from_iterable(itertools.product(*lattice) for lattice in lattices):
         if p not in seen:
             seen.add(p)
             unique.append(p)
-    if len(unique) > plan.cap:
-        unique = _halton_samples(items, plan.cap)
     return [dict(zip(names, p)) for p in unique]
 
 
+def _primes(n: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def _halton_samples(items, n: int) -> list[tuple[float, ...]]:
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    primes = _primes(len(items))   # one base per axis keeps axes independent
 
     def halton(i: int, base: int) -> float:
         f, r = 1.0, 0.0
@@ -260,97 +255,141 @@ def _halton_samples(items, n: int) -> list[tuple[float, ...]]:
 
     out = []
     for i in range(1, n + 1):
-        pt = tuple(iv.lo + halton(i, primes[d % len(primes)]) * (iv.hi - iv.lo)
-                   for d, (_, iv) in enumerate(items))
+        pt = tuple(iv.lo + halton(i, base) * (iv.hi - iv.lo)
+                   for base, (_, iv) in zip(primes, items))
         out.append(pt)
     return out
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SETDECOMP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def envelope_over_box(arch: Architecture, box: RangeMap, plan: SamplingPlan,
-                      windows: dict[str, list[tuple[float, float]]] | None = None) -> Envelope:
+def envelope_over_box(arch: Architecture, box: RangeMap | Sequence[RangeMap],
+                      plan: SamplingPlan,
+                      windows: dict[str, list[tuple[float, float]]] | None = None
+                      ) -> Envelope | list[Envelope | NonFinite]:
     """Simulate every sample of the box and take per-variable extrema, then
     inflate each bound outward by ``plan.padding`` of the observed span.
 
     ``windows`` optionally requests extra extrema of given variables over
-    time windows [t0, t1].  The result is deterministic for a given plan
-    regardless of SETDECOMP_THREADS.
+    time windows [t0, t1].
+
+    ``box`` may also be a sequence of boxes, such as the probes of one
+    narrowing round.  Their samples are then integrated as one bundle and
+    the result is a list holding, per box, its envelope or the
+    :class:`NonFinite` error its own samples ran into (returned, not
+    raised).  A box's envelope does not depend on the other boxes it is
+    simulated with.
     """
-    samples = design_samples(box, plan)
-    if not samples:
+    single = isinstance(box, RangeMap)
+    sample_sets = [design_samples(b, plan) for b in ([box] if single else box)]
+    if not sample_sets or not all(sample_sets):
         raise ValueError("empty design box")
-    threads = _thread_count()
-    if threads <= 1 or len(samples) < 2 * threads:
-        env = _envelope_bundle(arch, samples, plan, windows)
-    else:
-        chunks = [samples[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda ch: _envelope_bundle(arch, ch, plan, windows), chunks))
-        env = parts[0]
-        for p in parts[1:]:
-            env = env.merged(p)
-
-    if plan.padding > 0:
-        padded = {}
-        for k, (lo, hi) in env.bounds.items():
-            pad = plan.padding * (hi - lo)
-            padded[k] = (lo - pad, hi + pad)
-        wpad = {}
-        for k, ws in env.windows.items():
-            wpad[k] = {w: (lo - plan.padding * (hi - lo), hi + plan.padding * (hi - lo))
-                       for w, (lo, hi) in ws.items()}
-        env = Envelope(padded, wpad, env.n_samples)
-    return env
+    results = [r if isinstance(r, NonFinite) else _padded(r, plan.padding)
+               for r in _envelope_bundle(arch, sample_sets, plan, windows)]
+    if not single:
+        return results
+    if isinstance(results[0], NonFinite):
+        raise results[0]
+    return results[0]
 
 
-def _envelope_bundle(arch: Architecture, samples: list[dict[str, float]],
+def _padded(env: Envelope, padding: float) -> Envelope:
+    if padding <= 0:
+        return env
+
+    def pad(lo: float, hi: float) -> tuple[float, float]:
+        return lo - padding * (hi - lo), hi + padding * (hi - lo)
+
+    return Envelope({k: pad(*b) for k, b in env.bounds.items()},
+                    {k: {w: pad(*b) for w, b in ws.items()} for k, ws in env.windows.items()},
+                    env.n_samples)
+
+
+def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]]],
                      plan: SamplingPlan,
-                     windows: dict[str, list[tuple[float, float]]] | None) -> Envelope:
-    point = {k: np.array([s[k] for s in samples])
-             for k in samples[0]}
+                     windows: dict[str, list[tuple[float, float]]] | None
+                     ) -> list[Envelope | NonFinite]:
+    """RK4 over all sample sets at once, with extrema reduced per set.
+
+    Every set is padded to a common length ``m`` by repeating its own last
+    sample, which leaves its extrema unchanged, so each step reduces every
+    output over a (sets × m) view into one (outputs × sets) table and folds
+    that table into the running extrema.  A set whose outputs turn
+    non-finite gets the :class:`NonFinite` error it would raise alone; the
+    loop stops early once every set has one.
+    """
+    P = len(sample_sets)
+    m = max(len(s) for s in sample_sets)
+    padded = [s + [s[-1]] * (m - len(s)) for s in sample_sets]
+    point = {k: np.array([s[k] for seg in padded for s in seg])
+             for k in sample_sets[0][0]}
     sys = build_ode(arch, point)
     n = int(round(plan.horizon / plan.step))
-    state = [np.asarray(v, dtype=float) + np.zeros(len(samples)) for v in sys.initial_state]
+    state = [np.asarray(v, dtype=float) + np.zeros(P * m) for v in sys.initial_state]
 
-    lo = {k: math.inf for k in sys.output_names}
-    hi = {k: -math.inf for k in sys.output_names}
-    wlo: dict[str, dict[tuple[float, float], float]] = {}
-    whi: dict[str, dict[tuple[float, float], float]] = {}
-    for k, ws in (windows or {}).items():
-        wlo[k] = {tuple(w): math.inf for w in ws}
-        whi[k] = {tuple(w): -math.inf for w in ws}
+    names = sys.output_names
+    table = np.empty((2, len(names), P))        # this step's [min, max]
+    tlo, thi = table
+    rlo = np.full((len(names), P), math.inf)    # running extrema
+    rhi = np.full((len(names), P), -math.inf)
+    rows = list(zip(tlo, thi))
+    row_of = dict(zip(names, rows))
+    wins = {name: {tuple(w): (np.full(P, math.inf), np.full(P, -math.inf)) for w in ws}
+            for name, ws in (windows or {}).items()}
+    win_rows = [(t0, t1, *row_of[name], *ext) for name, ws in wins.items() if name in row_of
+                for (t0, t1), ext in ws.items()]
+    errors: list[NonFinite | None] = [None] * P
 
-    for k in range(n + 1):
-        t = k * plan.step
-        _, outs = sys.rhs(*state)
-        for name, val in zip(sys.output_names, outs):
-            arr = np.asarray(val)
-            vmin, vmax = float(arr.min()), float(arr.max())
-            if not (math.isfinite(vmin) and math.isfinite(vmax)):
-                idx = int(np.argmax(~np.isfinite(arr)))
-                raise NonFinite(f"{name} (sample {samples[idx]})", t)
-            if vmin < lo[name]:
-                lo[name] = vmin
-            if vmax > hi[name]:
-                hi[name] = vmax
-            if name in wlo:
-                for (t0, t1) in wlo[name]:
-                    if t0 <= t <= t1:
-                        if vmin < wlo[name][(t0, t1)]:
-                            wlo[name][(t0, t1)] = vmin
-                        if vmax > whi[name][(t0, t1)]:
-                            whi[name][(t0, t1)] = vmax
-        if k < n:
-            state = _rk4_step(sys.rhs, state, plan.step)
+    # non-finite values are caught below and reported per set as NonFinite
+    with np.errstate(all="ignore"):
+        for k in range(n + 1):
+            t = k * plan.step
+            derivs, outs = sys.rhs(*state)
+            for (lo_row, hi_row), val in zip(rows, outs):
+                if isinstance(val, np.ndarray):
+                    seg = val.reshape(P, m)
+                    np.minimum.reduce(seg, 1, None, lo_row)
+                    np.maximum.reduce(seg, 1, None, hi_row)
+                else:
+                    lo_row[:] = val
+                    hi_row[:] = val
+            # NaN and inf survive min and max, so one test covers the step
+            if not np.isfinite(table).all():
+                _record_nonfinite(errors, table, outs, names, sample_sets, m, t)
+                if all(e is not None for e in errors):
+                    break
+            # on ties the second argument wins, which keeps the first extremum
+            # seen, down to the sign of a zero
+            np.minimum(tlo, rlo, out=rlo)
+            np.maximum(thi, rhi, out=rhi)
+            for t0, t1, lo_row, hi_row, wlo, whi in win_rows:
+                if t0 <= t <= t1:
+                    np.minimum(lo_row, wlo, out=wlo)
+                    np.maximum(hi_row, whi, out=whi)
+            if k < n:
+                state = _rk4_step(sys.rhs, state, plan.step, derivs)
 
-    bounds = {name: (lo[name], hi[name]) for name in sys.output_names}
-    wins = {name: {w: (wlo[name][w], whi[name][w]) for w in wlo[name]}
-            for name in wlo}
-    return Envelope(bounds=bounds, windows=wins, n_samples=len(samples))
+    results: list = []
+    for p, samples in enumerate(sample_sets):
+        if errors[p] is not None:
+            results.append(errors[p])
+            continue
+        bounds = {name: (float(rlo[i, p]), float(rhi[i, p]))
+                  for i, name in enumerate(names)}
+        wp = {name: {w: (float(wlo[p]), float(whi[p])) for w, (wlo, whi) in ws.items()}
+              for name, ws in wins.items()}
+        results.append(Envelope(bounds=bounds, windows=wp, n_samples=len(samples)))
+    return results
+
+
+def _record_nonfinite(errors: list, table: np.ndarray, outs, names, sample_sets,
+                      m: int, t: float) -> None:
+    """Give every set that first turned non-finite at time ``t`` the error a
+    bundle of its samples alone raises: the first output in order, at the
+    first such sample."""
+    bad = ~np.isfinite(table).all(axis=0)       # (outputs, sets)
+    for p in np.flatnonzero(bad.any(axis=0)):
+        if errors[p] is not None:
+            continue
+        i = int(np.argmax(bad[:, p]))
+        vals = np.broadcast_to(outs[i], (len(sample_sets) * m,))[p * m:(p + 1) * m]
+        idx = int(np.argmax(~np.isfinite(vals)))
+        errors[p] = NonFinite(f"{names[i]} (sample {sample_sets[p][idx]})", t)

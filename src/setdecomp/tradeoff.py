@@ -278,9 +278,10 @@ def restore_feasibility(arch: Architecture, chosen: RangeMap, fds2: RangeMap,
             b = brackets.get(v.name)
             if b is None:
                 continue
+            # clamped so that t = 1 lands on the attained range exactly
             cur = cur.with_entry(v, Interval(
-                got.lo + t * (b.l2 - got.lo),
-                got.hi + t * (b.u2 - got.hi), got.unit))
+                min(got.lo + t * (b.l2 - got.lo), b.l2),
+                max(got.hi + t * (b.u2 - got.hi), b.u2), got.unit))
         return cur
 
     def sweep(cur: RangeMap) -> tuple[RangeMap, list[dict]] | None:

@@ -86,6 +86,33 @@ class TestDecompose:
         assert rc != 0
 
 
+    def test_point_valued_chain_restores_onto_its_attained_ranges(self, tmp_path):
+        # s_k = 0.5*s_{k-1} + 1 fed by the fixed point s0 = 2: every attained
+        # range is [2, 2], and the top's lower bound 1.9 forces a pull-in,
+        # whose feasibility test at t = 1 must land on [2, 2] exactly (these
+        # weights once made it overshoot to 2.000000000000001)
+        port = {"lo": -10.0, "hi": 20.0, "unit": ""}
+        links = [{"id": f"L{k}", "kind": "algebraic",
+                  "exprs": {f"s{k}": ["+", ["*", 0.5, ["var", f"s{k - 1}"]], 1.0]},
+                  "inputs": {f"s{k - 1}": port}, "outputs": {f"s{k}": port}}
+                 for k in range(1, 5)]
+        doc = {"top": {"name": "point-chain",
+                       "inputs": {"s0": {"lo": 2.0, "hi": 2.0, "unit": ""}},
+                       "outputs": {"s4": {"lo": 1.9, "hi": 15.0, "unit": ""}},
+                       "controllables": {}, "uncontrollables": {}},
+               "subfunctions": links,
+               "tradeoff": {"weights": {
+                   "producer": {"s1": 0.3, "s2": 0.9, "s3": 0.1, "s4": 0.5},
+                   "consumer": {"L2": {"s1": 0.1}, "L3": {"s2": 0.7}, "L4": {"s3": 0.7}}}}}
+        arch = tmp_path / "point-chain.json"
+        arch.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["decompose", str(arch), "--horizon", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["law_checks"]["refinement"]["ok"] is True
+        assert any(e["step"] == "pulled-in" for e in report["log"]["tradeoff"])
+
+
 class TestCheckLaws:
     def test_passing_chain(self, chain_files, capsys):
         rc = main(["check-laws", chain_files["a"], chain_files["b"],
@@ -132,6 +159,7 @@ class TestSimulate:
         assert header[0] == "t"
         assert "v" in header
         assert len(lines) == 12  # t = 0.0 .. 1.0 inclusive
+        assert [float(row.split(",")[0]) for row in lines[1:]] == [k * 0.1 for k in range(11)]
 
     def test_bad_override_shape(self, capsys):
         assert main(["simulate", CRUISE, "v_r:35"]) == 2

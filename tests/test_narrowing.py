@@ -8,8 +8,8 @@ from setdecomp.errors import CoverageViolation, Infeasible
 from setdecomp.expr import BinOp, Num, Var
 from setdecomp.intervals import Interval, RangeMap, VarId
 from setdecomp.narrowing import (aggregate_ranges, compute_group_ranges,
-                                 initial_spaces, narrow)
-from setdecomp.simulation import SamplingPlan
+                                 initial_spaces, narrow, top_windows)
+from setdecomp.simulation import SamplingPlan, envelope_over_box
 
 CRUISE = str(importlib.resources.files("setdecomp") / "data" / "cruise.json")
 
@@ -34,6 +34,50 @@ def _passthrough_arch(c_range=(0.0, 10.0), top_out=(0.0, 5.0)):
         inputs=RangeMap.of(x=(-1, 2)), outputs=RangeMap.of(y=(-100, 100)),
         controllables=RangeMap.of(c=c_range))
     return Architecture(top=top, subfunctions=(f,))
+
+
+def _probe_arch(extra):
+    """_passthrough_arch plus one more output of c, ``extra``."""
+    base = _passthrough_arch(c_range=(0.0, 10.0), top_out=(0.0, 5.0))
+    (f,) = base.subfunctions
+    g = SubFunction(id="g", kind=Algebraic(exprs=(("z", extra),)),
+                    outputs=RangeMap.of(z=(-100, 100)),
+                    controllables=RangeMap.of(c=(0.0, 10.0)))
+    return Architecture(top=base.top, subfunctions=(f, g))
+
+
+def _sequential_fds(arch, spaces, plan):
+    """Reference narrowing: the bisection of ``narrow``, one probe per
+    envelope."""
+    check_plan = plan.reduced()
+    windows = top_windows(arch)
+
+    def feasible(box):
+        env = envelope_over_box(arch, box, check_plan,
+                                windows={k: [(t0, t1) for t0, t1, _ in ws]
+                                         for k, ws in windows.items()})
+        return (all(iv.lo <= env.bounds[v.name][0] and env.bounds[v.name][1] <= iv.hi
+                    for v, iv in spaces.fps.items())
+                and all(iv.lo <= env.windows[k][(t0, t1)][0]
+                        and env.windows[k][(t0, t1)][1] <= iv.hi
+                        for k, ws in windows.items() for t0, t1, iv in ws))
+
+    work = spaces.fds
+    if feasible(work):
+        return work
+    (c,) = [v for v, _ in work.items() if v.name == "c"]
+    work = work.with_entry(c, Interval(work[c].mid, work[c].mid))
+    for side in ("lo", "hi"):
+        ok, target = getattr(work[c], side), getattr(spaces.fds[c], side)
+        for _ in range(12):
+            trial = 0.5 * (ok + target)
+            cand = (Interval(trial, work[c].hi) if side == "lo"
+                    else Interval(work[c].lo, trial))
+            if feasible(work.with_entry(c, cand)):
+                ok, work = trial, work.with_entry(c, cand)
+            else:
+                target = trial
+    return work
 
 
 class TestInitialSpaces:
@@ -118,6 +162,24 @@ class TestNarrow:
         lo, hi = res.envelope.bounds["y"]
         assert lo < 0.0 < 5.0 < hi
 
+    @pytest.mark.parametrize("extra", [
+        # c = 8.75 is probed only if the first hi trial, 7.5, passes; it
+        # fails, so only a speculative probe divides by zero
+        BinOp("/", Num(1.0), BinOp("-", Var("c"), Num(8.75))),
+        # a spike of z at c = 3.75, the centre of the first lo probe
+        # [2.5, 5], fails that probe while the wider [1.25, 5] passes
+        BinOp("/", Num(0.05),
+              BinOp("+", BinOp("*", BinOp("-", Var("c"), Num(3.75)),
+                               BinOp("-", Var("c"), Num(3.75))), Num(1e-4))),
+    ], ids=["unvisited-probe-diverges", "non-monotone"])
+    def test_bundled_probes_give_the_sequential_result(self, extra):
+        arch = _probe_arch(extra)
+        spaces = initial_spaces(arch)
+        plan = SamplingPlan(grid=2, padding=0.0, step=0.5, horizon=1.0)
+        res = narrow(arch, spaces, plan)
+        assert res.narrowed.fds == _sequential_fds(arch, spaces, plan)
+        assert res.narrowed.fds["c"].hi == 5.0
+
     def test_cruise_narrowed_spaces_nest(self, cruise):
         spaces = initial_spaces(cruise)
         res = narrow(cruise, spaces, FAST_PLAN)
@@ -130,3 +192,5 @@ class TestNarrow:
         import json
         res = narrow(cruise, initial_spaces(cruise), FAST_PLAN)
         json.dumps(list(res.log))  # must not raise
+        # corners of the four design axes plus the centre
+        assert res.log[0]["samples_per_check"] == 17

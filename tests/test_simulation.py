@@ -140,6 +140,23 @@ class TestSampling:
         # deterministic
         assert pts == design_samples(box, SamplingPlan(grid=3, cap=100))
 
+    def test_many_axes_go_straight_to_the_cap(self):
+        # 2^30 corners and 3^30 grid points are counted, never built
+        box = RangeMap.of(**{f"x{i:02d}": (0.0, 1.0) for i in range(30)})
+        pts = design_samples(box, SamplingPlan(grid=3, cap=50))
+        assert len(pts) == 50
+
+    def test_count_below_cap_keeps_the_lattice(self):
+        # 16 corners + 81 grid points share the 16 corners: 81 unique
+        box = RangeMap.of(**{f"x{i}": (0.0, 1.0) for i in range(4)})
+        assert len(design_samples(box, SamplingPlan(grid=3, cap=81))) == 81
+        assert len(design_samples(box, SamplingPlan(grid=3, cap=80))) == 80
+
+    def test_low_discrepancy_axes_use_distinct_bases(self):
+        box = RangeMap.of(**{f"x{i:02d}": (0.0, 1.0) for i in range(13)})
+        pts = design_samples(box, SamplingPlan(grid=3, cap=20))
+        assert [p["x00"] for p in pts] != [p["x12"] for p in pts]
+
 
 class TestEnvelope:
     def test_envelope_covers_closed_form_extremes(self):
@@ -167,10 +184,33 @@ class TestEnvelope:
         assert lo == pytest.approx(5.0, abs=1e-9)   # y0=0 at t=5
         assert hi == pytest.approx(11.0, abs=1e-9)  # y0=1 at t=10
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        box = RangeMap.of(y0=(0.5, 2.0))
+    def test_boxes_bundled_match_boxes_alone(self):
+        # sets of 3 and 1 samples share a bundle padded to 3 per box
+        boxes = [RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(1.5, 1.5)),
+                 RangeMap.of(y0=(0.75, 1.0))]
         plan = SamplingPlan(grid=3, padding=0.02, step=0.01, horizon=1.0)
-        serial = envelope_over_box(_decay_arch(), box, plan)
-        monkeypatch.setenv("SETDECOMP_THREADS", "4")
-        threaded = envelope_over_box(_decay_arch(), box, plan)
-        assert serial.bounds == threaded.bounds
+        windows = {"y": [(0.25, 0.5)]}
+        bundled = envelope_over_box(_decay_arch(), boxes, plan, windows)
+        alone = [envelope_over_box(_decay_arch(), b, plan, windows) for b in boxes]
+        assert bundled == alone
+        assert [e.n_samples for e in bundled] == [3, 1, 3]
+
+    def test_diverging_box_returns_its_error(self):
+        # dy/dt = y^2 from y0 = 2 blows up near t = 0.5; y0 = 0 stays at 0
+        top = FunctionalRequirement("blow", inputs=RangeMap.of(y0=(0, 2)),
+                                    outputs=RangeMap.of(y=(-1e9, 1e9)))
+        integ = SubFunction(id="int", kind=Integrator("y", "dy", "y0"),
+                            inputs=RangeMap.of(y0=(0, 2), dy=(-1e9, 1e9)),
+                            outputs=RangeMap.of(y=(-1e9, 1e9)))
+        sq = SubFunction(id="sq", kind=Algebraic(exprs=(("dy", BinOp("*", Var("y"), Var("y"))),)),
+                         inputs=RangeMap.of(y=(-1e9, 1e9)), outputs=RangeMap.of(dy=(-1e9, 1e9)))
+        arch = Architecture(top=top, subfunctions=(integ, sq))
+        plan = SamplingPlan(grid=1, padding=0.0, step=0.01, horizon=5.0)
+        bad, good = RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(0.0, 0.0))
+        results = envelope_over_box(arch, [bad, good], plan)
+        with pytest.raises(NonFinite) as alone:
+            envelope_over_box(arch, bad, plan)
+        assert isinstance(results[0], NonFinite)
+        assert str(results[0]) == str(alone.value)
+        assert results[1] == envelope_over_box(arch, good, plan)
+        assert results[1].bounds["y"] == (0.0, 0.0)
