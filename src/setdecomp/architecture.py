@@ -16,7 +16,7 @@ from typing import Iterable
 
 from . import expr as ex
 from .errors import (CoverageViolation, ParseError, ProducerConflict,
-                     UnitMismatch, ValidationError)
+                     ValidationError)
 from .intervals import (Interval, RangeMap, VarId, names_intersect,
                         names_subset, names_union)
 from .requirements import FunctionalRequirement, fr_from_dict, fr_to_dict

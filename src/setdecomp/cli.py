@@ -56,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="envelope grid points per design axis (default 3)")
     d.add_argument("--padding", type=float, default=0.02,
                    help="envelope padding as a fraction of span (default 0.02)")
-    d.add_argument("--max-iters", type=int, default=10_000,
-                   help="trade-off solver iteration budget (default 10000)")
     d.add_argument("--strict-refinement", action="store_true",
                    help="also require controllable/uncontrollable refinement")
     d.add_argument("--compare", metavar="FILE",
@@ -89,8 +87,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _cmd_decompose(args) -> int:
     config = RunConfig(step=args.step, horizon=args.horizon, grid=args.grid,
-                       padding=args.padding, max_iters=args.max_iters,
-                       strict_refinement=args.strict_refinement)
+                       padding=args.padding, strict_refinement=args.strict_refinement)
     report = run_pipeline(args.architecture, config, golden_file=args.compare)
     render = {"json": report_to_json, "md": report_to_markdown,
               "csv": report_to_csv}[args.emit]

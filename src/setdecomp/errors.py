@@ -96,15 +96,6 @@ class Infeasible(SetDecompError):
     """No admissible controllable box (or bracket point) exists."""
 
 
-class BoundaryContact(SetDecompError):
-    """A barrier term was evaluated on or beyond its bracket boundary."""
-
-    def __init__(self, var: str, side: str):
-        super().__init__(f"barrier boundary contact for '{var}' on {side} side")
-        self.var = var
-        self.side = side
-
-
 class InfeasibleBrackets(Infeasible):
     """A bracket violates the l1 <= l2 <= u2 <= u1 ordering."""
 

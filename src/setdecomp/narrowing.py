@@ -17,11 +17,11 @@ Two stages:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .architecture import Architecture, Classification, classify, validate_coverage
 from .errors import CoverageViolation, Infeasible, NonFinite
-from .intervals import Interval, RangeMap, VarId, names_subset, rangemap_merge
+from .intervals import Interval, RangeMap, VarId, rangemap_merge
 from .simulation import Envelope, SamplingPlan, envelope_over_box
 
 __all__ = ["FeasibleSpaces", "NarrowingResult", "EnvelopeEscape",

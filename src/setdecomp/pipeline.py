@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .architecture import Architecture, classify, load_architecture
+from .architecture import classify, load_architecture
 from .intervals import RangeMap
 from .narrowing import NarrowingResult, initial_spaces, narrow
 from .requirements import check_refines, fr_to_dict
@@ -31,12 +31,10 @@ class RunConfig:
     horizon: float = 100.0
     grid: int = 3
     padding: float = 0.02
-    max_iters: int = 10_000
     strict_refinement: bool = False
 
     def __post_init__(self):
-        if self.step <= 0 or self.horizon <= 0 or self.grid < 0 \
-                or self.padding < 0 or self.max_iters <= 0:
+        if self.step <= 0 or self.horizon <= 0 or self.grid < 0 or self.padding < 0:
             raise ValueError("RunConfig values must be positive")
 
     def plan(self) -> SamplingPlan:
@@ -90,20 +88,15 @@ def run_pipeline(arch_file, config: RunConfig | None = None,
     spaces = initial_spaces(arch)
     nres: NarrowingResult = narrow(arch, spaces, config.plan())
     tres: TradeoffResult = run_tradeoff(
-        arch, nres.narrowed.fds, spaces.fps, nres.narrowed.fps,
-        weights, max_iters=config.max_iters)
+        arch, nres.narrowed.fds, spaces.fps, nres.narrowed.fps, weights)
 
     # law post-assertions are raised inside run_tradeoff; report the verdicts
     refinement = check_refines(tres.composite, arch.top,
                                strict=config.strict_refinement)
-    matrix = []
-    producers = arch.producer_of()
-    consumers = arch.consumers_of()
-    by_id = {fr.name: fr for fr in tres.subrequirements}
-    for var in sorted(producers):
-        for cid in sorted(consumers.get(var, [])):
-            matrix.append({"producer": producers[var], "consumer": cid,
-                           "variable": var, "ok": True})
+    matrix = [{"producer": producer, "consumer": consumer, "variable": var,
+               "ok": bool(res)}
+              for producer, consumer, var, res
+              in sorted(tres.composability, key=lambda link: (link[2], link[1]))]
 
     report = PipelineReport(
         architecture=str(arch_file),

@@ -10,13 +10,10 @@ and ``compose`` builds the composite contract those laws talk about.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import NotComposable
-from .intervals import (
-    EMPTY, Interval, RangeMap, VarId, interval_intersect, names_intersect,
-    rangemap_merge,
-)
+from .intervals import Interval, RangeMap, VarId, names_intersect, rangemap_merge
 
 __all__ = [
     "TimedOutputSpec", "FunctionalRequirement", "CompositeFR",

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .architecture import Algebraic, Architecture, Integrator
+from .architecture import Architecture, Integrator
 from .errors import AlgebraicCycle, NonFinite, SetDecompError
-from .intervals import Interval, RangeMap
+from .intervals import RangeMap
 
 __all__ = ["OdeSystem", "Trajectory", "Envelope", "SamplingPlan",
            "build_ode", "integrate", "envelope_over_box", "design_samples"]

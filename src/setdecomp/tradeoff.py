@@ -8,9 +8,10 @@ sub-requirements; where in that corridor to land is a trade-off between the
 producer of a variable (wants a generous output promise, away from [l2, u2])
 and its consumers (want a tight input obligation, away from [l1, u1]).
 
-The trade-off is scored with a weighted log-barrier and solved by projected
-gradient descent.  A final feasibility-restoration pass enforces, per
-algebraic sub-function, that the interval-arithmetic image of the chosen
+The trade-off is scored with a weighted log-barrier, a sum of independent
+one-dimensional terms, so every free bound is set to its term's closed-form
+minimiser.  A final feasibility-restoration pass enforces, per algebraic
+sub-function, that the interval-arithmetic image of the chosen
 input ranges is contained in the chosen output range; integrator-bearing
 sub-functions are excluded (interval arithmetic says nothing useful about
 them) and are covered by the simulated envelope instead.
@@ -18,26 +19,40 @@ them) and are covered by the simulated envelope instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .architecture import Algebraic, Architecture, Integrator, SubFunction
+from .architecture import Algebraic, Architecture, SubFunction
 from .errors import (Infeasible, InfeasibleBrackets, NoInteriorPoint,
-                     PostconditionFailure)
-from .expr import evaluate_interval, free_vars
+                     PostconditionFailure, ValidationError)
+from .expr import evaluate_interval
 from .intervals import Interval, RangeMap, VarId
-from .requirements import FunctionalRequirement, check_composable, check_refines, compose
+from .requirements import (ComposabilityResult, FunctionalRequirement,
+                           check_composable, check_refines, compose)
 
 __all__ = ["PreferenceWeights", "Bracket", "BarrierProblem", "TradeoffResult",
            "build_brackets", "barrier_value", "barrier_gradient",
            "solve_tradeoff", "assemble_subrequirements", "run_tradeoff"]
 
 
+def _weight(where: str, value) -> float:
+    try:
+        w = float(value)
+    except (TypeError, ValueError):
+        w = math.nan
+    if not (math.isfinite(w) and w >= 0):
+        raise ValidationError(
+            f"trade-off weight {where} must be a finite non-negative number, got {value!r}")
+    return w
+
+
 @dataclass(frozen=True)
 class PreferenceWeights:
     """Per-variable producer weights and per-(sub, variable) consumer weights.
-    Anything unspecified defaults to 0.5."""
+    Anything unspecified defaults to 0.5.  ``from_dict`` accepts only finite,
+    non-negative weights: the closed-form optimum assumes them."""
 
     producer: dict[str, float] = field(default_factory=dict)
     consumer: dict[str, dict[str, float]] = field(default_factory=dict)
@@ -51,9 +66,14 @@ class PreferenceWeights:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PreferenceWeights":
-        return cls(producer=dict(doc.get("producer", {})),
-                   consumer={k: dict(v) for k, v in doc.get("consumer", {}).items()},
-                   default=float(doc.get("default", 0.5)))
+        try:
+            return cls(producer={v: _weight(f"producer.{v}", w)
+                                 for v, w in doc.get("producer", {}).items()},
+                       consumer={k: {v: _weight(f"consumer.{k}.{v}", w) for v, w in ws.items()}
+                                 for k, ws in doc.get("consumer", {}).items()},
+                       default=_weight("default", doc.get("default", 0.5)))
+        except AttributeError as e:     # a section that is not a JSON object
+            raise ValidationError(f"trade-off weights must map names to numbers: {e}") from None
 
     def to_dict(self) -> dict:
         return {"producer": dict(self.producer),
@@ -147,14 +167,6 @@ class BarrierProblem:
                   for j in self.consumers[name])
         return a_p, a_c
 
-    def clip(self, x: np.ndarray, margin: float = 1e-12) -> np.ndarray:
-        out = x.copy()
-        for k, (_, _, inner, outer) in enumerate(self.free):
-            lo, hi = sorted((inner, outer))
-            m = margin * (hi - lo)
-            out[k] = min(max(out[k], lo + m), hi - m)
-        return out
-
     def chosen(self, x: np.ndarray) -> RangeMap:
         vals = dict(self.pinned)
         for k, (name, side, _, _) in enumerate(self.free):
@@ -190,30 +202,27 @@ def barrier_gradient(problem: BarrierProblem, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _curvature(problem: BarrierProblem, x: np.ndarray) -> float:
-    worst = 0.0
+def solve_tradeoff(problem: BarrierProblem) -> tuple[np.ndarray, int]:
+    """The barrier's exact minimiser, one free bound at a time.
+
+    Each term  -a_p*ln|x - inner| - a_c*ln|outer - x|  is stationary at
+    x = (a_p*outer + a_c*inner) / (a_p + a_c).  A zero producer weight puts
+    the bound on its inner wall, a zero consumer weight on its outer wall;
+    with both zero the term is constant and the bound stays at the bracket
+    midpoint.  Returns the bounds and 0 iterations.
+    """
+    x = np.empty(problem.dim())
     for k, (_, _, inner, outer) in enumerate(problem.free):
         a_p, a_c = problem._terms(k)
-        worst = max(worst, a_p / (x[k] - inner) ** 2 + a_c / (outer - x[k]) ** 2)
-    return worst
-
-
-def solve_tradeoff(problem: BarrierProblem, max_iters: int = 10_000,
-                   tol: float = 1e-9) -> tuple[np.ndarray, int]:
-    """Projected gradient descent from the bracket midpoints; the step size
-    is the inverse of the current worst-case barrier curvature.  Stops when
-    the projected step is shorter than ``tol``."""
-    x = problem.midpoint()
-    it = 0
-    for it in range(1, max_iters + 1):
-        g = barrier_gradient(problem, x)
-        alpha = 1.0 / max(_curvature(problem, x), 1e-300)
-        x_new = problem.clip(x - alpha * g)
-        if float(np.linalg.norm(x_new - x)) < tol:
-            x = x_new
-            break
-        x = x_new
-    return x, it
+        if a_p == 0 and a_c == 0:
+            x[k] = 0.5 * (inner + outer)
+        elif a_p == 0:
+            x[k] = inner
+        elif a_c == 0:
+            x[k] = outer
+        else:
+            x[k] = (a_p * outer + a_c * inner) / (a_p + a_c)
+    return x, 0
 
 
 def _static_subs(arch: Architecture) -> list[SubFunction]:
@@ -327,7 +336,8 @@ class TradeoffResult:
     chosen: RangeMap                       # final performance ranges
     subrequirements: tuple[FunctionalRequirement, ...]
     composite: FunctionalRequirement
-    iterations: int
+    #: (producer, consumer, variable, result) for every producer->consumer link
+    composability: tuple[tuple[str, str, str, ComposabilityResult], ...]
     log: tuple[dict, ...]
 
 
@@ -357,29 +367,23 @@ def assemble_subrequirements(arch: Architecture, fds2: RangeMap,
 
 
 def run_tradeoff(arch: Architecture, fds2: RangeMap, fps1: RangeMap,
-                 fps2: RangeMap, weights: PreferenceWeights,
-                 max_iters: int = 10_000) -> TradeoffResult:
-    """Full final step: bracket construction, barrier descent, feasibility
+                 fps2: RangeMap, weights: PreferenceWeights) -> TradeoffResult:
+    """Full final step: bracket construction, barrier optimum, feasibility
     restoration, sub-requirement assembly, and the composability/refinement
     post-conditions."""
     brackets = build_brackets(fps1, fps2)
     problem = BarrierProblem(arch, brackets, weights)
-    log: list[dict] = []
-    if problem.dim() == 0:
-        chosen = problem.chosen(np.empty(0))
-        iterations = 0
-    else:
-        x, iterations = solve_tradeoff(problem, max_iters=max_iters)
-        chosen = problem.chosen(x)
-    log.append({"step": "barrier-descent", "iterations": iterations,
-                "free_bounds": problem.dim(),
-                "pinned_bounds": sorted(f"{n}.{s}" for n, s in problem.pinned)})
+    x, _ = solve_tradeoff(problem)
+    chosen = problem.chosen(x)
+    log: list[dict] = [{"step": "barrier-optimum", "free_bounds": problem.dim(),
+                        "pinned_bounds": sorted(f"{n}.{s}" for n, s in problem.pinned)}]
     chosen, rlog = restore_feasibility(arch, chosen, fds2, brackets)
     log.extend(rlog)
 
     frs = assemble_subrequirements(arch, fds2, chosen)
     by_id = {fr.name: fr for fr in frs}
     consumers = arch.consumers_of()
+    links = []
     for sf in arch.subfunctions:
         for v, _ in sf.outputs.items():
             for cid in consumers.get(v.name, []):
@@ -387,6 +391,7 @@ def run_tradeoff(arch: Architecture, fds2: RangeMap, fps1: RangeMap,
                 if not res:
                     raise PostconditionFailure(
                         "composability", f"{sf.id} -> {cid}: {res.witness_var}")
+                links.append((sf.id, cid, v.name, res))
     composite = compose(frs, name=f"{arch.top.name}-composite")
     res = check_refines(composite.fr, arch.top, strict=False)
     if not res:
@@ -394,4 +399,4 @@ def run_tradeoff(arch: Architecture, fds2: RangeMap, fps1: RangeMap,
             "refinement", f"{res.witness_var}: {res.clause}")
     log.append({"step": "post-conditions", "composable": True, "refines_top": True})
     return TradeoffResult(chosen=chosen, subrequirements=frs, composite=composite.fr,
-                          iterations=iterations, log=tuple(log))
+                          composability=tuple(links), log=tuple(log))

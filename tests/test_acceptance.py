@@ -262,6 +262,16 @@ class TestTradeoffSolution:
             lo, hi = min(inner, outer), max(inner, outer)
             assert lo < val < hi, f"{name}.{side}"
 
+    def test_solver_point_is_the_closed_form_optimum(self, arch, spaces,
+                                                     narrowed, weights):
+        brackets = build_brackets(spaces.fps, narrowed.narrowed.fps)
+        problem = BarrierProblem(arch, brackets, weights)
+        x, _ = solve_tradeoff(problem)
+        for k, (name, side, inner, outer) in enumerate(problem.free):
+            a_p, a_c = problem._terms(k)
+            optimum = (a_p * outer + a_c * inner) / (a_p + a_c)
+            assert x[k] == pytest.approx(optimum, rel=1e-12), f"{name}.{side}"
+
     def test_chosen_ranges_respect_the_brackets(self, spaces, narrowed, tradeoff):
         brackets = build_brackets(spaces.fps, narrowed.narrowed.fps)
         for name, b in brackets.items():
@@ -330,6 +340,19 @@ class TestNumericalSoundness:
                 fd = (8 * (f(x + e) - f(x - e))
                       - (f(x + 2 * e) - f(x - 2 * e))) / (12 * h)
                 assert g[k] == pytest.approx(fd, rel=1e-6)
+
+    def test_barrier_gradient_vanishes_at_the_solver_point(self, arch, spaces,
+                                                           narrowed, weights):
+        brackets = build_brackets(spaces.fps, narrowed.narrowed.fps)
+        problem = BarrierProblem(arch, brackets, weights)
+        x, _ = solve_tradeoff(problem)
+        g = barrier_gradient(problem, x)
+        for k, (name, side, inner, outer) in enumerate(problem.free):
+            if not min(inner, outer) < x[k] < max(inner, outer):
+                continue
+            a_p, a_c = problem._terms(k)
+            force = max(a_p / abs(x[k] - inner), a_c / abs(outer - x[k]))
+            assert abs(g[k]) <= 1e-9 * force, f"{name}.{side}"
 
     def test_integrator_shows_fourth_order_step_halving(self, arch, narrowed):
         point = {v.name: iv.mid for v, iv in narrowed.narrowed.fds.items()}

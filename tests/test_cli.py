@@ -66,6 +66,20 @@ class TestDecompose:
         report = json.loads(out.read_text())
         assert report["deltas"]["max"]["delta"] == 0.0
 
+    def test_max_iters_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", CRUISE, "--max-iters", "5"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("weight", [-0.5, float("nan")], ids=["negative", "nan"])
+    def test_bad_tradeoff_weight_is_validation_error(self, weight, tmp_path, capsys):
+        doc = json.loads(open(CRUISE).read())
+        doc["tradeoff"]["weights"]["producer"]["T"] = weight
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), *FAST]) == 2
+        assert "trade-off weight producer.T" in capsys.readouterr().err
+
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["decompose", "/nonexistent.json"]) == 2
         assert "error" in capsys.readouterr().err

@@ -6,7 +6,8 @@ import pytest
 
 from setdecomp.architecture import (Algebraic, Architecture, SubFunction,
                                     load_architecture)
-from setdecomp.errors import Infeasible, InfeasibleBrackets, NoInteriorPoint
+from setdecomp.errors import (Infeasible, InfeasibleBrackets, NoInteriorPoint,
+                              ValidationError)
 from setdecomp.expr import BinOp, Num, Var
 from setdecomp.intervals import Interval, RangeMap, VarId
 from setdecomp.narrowing import initial_spaces, narrow
@@ -85,12 +86,20 @@ class TestBarrier:
         # form  bound* = (a_p*outer + a_c*inner) / (a_p + a_c)
         a_p, a_c = 0.3, 0.6
         p = self._problem(a_p, a_c)
-        x, iters = solve_tradeoff(p)
+        x, _ = solve_tradeoff(p)
         l_star = (a_p * 0.0 + a_c * 4.0) / (a_p + a_c)
         u_star = (a_p * 10.0 + a_c * 6.0) / (a_p + a_c)
         assert x[0] == pytest.approx(l_star, rel=1e-6)
         assert x[1] == pytest.approx(u_star, rel=1e-6)
-        assert iters < 10_000
+
+    @pytest.mark.parametrize("a_p, a_c, expected", [
+        (0.0, 0.6, [4.0, 6.0]),      # only the consumers push: the inner wall
+        (0.3, 0.0, [0.0, 10.0]),     # only the producer pushes: the outer wall
+        (0.0, 0.0, [2.0, 8.0]),      # constant barrier: the bracket midpoint
+    ], ids=["inner-wall", "outer-wall", "midpoint"])
+    def test_zero_weights_give_exact_walls_or_midpoint(self, a_p, a_c, expected):
+        x, _ = solve_tradeoff(self._problem(a_p, a_c))
+        assert list(x) == expected
 
     def test_unconsumed_variable_drifts_to_the_outer_wall(self):
         # z has no consumers, so only the producer term pushes: toward FPS1
@@ -179,6 +188,29 @@ class TestCruiseTradeoff:
         assert w.producer_weight("unknown") == 0.5
         assert w.consumer_weight("f5", "v") == 0.5
         assert w.consumer_weight("f9", "v") == 0.5
+
+    @pytest.mark.parametrize("doc", [
+        {"producer": {"v": -0.1}},
+        {"producer": {"v": float("nan")}},
+        {"consumer": {"f5": {"v": float("inf")}}},
+        {"consumer": {"f5": {"v": "heavy"}}},
+        {"default": -1.0},
+        {"producer": [0.5]},
+        {"consumer": {"f5": 0.5}},
+    ], ids=["negative", "nan", "infinite", "not-a-number", "negative-default",
+            "producer-not-a-map", "consumer-not-a-map"])
+    def test_weights_must_be_finite_and_non_negative(self, doc):
+        with pytest.raises(ValidationError, match="trade-off weight"):
+            PreferenceWeights.from_dict(doc)
+
+    def test_composability_results_cover_every_link(self, result):
+        arch, _, _, tres = result
+        consumers = arch.consumers_of()
+        links = {(p, c, v) for v, p in arch.producer_of().items()
+                 for c in consumers.get(v, [])}
+        assert {link[:3] for link in tres.composability} == links
+        for producer, consumer, var, res in tres.composability:
+            assert res.ok and var in {v.name for v in res.shared}, (producer, consumer)
 
 
 def test_assemble_uses_design_ranges_for_design_vars():
