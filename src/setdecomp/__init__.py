@@ -14,7 +14,7 @@ from .errors import SetDecompError
 from .intervals import EMPTY, Interval, RangeMap, VarId, interval_intersect, rangemap_merge
 from .narrowing import FeasibleSpaces, NarrowingResult, initial_spaces, narrow
 from .pipeline import PipelineReport, RunConfig, run_pipeline
-from .requirements import (CompositeFR, FunctionalRequirement, TimedOutputSpec,
+from .requirements import (FunctionalRequirement, TimedOutputSpec,
                            check_composable, check_refines, compose)
 from .simulation import Envelope, SamplingPlan, Trajectory, build_ode, envelope_over_box, integrate
 from .tradeoff import PreferenceWeights, TradeoffResult, run_tradeoff
@@ -22,7 +22,7 @@ from .tradeoff import PreferenceWeights, TradeoffResult, run_tradeoff
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebraic", "Architecture", "Classification", "CompositeFR", "EMPTY",
+    "Algebraic", "Architecture", "Classification", "EMPTY",
     "Envelope", "FeasibleSpaces", "FunctionalRequirement", "Integrator",
     "InternalState", "Interval", "NarrowingResult", "PipelineReport",
     "PreferenceWeights", "RangeMap", "RunConfig", "SamplingPlan",

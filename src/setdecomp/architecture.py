@@ -17,9 +17,10 @@ from typing import Iterable
 from . import expr as ex
 from .errors import (CoverageViolation, ParseError, ProducerConflict,
                      ValidationError)
-from .intervals import (Interval, RangeMap, VarId, names_intersect,
-                        names_subset, names_union)
-from .requirements import FunctionalRequirement, fr_from_dict, fr_to_dict
+from .intervals import (RangeMap, VarId, names_intersect, names_subset,
+                        names_union)
+from .requirements import (FunctionalRequirement, _map_from_dict, _map_to_dict,
+                           fr_from_dict, fr_to_dict)
 
 __all__ = [
     "InternalState", "Algebraic", "Integrator", "SubFunction",
@@ -71,11 +72,6 @@ class SubFunction:
         out = self.inputs.names() | self.outputs.names()
         out |= self.controllables.names() | self.uncontrollables.names()
         return frozenset(out)
-
-    def as_fr(self) -> FunctionalRequirement:
-        return FunctionalRequirement(
-            name=self.id, inputs=self.inputs, outputs=self.outputs,
-            controllables=self.controllables, uncontrollables=self.uncontrollables)
 
 
 @dataclass(frozen=True)
@@ -239,18 +235,6 @@ def classify(arch: Architecture) -> Classification:
 
 # --- JSON loading -------------------------------------------------------------
 
-def _map_from_json(d: dict) -> RangeMap:
-    entries = []
-    for name, spec in d.items():
-        unit = spec.get("unit", "")
-        entries.append((VarId(name, unit), Interval(spec["lo"], spec["hi"], unit)))
-    return RangeMap(entries)
-
-
-def _map_to_json(m: RangeMap) -> dict:
-    return {v.name: {"lo": iv.lo, "hi": iv.hi, "unit": v.unit} for v, iv in m.items()}
-
-
 def _subfunction_from_dict(d: dict) -> SubFunction:
     kind_tag = d.get("kind")
     if kind_tag == "integrator":
@@ -266,10 +250,10 @@ def _subfunction_from_dict(d: dict) -> SubFunction:
         raise ValidationError(f"sub-function '{d.get('id', '?')}': unknown kind {kind_tag!r}")
     return SubFunction(
         id=d["id"], kind=kind,
-        inputs=_map_from_json(d.get("inputs", {})),
-        outputs=_map_from_json(d.get("outputs", {})),
-        controllables=_map_from_json(d.get("controllables", {})),
-        uncontrollables=_map_from_json(d.get("uncontrollables", {})),
+        inputs=_map_from_dict(d.get("inputs", {})),
+        outputs=_map_from_dict(d.get("outputs", {})),
+        controllables=_map_from_dict(d.get("controllables", {})),
+        uncontrollables=_map_from_dict(d.get("uncontrollables", {})),
     )
 
 
@@ -285,10 +269,10 @@ def _subfunction_to_dict(sf: SubFunction) -> dict:
         if sf.kind.states:
             d["states"] = [{"name": s.name, "derivative": ex.expr_to_json(s.derivative),
                             "initial": ex.expr_to_json(s.initial)} for s in sf.kind.states]
-    d["inputs"] = _map_to_json(sf.inputs)
-    d["outputs"] = _map_to_json(sf.outputs)
-    d["controllables"] = _map_to_json(sf.controllables)
-    d["uncontrollables"] = _map_to_json(sf.uncontrollables)
+    d["inputs"] = _map_to_dict(sf.inputs)
+    d["outputs"] = _map_to_dict(sf.outputs)
+    d["controllables"] = _map_to_dict(sf.controllables)
+    d["uncontrollables"] = _map_to_dict(sf.uncontrollables)
     return d
 
 
@@ -297,7 +281,7 @@ def architecture_from_dict(d: dict) -> Architecture:
         top = fr_from_dict(d["top"])
         subs = tuple(_subfunction_from_dict(s) for s in d["subfunctions"])
         constants = tuple(sorted((k, float(v)) for k, v in d.get("constants", {}).items()))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, AttributeError) as e:
         raise ValidationError(f"bad architecture document: {e}") from e
     return Architecture(top=top, subfunctions=subs, constants=constants)
 

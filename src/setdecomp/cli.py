@@ -117,7 +117,7 @@ def _cmd_check_laws(args) -> int:
                       f"{res.consumer_range!r}")
             elif res:
                 print(f"pass composable {fr_j.name} -> {fr_k.name}")
-    whole = compose(parts).fr if len(parts) > 1 else parts[0]
+    whole = compose(parts) if len(parts) > 1 else parts[0]
     res = check_refines(whole, top, strict=args.strict_refinement)
     if res:
         print(f"pass refines {whole.name} -> {top.name}")

@@ -100,10 +100,6 @@ class InfeasibleBrackets(Infeasible):
     """A bracket violates the l1 <= l2 <= u2 <= u1 ordering."""
 
 
-class NoInteriorPoint(Infeasible):
-    """A weighted bracket side has zero width, so no interior point exists."""
-
-
 class PostconditionFailure(SetDecompError):
     """An assembled result violated a law it is guaranteed to satisfy."""
 

@@ -1,10 +1,9 @@
 """Closed intervals, named variables, and the set/range algebra.
 
 Everything downstream (requirement contracts, architecture analysis,
-narrowing) is built on four value types: ``VarId`` (a named, unit-tagged
-variable), ``Interval`` (a closed numeric range), ``RangeMap`` (a finite
-map from variables to intervals) and ``RangeVector`` (a canonically
-ordered tuple view of a RangeMap).  All of them are immutable.
+narrowing) is built on three value types: ``VarId`` (a named, unit-tagged
+variable), ``Interval`` (a closed numeric range) and ``RangeMap`` (a finite
+map from variables to intervals).  All of them are immutable.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from typing import Iterable, Iterator, Mapping
 from .errors import EmptyRange, NotFound, UnitMismatch
 
 __all__ = [
-    "VarId", "Interval", "EMPTY", "RangeMap", "RangeVector",
+    "VarId", "Interval", "EMPTY", "RangeMap",
     "interval_intersect", "names_union", "names_intersect", "names_subset",
-    "rangemap_merge", "restrict", "to_vector", "from_vector",
+    "rangemap_merge", "restrict",
 ]
 
 
@@ -205,11 +204,6 @@ class RangeMap:
         return RangeMap({v: iv for v, iv in self._entries.items() if v.name not in drop})
 
 
-# A RangeVector is the canonical ordered view: tuple of (VarId, Interval)
-# sorted lexicographically by variable name.
-RangeVector = tuple
-
-
 def names_union(a: Iterable[VarId], b: Iterable[VarId]) -> frozenset[VarId]:
     """Identifier-level union; a shared name with conflicting units is an error."""
     by_name: dict[str, VarId] = {}
@@ -255,12 +249,3 @@ def rangemap_merge(a: RangeMap, b: RangeMap, *, context: str = "") -> RangeMap:
 def restrict(var: VarId | str, m: RangeMap) -> Interval:
     """The range bound to ``var`` in ``m``."""
     return m[var]
-
-
-def to_vector(m: RangeMap) -> RangeVector:
-    """Canonical ordered view of a RangeMap (sorted by variable name)."""
-    return tuple(m.items())
-
-
-def from_vector(vec: RangeVector) -> RangeMap:
-    return RangeMap(list(vec))

@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass, field
 
 from .architecture import classify, load_architecture
-from .intervals import RangeMap
+from .errors import ValidationError
 from .narrowing import NarrowingResult, initial_spaces, narrow
-from .requirements import check_refines, fr_to_dict
+from .requirements import _map_to_dict, check_refines, fr_to_dict
 from .simulation import SamplingPlan
 from .tradeoff import PreferenceWeights, TradeoffResult, run_tradeoff
 
@@ -71,15 +71,14 @@ class PipelineReport:
         }
 
 
-def _table(m: RangeMap) -> dict:
-    return {v.name: {"lo": iv.lo, "hi": iv.hi, "unit": v.unit} for v, iv in m.items()}
-
-
 def run_pipeline(arch_file, config: RunConfig | None = None,
                  golden_file=None) -> PipelineReport:
     config = config or RunConfig()
     arch, raw = load_architecture(arch_file)
-    weights = PreferenceWeights.from_dict(raw.get("tradeoff", {}).get("weights", {}))
+    tradeoff = raw.get("tradeoff", {})
+    if not isinstance(tradeoff, dict):
+        raise ValidationError("the 'tradeoff' section must be a JSON object")
+    weights = PreferenceWeights.from_dict(tradeoff.get("weights", {}))
 
     cls = classify(arch)
     classification = {label: sorted(v.name for v in group)
@@ -101,9 +100,9 @@ def run_pipeline(arch_file, config: RunConfig | None = None,
     report = PipelineReport(
         architecture=str(arch_file),
         classification=classification,
-        fds1=_table(spaces.fds), fps1=_table(spaces.fps),
-        fds2=_table(nres.narrowed.fds), fps2=_table(nres.narrowed.fps),
-        fps_star=_table(tres.chosen),
+        fds1=_map_to_dict(spaces.fds), fps1=_map_to_dict(spaces.fps),
+        fds2=_map_to_dict(nres.narrowed.fds), fps2=_map_to_dict(nres.narrowed.fps),
+        fps_star=_map_to_dict(tres.chosen),
         subrequirements=[fr_to_dict(fr) for fr in tres.subrequirements],
         law_checks={"composability": matrix,
                     "refinement": {"ok": bool(refinement),

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import NotComposable
+from .errors import NotComposable, ValidationError
 from .intervals import Interval, RangeMap, VarId, names_intersect, rangemap_merge
 
 __all__ = [
-    "TimedOutputSpec", "FunctionalRequirement", "CompositeFR",
+    "TimedOutputSpec", "FunctionalRequirement",
     "RefinementResult", "ComposabilityResult",
     "check_refines", "check_composable", "compose", "check_satisfaction_static",
     "fr_to_dict", "fr_from_dict", "load_fr", "save_fr",
@@ -162,30 +162,14 @@ def check_composable(fr_j: FunctionalRequirement, fr_k: FunctionalRequirement) -
     return ComposabilityResult(True, shared)
 
 
-@dataclass(frozen=True)
-class CompositeFR:
-    """The composite of a set of pairwise-compatible requirements.
+def compose(frs: list[FunctionalRequirement] | tuple[FunctionalRequirement, ...],
+            name: str = "composite") -> FunctionalRequirement:
+    """Build the composite contract of a set of pairwise-compatible
+    requirements.
 
     Internal shared variables (produced by one part, consumed by another)
     are hidden from the interface.  Exposed input ranges come from the
     consumer side, exposed output ranges from the producer side.
-    """
-
-    fr: FunctionalRequirement
-    parts: tuple[FunctionalRequirement, ...]
-
-    @property
-    def inputs(self) -> RangeMap:
-        return self.fr.inputs
-
-    @property
-    def outputs(self) -> RangeMap:
-        return self.fr.outputs
-
-
-def compose(frs: list[FunctionalRequirement] | tuple[FunctionalRequirement, ...],
-            name: str = "composite") -> CompositeFR:
-    """Build the composite contract.
 
     Preconditions: a single producer per variable, and for every pair that
     shares producer->consumer variables, range containment on each of them.
@@ -229,10 +213,9 @@ def compose(frs: list[FunctionalRequirement] | tuple[FunctionalRequirement, ...]
         uncontrollables = rangemap_merge(uncontrollables, fr.uncontrollables,
                                          context="composite uncontrollables")
 
-    composite = FunctionalRequirement(
+    return FunctionalRequirement(
         name=name, inputs=exposed_inputs, outputs=exposed_outputs,
         controllables=controllables, uncontrollables=uncontrollables)
-    return CompositeFR(fr=composite, parts=frs)
 
 
 def check_satisfaction_static(impl: FunctionalRequirement,
@@ -277,22 +260,27 @@ def fr_to_dict(fr: FunctionalRequirement) -> dict:
 
 
 def fr_from_dict(d: dict) -> FunctionalRequirement:
-    timed = []
-    for ts in d.get("timed_outputs", []):
+    """Parse a contract document; a missing key or a value of the wrong type
+    raises :class:`ValidationError`."""
+    try:
         outputs = _map_from_dict(d.get("outputs", {}))
-        var = outputs.var(ts["variable"])
-        windows = tuple(
-            (w["t_start"], w["t_end"], Interval(w["lo"], w["hi"], w.get("unit", var.unit)))
-            for w in ts["windows"])
-        timed.append(TimedOutputSpec(var, windows))
-    return FunctionalRequirement(
-        name=d["name"],
-        inputs=_map_from_dict(d.get("inputs", {})),
-        outputs=_map_from_dict(d.get("outputs", {})),
-        controllables=_map_from_dict(d.get("controllables", {})),
-        uncontrollables=_map_from_dict(d.get("uncontrollables", {})),
-        timed_outputs=tuple(timed),
-    )
+        timed = []
+        for ts in d.get("timed_outputs", []):
+            var = outputs.var(ts["variable"])
+            windows = tuple(
+                (w["t_start"], w["t_end"], Interval(w["lo"], w["hi"], w.get("unit", var.unit)))
+                for w in ts["windows"])
+            timed.append(TimedOutputSpec(var, windows))
+        return FunctionalRequirement(
+            name=d["name"],
+            inputs=_map_from_dict(d.get("inputs", {})),
+            outputs=outputs,
+            controllables=_map_from_dict(d.get("controllables", {})),
+            uncontrollables=_map_from_dict(d.get("uncontrollables", {})),
+            timed_outputs=tuple(timed),
+        )
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ValidationError(f"bad requirement document: {e!r}") from e
 
 
 def load_fr(path) -> FunctionalRequirement:

@@ -2,12 +2,18 @@
 
 ``build_ode`` assembles the connected sub-functions into a compiled
 right-hand side (states = integrator states, algebraic outputs evaluated in
-topological order).  ``integrate`` is a classical fixed-step 4th-order
-Runge-Kutta loop.  ``envelope_over_box`` simulates a deterministic bundle of
-samples drawn from a design-space box (all corners plus an n-per-axis grid)
-and records per-variable extrema; the outward padding makes the result an
-empirical envelope, *not* a sound over-approximation, and every consumer of
-it says so.
+topological order).  One classical fixed-step 4th-order Runge-Kutta kernel,
+``_march``, steps it and hands the outputs at every grid time to one of two
+reducers: ``integrate`` keeps the whole trajectory, ``envelope_over_box``
+keeps per-variable extrema over a deterministic bundle of samples drawn from
+a design-space box (all corners plus an n-per-axis grid).  The outward
+padding makes the envelope an empirical one, *not* a sound
+over-approximation, and every consumer of it says so.
+
+Both reducers follow one non-finite rule: states are float64, so overflow
+and division by zero give inf or NaN (never an exception or a numpy
+warning), and a :class:`NonFinite` error names the first output, in name
+order, at the first grid time where it is not finite.
 
 All samples of a bundle are integrated simultaneously as numpy vectors, so
 the cost is dominated by the number of time steps, not the number of samples.
@@ -56,10 +62,8 @@ class SamplingPlan:
 class OdeSystem:
     """Compiled dynamic system for one architecture at one design point."""
 
-    state_names: tuple[str, ...]
     output_names: tuple[str, ...]       # all sub-function outputs (the y' set)
-    algebraic_order: tuple[str, ...]
-    initial_state: tuple        # floats or ndarrays, aligned with state_names
+    initial_state: tuple        # floats or ndarrays, one per rhs argument
     rhs: object                 # rhs(*states) -> (derivs tuple, outputs tuple)
 
 
@@ -165,43 +169,59 @@ def build_ode(arch: Architecture, point: dict[str, float]) -> OdeSystem:
     rhs = ns["_make"](params)
 
     initial = tuple(v for _, _, v in states)
-    return OdeSystem(state_names=state_names, output_names=output_names,
-                     algebraic_order=tuple(order), initial_state=initial, rhs=rhs)
+    return OdeSystem(output_names=output_names, initial_state=initial, rhs=rhs)
 
 
-def _rk4_step(rhs, state: list, h: float, k1):
-    """One RK4 step; ``k1`` holds the derivatives at ``state``, which every
-    caller has already evaluated along with the outputs it records."""
-    k2, _ = rhs(*(s + 0.5 * h * d for s, d in zip(state, k1)))
-    k3, _ = rhs(*(s + 0.5 * h * d for s, d in zip(state, k2)))
-    k4, _ = rhs(*(s + h * d for s, d in zip(state, k3)))
-    return [s + (h / 6.0) * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+def _march(rhs, state: list, horizon: float, step: float, visit) -> None:
+    """Fixed-step RK4 over [0, horizon], the one stepping loop.
+
+    At every grid time ``t`` it calls ``visit(t, outputs)`` with the outputs
+    evaluated at the grid point (not at RK stages) and stops early when
+    ``visit`` returns True.  The grid-point evaluation is reused as ``k1``.
+    Non-finite values propagate silently; each reducer reports them as
+    :class:`NonFinite`.
+    """
+    if step <= 0 or horizon < 0:
+        raise ValueError("step must be positive and horizon not negative")
+    n = int(round(horizon / step))
+    h = step
+    with np.errstate(all="ignore"):
+        for k in range(n + 1):
+            k1, outs = rhs(*state)
+            if visit(k * step, outs) or k == n:
+                return
+            # stage outputs are dropped at once, not kept alive into the next
+            # grid-point evaluation
+            k2 = rhs(*(s + 0.5 * h * d for s, d in zip(state, k1)))[0]
+            k3 = rhs(*(s + 0.5 * h * d for s, d in zip(state, k2)))[0]
+            k4 = rhs(*(s + h * d for s, d in zip(state, k3)))[0]
+            state = [s + (h / 6.0) * (a + 2 * b + 2 * c + d)
+                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
 def integrate(sys: OdeSystem, horizon: float, step: float) -> Trajectory:
     """Fixed-step RK4 over [0, horizon]; records every y' variable at every
-    grid time (outputs evaluated at the grid point, not at RK stages)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n = int(round(horizon / step))
-    state = list(sys.initial_state)
-    times = np.empty(n + 1)
-    series = {name: [] for name in sys.output_names}
-    for k in range(n + 1):
-        t = k * step
-        times[k] = t
-        derivs, outs = sys.rhs(*state)
-        for name, val in zip(sys.output_names, outs):
-            series[name].append(val)
-        if not all(np.all(np.isfinite(np.asarray(s))) for s in state):
-            bad = next(nm for nm, s in zip(sys.state_names, state)
-                       if not np.all(np.isfinite(np.asarray(s))))
-            raise NonFinite(bad, t)
-        if k < n:
-            state = _rk4_step(sys.rhs, state, step, derivs)
-    return Trajectory(times=times,
-                      values={k: np.asarray(v) for k, v in series.items()})
+    grid time.  Raises :class:`NonFinite` for the first output, in name
+    order, at the first grid time where any of its values is not finite."""
+    times: list[float] = []
+    rows: list[tuple] = []
+
+    def record(t, outs):
+        times.append(t)
+        rows.append(outs)
+
+    # float64 states make overflow and division by zero inf/NaN, as in the
+    # envelope, instead of Python float exceptions
+    _march(sys.rhs, [np.asarray(v, dtype=float) for v in sys.initial_state],
+           horizon, step, record)
+    names = sys.output_names
+    values = {name: np.asarray(col) for name, col in zip(names, zip(*rows))}
+    bad = np.array([~np.isfinite(values[name]).reshape(len(times), -1).all(axis=1)
+                    for name in names]).reshape(len(names), len(times))
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=0)))
+        raise NonFinite(names[int(np.argmax(bad[:, k]))], times[k])
+    return Trajectory(times=np.array(times), values=values)
 
 
 def design_samples(box: RangeMap, plan: SamplingPlan) -> list[dict[str, float]]:
@@ -307,14 +327,15 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
                      plan: SamplingPlan,
                      windows: dict[str, list[tuple[float, float]]] | None
                      ) -> list[Envelope | NonFinite]:
-    """RK4 over all sample sets at once, with extrema reduced per set.
+    """The extrema reducer: all sample sets marched at once, with extrema
+    reduced per set.
 
     Every set is padded to a common length ``m`` by repeating its own last
     sample, which leaves its extrema unchanged, so each step reduces every
     output over a (sets × m) view into one (outputs × sets) table and folds
     that table into the running extrema.  A set whose outputs turn
     non-finite gets the :class:`NonFinite` error it would raise alone; the
-    loop stops early once every set has one.
+    march stops early once every set has one.
     """
     P = len(sample_sets)
     m = max(len(s) for s in sample_sets)
@@ -322,7 +343,6 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
     point = {k: np.array([s[k] for seg in padded for s in seg])
              for k in sample_sets[0][0]}
     sys = build_ode(arch, point)
-    n = int(round(plan.horizon / plan.step))
     state = [np.asarray(v, dtype=float) + np.zeros(P * m) for v in sys.initial_state]
 
     names = sys.output_names
@@ -338,34 +358,31 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
                 for (t0, t1), ext in ws.items()]
     errors: list[NonFinite | None] = [None] * P
 
-    # non-finite values are caught below and reported per set as NonFinite
-    with np.errstate(all="ignore"):
-        for k in range(n + 1):
-            t = k * plan.step
-            derivs, outs = sys.rhs(*state)
-            for (lo_row, hi_row), val in zip(rows, outs):
-                if isinstance(val, np.ndarray):
-                    seg = val.reshape(P, m)
-                    np.minimum.reduce(seg, 1, None, lo_row)
-                    np.maximum.reduce(seg, 1, None, hi_row)
-                else:
-                    lo_row[:] = val
-                    hi_row[:] = val
-            # NaN and inf survive min and max, so one test covers the step
-            if not np.isfinite(table).all():
-                _record_nonfinite(errors, table, outs, names, sample_sets, m, t)
-                if all(e is not None for e in errors):
-                    break
-            # on ties the second argument wins, which keeps the first extremum
-            # seen, down to the sign of a zero
-            np.minimum(tlo, rlo, out=rlo)
-            np.maximum(thi, rhi, out=rhi)
-            for t0, t1, lo_row, hi_row, wlo, whi in win_rows:
-                if t0 <= t <= t1:
-                    np.minimum(lo_row, wlo, out=wlo)
-                    np.maximum(hi_row, whi, out=whi)
-            if k < n:
-                state = _rk4_step(sys.rhs, state, plan.step, derivs)
+    def extrema(t, outs) -> bool:
+        for (lo_row, hi_row), val in zip(rows, outs):
+            if isinstance(val, np.ndarray):
+                seg = val.reshape(P, m)
+                np.minimum.reduce(seg, 1, None, lo_row)
+                np.maximum.reduce(seg, 1, None, hi_row)
+            else:
+                lo_row[:] = val
+                hi_row[:] = val
+        # NaN and inf survive min and max, so one test covers the step
+        if not np.isfinite(table).all():
+            _record_nonfinite(errors, table, outs, names, sample_sets, m, t)
+            if all(e is not None for e in errors):
+                return True
+        # on ties the second argument wins, which keeps the first extremum
+        # seen, down to the sign of a zero
+        np.minimum(tlo, rlo, out=rlo)
+        np.maximum(thi, rhi, out=rhi)
+        for t0, t1, lo_row, hi_row, wlo, whi in win_rows:
+            if t0 <= t <= t1:
+                np.minimum(lo_row, wlo, out=wlo)
+                np.maximum(hi_row, whi, out=whi)
+        return False
+
+    _march(sys.rhs, state, plan.horizon, plan.step, extrema)
 
     results: list = []
     for p, samples in enumerate(sample_sets):

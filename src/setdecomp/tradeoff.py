@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .architecture import Algebraic, Architecture, SubFunction
-from .errors import (Infeasible, InfeasibleBrackets, NoInteriorPoint,
-                     PostconditionFailure, ValidationError)
+from .errors import (Infeasible, InfeasibleBrackets, PostconditionFailure,
+                     ValidationError)
 from .expr import evaluate_interval
 from .intervals import Interval, RangeMap, VarId
 from .requirements import (ComposabilityResult, FunctionalRequirement,
@@ -117,6 +117,9 @@ class BarrierProblem:
     The decision vector stacks, in variable-name order, the lower then the
     upper chosen bound of every variable whose bracket has interior width on
     that side.  Zero-width sides are pinned to their only possible value.
+
+    Every weight must name a performance variable, and a consumer weight a
+    sub-function that consumes it; otherwise :class:`ValidationError`.
     """
 
     def __init__(self, arch: Architecture, brackets: dict[str, Bracket],
@@ -134,6 +137,16 @@ class BarrierProblem:
                     producers[v.name] = sf.id
         self.consumers = consumers
         self.producers = producers
+        for name in weights.producer:
+            if name not in brackets:
+                raise ValidationError(
+                    f"trade-off weight producer.{name}: '{name}' is not a performance variable")
+        for sub_id, ws in weights.consumer.items():
+            for name in ws:
+                if sub_id not in consumers.get(name, ()):
+                    raise ValidationError(
+                        f"trade-off weight consumer.{sub_id}.{name}: "
+                        f"'{sub_id}' does not consume performance variable '{name}'")
 
         # (variable, side, inner wall, outer wall); sides with no interior
         # are pinned
@@ -152,12 +165,6 @@ class BarrierProblem:
 
     def dim(self) -> int:
         return len(self.free)
-
-    def midpoint(self) -> np.ndarray:
-        if not self.free:
-            raise NoInteriorPoint("all bound brackets are degenerate")
-        return np.array([0.5 * (inner + outer)
-                         for _, _, inner, outer in self.free])
 
     def _terms(self, k: int) -> tuple[float, float]:
         """(producer weight, summed consumer weight) for free bound k."""
@@ -393,10 +400,10 @@ def run_tradeoff(arch: Architecture, fds2: RangeMap, fps1: RangeMap,
                         "composability", f"{sf.id} -> {cid}: {res.witness_var}")
                 links.append((sf.id, cid, v.name, res))
     composite = compose(frs, name=f"{arch.top.name}-composite")
-    res = check_refines(composite.fr, arch.top, strict=False)
+    res = check_refines(composite, arch.top, strict=False)
     if not res:
         raise PostconditionFailure(
             "refinement", f"{res.witness_var}: {res.clause}")
     log.append({"step": "post-conditions", "composable": True, "refines_top": True})
-    return TradeoffResult(chosen=chosen, subrequirements=frs, composite=composite.fr,
+    return TradeoffResult(chosen=chosen, subrequirements=frs, composite=composite,
                           composability=tuple(links), log=tuple(log))

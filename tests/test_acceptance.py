@@ -157,8 +157,8 @@ def test_contract_laws_match_brute_force_oracle():
         fine = [rand_refinement(rng, fr, name=fr.name + "'") for fr in chain]
         if not check_composable(fine[0], fine[1]).ok:
             continue
-        whole = compose(chain).fr
-        fine_whole = compose(fine).fr
+        whole = compose(chain)
+        fine_whole = compose(fine)
         assert check_refines(fine_whole, whole, strict=False).ok
         assert oracle_refines(fine_whole, whole, strict=False)
 

@@ -127,6 +127,14 @@ class TestJson:
         with pytest.raises(ValidationError):
             load_architecture(f)
 
+    def test_mistyped_range_map_is_a_validation_error(self, tmp_path):
+        doc = json.loads(open(CRUISE).read())
+        doc["subfunctions"][0]["inputs"] = []
+        f = tmp_path / "mistyped.json"
+        f.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError):
+            load_architecture(f)
+
     def test_expression_parsing(self):
         e = parse_expr(["+", ["var", "a"], 2])
         assert e == BinOp("+", Var("a"), Num(2.0))

@@ -80,6 +80,14 @@ class TestDecompose:
         assert main(["decompose", str(path), *FAST]) == 2
         assert "trade-off weight producer.T" in capsys.readouterr().err
 
+    def test_tradeoff_section_must_be_an_object(self, tmp_path, capsys):
+        doc = json.loads(open(CRUISE).read())
+        doc["tradeoff"] = []
+        path = tmp_path / "tradeoff.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), *FAST]) == 2
+        assert "'tradeoff' section" in capsys.readouterr().err
+
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["decompose", "/nonexistent.json"]) == 2
         assert "error" in capsys.readouterr().err
@@ -162,6 +170,35 @@ class TestCheckLaws:
     def test_one_file_is_usage_error(self, chain_files, capsys):
         assert main(["check-laws", chain_files["a"]]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"inputs": {"x": {"lo": 0.0, "hi": 1.0}}},
+        {"name": "a", "inputs": {"x": {"hi": 1.0}}},
+    ], ids=["no-name", "range-without-lo"])
+    def test_malformed_contract_is_validation_error(self, doc, chain_files, tmp_path,
+                                                    capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check-laws", str(path), chain_files["top"]]) == 2
+        assert "bad requirement document" in capsys.readouterr().err
+
+
+def _ramp_doc(derivative, output, expr, y0):
+    """An integrator y with y' = ``derivative`` (an expression over y) and
+    one algebraic output ``output`` = ``expr``."""
+    wide = {"lo": -1e30, "hi": 1e30, "unit": ""}
+    start = {"lo": y0, "hi": y0, "unit": ""}
+    subs = [{"id": "int", "kind": "integrator", "state": "y", "derivative_input": "dy",
+             "initial_input": "y0", "inputs": {"y0": start, "dy": wide},
+             "outputs": {"y": wide}},
+            {"id": "rate", "kind": "algebraic", "exprs": {"dy": derivative},
+             "inputs": {"y": wide}, "outputs": {"dy": wide}}]
+    if output != "dy":
+        subs.append({"id": "out", "kind": "algebraic", "exprs": {output: expr},
+                     "inputs": {"y": wide}, "outputs": {output: wide}})
+    return {"top": {"name": "diverging", "inputs": {"y0": start},
+                    "outputs": {output: wide}},
+            "subfunctions": subs}
+
 
 class TestSimulate:
     def test_csv_header_and_override(self, capsys):
@@ -188,3 +225,16 @@ class TestSimulate:
         assert main(["simulate", CRUISE, "--step", "0.5", "--horizon", "2",
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("t,")
+
+    @pytest.mark.parametrize("doc, flags, var", [
+        # y' = y^2 from y(0) = 1 overflows through pow near t = 1
+        (_ramp_doc(["pow", ["var", "y"], 2], "dy", None, 1.0), [], "dy"),
+        # y' = 1 from y(0) = 0 puts y = 1 on the grid point t = 1
+        (_ramp_doc(1.0, "w", ["/", 1.0, ["-", ["var", "y"], 1.0]], 0.0),
+         ["--step", "0.5"], "w"),
+    ], ids=["pow-overflow", "zero-denominator"])
+    def test_diverging_trajectory_is_infeasible(self, doc, flags, var, tmp_path, capsys):
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--horizon", "2", *flags]) == 3
+        assert f"infeasible: non-finite value for '{var}'" in capsys.readouterr().err

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setdecomp.errors import EmptyRange, NotFound, UnitMismatch
-from setdecomp.intervals import (EMPTY, Interval, RangeMap, VarId, from_vector,
+from setdecomp.intervals import (EMPTY, Interval, RangeMap, VarId,
                                  interval_intersect, names_intersect,
                                  names_subset, names_union, rangemap_merge,
-                                 restrict, to_vector)
+                                 restrict)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -121,15 +121,6 @@ class TestRangeMap:
     def test_items_sorted_by_name(self):
         m = RangeMap.of(z=(0, 1), a=(0, 1), k=(0, 1))
         assert [v.name for v, _ in m.items()] == ["a", "k", "z"]
-
-    @given(rangemaps())
-    def test_vector_round_trip(self, m):
-        assert from_vector(to_vector(m)) == m
-
-    @given(rangemaps())
-    def test_vector_order_is_canonical(self, m):
-        names = [v.name for v, _ in to_vector(m)]
-        assert names == sorted(names)
 
 
 class TestMerge:

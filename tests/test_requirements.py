@@ -120,8 +120,8 @@ class TestComposability:
             refined = [rand_refinement(rng, fr) for fr in chain]
             whole = compose(chain)
             whole_ref = compose(refined)
-            assert check_refines(whole_ref.fr, whole.fr)
-            assert oracle_refines(whole_ref.fr, whole.fr)
+            assert check_refines(whole_ref, whole)
+            assert oracle_refines(whole_ref, whole)
 
 
 class TestSatisfaction:
@@ -151,7 +151,7 @@ class TestSatisfaction:
         for _ in range(200):
             chain = rand_chain(rng, n=3)
             systems = [rand_refinement(rng, fr) for fr in chain]
-            assert check_satisfaction_static(compose(systems).fr, compose(chain).fr)
+            assert check_satisfaction_static(compose(systems), compose(chain))
 
 
 class TestCompose:

@@ -1,5 +1,6 @@
 import importlib.resources
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from setdecomp.architecture import (Algebraic, Architecture, Integrator,
                                     load_architecture)
 from setdecomp.errors import AlgebraicCycle, NonFinite
 from setdecomp.expr import BinOp, Num, Var
-from setdecomp.intervals import RangeMap
+from setdecomp.intervals import Interval, RangeMap
+from setdecomp.narrowing import initial_spaces
 from setdecomp.requirements import FunctionalRequirement
 from setdecomp.simulation import (SamplingPlan, build_ode, design_samples,
                                   envelope_over_box, integrate)
@@ -38,6 +40,18 @@ def _constant_arch(rate=0.5):
     const = SubFunction(id="c", kind=Algebraic(exprs=(("dy", Num(rate)),)),
                         outputs=RangeMap.of(dy=(0, 1)))
     return Architecture(top=top, subfunctions=(integ, const))
+
+
+def _square_arch():
+    """dy/dt = y^2, which from y(0) = 1 blows up at t = 1."""
+    top = FunctionalRequirement("blow", inputs=RangeMap.of(y0=(1, 1)),
+                                outputs=RangeMap.of(y=(0, 1e30)))
+    integ = SubFunction(id="int", kind=Integrator("y", "dy", "y0"),
+                        inputs=RangeMap.of(y0=(1, 1), dy=(0, 1e30)),
+                        outputs=RangeMap.of(y=(0, 1e30)))
+    sq = SubFunction(id="sq", kind=Algebraic(exprs=(("dy", BinOp("*", Var("y"), Var("y"))),)),
+                     inputs=RangeMap.of(y=(0, 1e30)), outputs=RangeMap.of(dy=(0, 1e30)))
+    return Architecture(top=top, subfunctions=(integ, sq))
 
 
 class TestIntegrate:
@@ -82,18 +96,17 @@ class TestIntegrate:
         assert coarse.values["u"][-1] == pytest.approx(fine.values["u"][-1], rel=1e-6)
 
     def test_nonfinite_detected_with_time(self):
-        # dy/dt = y^2 from y(0)=1 blows up at t=1
-        top = FunctionalRequirement("blow", inputs=RangeMap.of(y0=(1, 1)),
-                                    outputs=RangeMap.of(y=(0, 1e30)))
-        integ = SubFunction(id="int", kind=Integrator("y", "dy", "y0"),
-                            inputs=RangeMap.of(y0=(1, 1), dy=(0, 1e30)),
-                            outputs=RangeMap.of(y=(0, 1e30)))
-        sq = SubFunction(id="sq", kind=Algebraic(exprs=(("dy", BinOp("*", Var("y"), Var("y"))),)),
-                         inputs=RangeMap.of(y=(0, 1e30)), outputs=RangeMap.of(dy=(0, 1e30)))
-        arch = Architecture(top=top, subfunctions=(integ, sq))
+        # dy/dt = y^2 from y(0)=1 blows up at t=1; dy overflows before y
         with pytest.raises(NonFinite) as e:
-            integrate(build_ode(arch, {"y0": 1.0}), horizon=2.0, step=0.001)
+            integrate(build_ode(_square_arch(), {"y0": 1.0}), horizon=2.0, step=0.001)
         assert 0.9 < e.value.t < 1.2
+        assert e.value.var == "dy"
+
+    def test_diverging_bundle_warns_nothing(self):
+        with warnings.catch_warnings(), pytest.raises(NonFinite):
+            warnings.simplefilter("error")
+            integrate(build_ode(_square_arch(), {"y0": np.array([1.0, 0.5])}),
+                      horizon=2.0, step=0.001)
 
     def test_algebraic_cycle_detected(self):
         a = SubFunction(id="a", kind=Algebraic(exprs=(("p", Var("q")),)),
@@ -165,6 +178,22 @@ class TestEnvelope:
         lo, hi = env.bounds["y"]
         assert hi == pytest.approx(2.0, rel=1e-9)          # initial upper corner
         assert lo == pytest.approx(0.5 * math.exp(-2.0), rel=1e-4)
+
+    def test_one_sample_envelope_is_the_trajectory_extrema(self):
+        arch, _ = load_architecture(CRUISE)
+        fds = initial_spaces(arch).fds
+        box = RangeMap((v, Interval(iv.mid, iv.mid, iv.unit)) for v, iv in fds.items())
+        plan = SamplingPlan(padding=0.0, step=0.01, horizon=10.0)
+        env = envelope_over_box(arch, box, plan)
+        traj = integrate(build_ode(arch, {v.name: iv.mid for v, iv in fds.items()}),
+                         horizon=plan.horizon, step=plan.step)
+        assert env.n_samples == 1
+        assert env.bounds == {name: (float(np.min(vals)), float(np.max(vals)))
+                              for name, vals in traj.values.items()}
+
+    def test_zero_step_is_rejected(self):
+        with pytest.raises(ValueError):
+            envelope_over_box(_decay_arch(), RangeMap.of(y0=(0.5, 2.0)), SamplingPlan(step=0))
 
     def test_padding_inflates_outward(self):
         box = RangeMap.of(y0=(0.5, 2.0))

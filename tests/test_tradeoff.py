@@ -6,8 +6,7 @@ import pytest
 
 from setdecomp.architecture import (Algebraic, Architecture, SubFunction,
                                     load_architecture)
-from setdecomp.errors import (Infeasible, InfeasibleBrackets, NoInteriorPoint,
-                              ValidationError)
+from setdecomp.errors import Infeasible, InfeasibleBrackets, ValidationError
 from setdecomp.expr import BinOp, Num, Var
 from setdecomp.intervals import Interval, RangeMap, VarId
 from setdecomp.narrowing import initial_spaces, narrow
@@ -49,12 +48,6 @@ class TestBrackets:
         problem = BarrierProblem(_chain_arch(), brackets, PreferenceWeights())
         assert problem.pinned == {("y", "lo"): 0.0}
         assert [f[0:2] for f in problem.free] == [("y", "hi")]
-
-    def test_fully_degenerate_has_no_interior(self):
-        brackets = {"y": Bracket("y", "", 0.0, 0.0, 6.0, 6.0)}
-        problem = BarrierProblem(_chain_arch(), brackets, PreferenceWeights())
-        with pytest.raises(NoInteriorPoint):
-            problem.midpoint()
 
 
 class TestBarrier:
@@ -202,6 +195,16 @@ class TestCruiseTradeoff:
     def test_weights_must_be_finite_and_non_negative(self, doc):
         with pytest.raises(ValidationError, match="trade-off weight"):
             PreferenceWeights.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"producer": {"Tq": 0.1}},
+        {"consumer": {"f99": {"v": 0.5}}},
+    ], ids=["producer-not-a-performance-variable", "consumer-does-not-consume"])
+    def test_weight_names_must_match_the_architecture(self, result, doc):
+        arch, spaces, nres, _ = result
+        with pytest.raises(ValidationError, match="trade-off weight"):
+            BarrierProblem(arch, build_brackets(spaces.fps, nres.narrowed.fps),
+                           PreferenceWeights.from_dict(doc))
 
     def test_composability_results_cover_every_link(self, result):
         arch, _, _, tres = result
