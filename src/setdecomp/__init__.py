@@ -13,7 +13,7 @@ from .architecture import (Algebraic, Architecture, Classification, Integrator,
 from .errors import SetDecompError
 from .intervals import EMPTY, Interval, RangeMap, VarId, interval_intersect, rangemap_merge
 from .narrowing import FeasibleSpaces, NarrowingResult, initial_spaces, narrow
-from .pipeline import PipelineReport, RunConfig, run_pipeline
+from .pipeline import PipelineReport, run_pipeline
 from .requirements import (FunctionalRequirement, TimedOutputSpec,
                            check_composable, check_refines, compose)
 from .simulation import Envelope, SamplingPlan, Trajectory, build_ode, envelope_over_box, integrate
@@ -25,7 +25,7 @@ __all__ = [
     "Algebraic", "Architecture", "Classification", "EMPTY",
     "Envelope", "FeasibleSpaces", "FunctionalRequirement", "Integrator",
     "InternalState", "Interval", "NarrowingResult", "PipelineReport",
-    "PreferenceWeights", "RangeMap", "RunConfig", "SamplingPlan",
+    "PreferenceWeights", "RangeMap", "SamplingPlan",
     "SetDecompError", "SubFunction", "TimedOutputSpec", "TradeoffResult",
     "Trajectory", "VarId", "build_ode", "check_composable", "check_refines",
     "classify", "compose", "envelope_over_box", "initial_spaces",

@@ -19,14 +19,13 @@ from .errors import (CoverageViolation, ParseError, ProducerConflict,
                      ValidationError)
 from .intervals import (RangeMap, VarId, names_intersect, names_subset,
                         names_union)
-from .requirements import (FunctionalRequirement, _map_from_dict, _map_to_dict,
-                           fr_from_dict, fr_to_dict)
+from .requirements import FunctionalRequirement, _map_from_dict, fr_from_dict
 
 __all__ = [
     "InternalState", "Algebraic", "Integrator", "SubFunction",
     "Architecture", "Classification",
     "aggregate_names", "validate_coverage", "classify",
-    "load_architecture", "architecture_from_dict", "architecture_to_dict",
+    "load_architecture", "architecture_from_dict",
 ]
 
 
@@ -166,16 +165,11 @@ def aggregate_names(arch: Architecture) -> tuple[frozenset[VarId], frozenset[Var
                                                  frozenset[VarId], frozenset[VarId]]:
     """Union the per-sub-function port identifier sets into
     ({x'}, {y'}, {c'}, {u'})."""
-    xs: frozenset[VarId] = frozenset()
-    ys: frozenset[VarId] = frozenset()
-    cs: frozenset[VarId] = frozenset()
-    us: frozenset[VarId] = frozenset()
-    for sf in arch.subfunctions:
-        xs = names_union(xs, sf.inputs.names())
-        ys = names_union(ys, sf.outputs.names())
-        cs = names_union(cs, sf.controllables.names())
-        us = names_union(us, sf.uncontrollables.names())
-    return xs, ys, cs, us
+    subs = arch.subfunctions
+    return (names_union(*(sf.inputs.names() for sf in subs)),
+            names_union(*(sf.outputs.names() for sf in subs)),
+            names_union(*(sf.controllables.names() for sf in subs)),
+            names_union(*(sf.uncontrollables.names() for sf in subs)))
 
 
 def validate_coverage(arch: Architecture) -> None:
@@ -257,25 +251,6 @@ def _subfunction_from_dict(d: dict) -> SubFunction:
     )
 
 
-def _subfunction_to_dict(sf: SubFunction) -> dict:
-    d: dict = {"id": sf.id}
-    if isinstance(sf.kind, Integrator):
-        d.update(kind="integrator", state=sf.kind.state,
-                 derivative_input=sf.kind.derivative_input,
-                 initial_input=sf.kind.initial_input)
-    else:
-        d["kind"] = "algebraic"
-        d["exprs"] = {out: ex.expr_to_json(e) for out, e in sf.kind.exprs}
-        if sf.kind.states:
-            d["states"] = [{"name": s.name, "derivative": ex.expr_to_json(s.derivative),
-                            "initial": ex.expr_to_json(s.initial)} for s in sf.kind.states]
-    d["inputs"] = _map_to_dict(sf.inputs)
-    d["outputs"] = _map_to_dict(sf.outputs)
-    d["controllables"] = _map_to_dict(sf.controllables)
-    d["uncontrollables"] = _map_to_dict(sf.uncontrollables)
-    return d
-
-
 def architecture_from_dict(d: dict) -> Architecture:
     try:
         top = fr_from_dict(d["top"])
@@ -284,14 +259,6 @@ def architecture_from_dict(d: dict) -> Architecture:
     except (KeyError, TypeError, AttributeError) as e:
         raise ValidationError(f"bad architecture document: {e}") from e
     return Architecture(top=top, subfunctions=subs, constants=constants)
-
-
-def architecture_to_dict(arch: Architecture) -> dict:
-    return {
-        "top": fr_to_dict(arch.top),
-        "constants": dict(arch.constants),
-        "subfunctions": [_subfunction_to_dict(sf) for sf in arch.subfunctions],
-    }
 
 
 def load_architecture(path) -> tuple[Architecture, dict]:

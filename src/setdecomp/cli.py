@@ -25,10 +25,9 @@ from .architecture import load_architecture
 from .errors import (EmptyRange, Infeasible, NonFinite, NotComposable,
                      ParseError, PostconditionFailure, SetDecompError)
 from .narrowing import initial_spaces
-from .pipeline import (RunConfig, report_to_csv, report_to_json,
-                       report_to_markdown, run_pipeline)
+from .pipeline import report_to_csv, report_to_json, report_to_markdown, run_pipeline
 from .requirements import check_composable, check_refines, compose, load_fr
-from .simulation import build_ode, integrate
+from .simulation import SamplingPlan, build_ode, integrate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -86,9 +85,11 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_decompose(args) -> int:
-    config = RunConfig(step=args.step, horizon=args.horizon, grid=args.grid,
-                       padding=args.padding, strict_refinement=args.strict_refinement)
-    report = run_pipeline(args.architecture, config, golden_file=args.compare)
+    plan = SamplingPlan(grid=args.grid, padding=args.padding, step=args.step,
+                        horizon=args.horizon)
+    report = run_pipeline(args.architecture, plan,
+                          strict_refinement=args.strict_refinement,
+                          golden_file=args.compare)
     render = {"json": report_to_json, "md": report_to_markdown,
               "csv": report_to_csv}[args.emit]
     _write(render(report), args.out)

@@ -23,7 +23,7 @@ from .errors import DomainError, ParseError
 from .intervals import Interval
 
 __all__ = ["Expr", "Num", "Var", "BinOp", "Neg", "Pow",
-           "parse_expr", "expr_to_json", "evaluate", "evaluate_interval",
+           "parse_expr", "evaluate", "evaluate_interval",
            "to_source", "free_vars"]
 
 
@@ -88,20 +88,6 @@ def parse_expr(node) -> Expr:
             raise ParseError(f"pow needs an integer exponent: {node!r}")
         return Pow(parse_expr(node[1]), node[2])
     raise ParseError(f"unknown expression head: {head!r}")
-
-
-def expr_to_json(e: Expr):
-    if isinstance(e, Num):
-        return ["num", e.value]
-    if isinstance(e, Var):
-        return ["var", e.name]
-    if isinstance(e, BinOp):
-        return [e.op, expr_to_json(e.left), expr_to_json(e.right)]
-    if isinstance(e, Neg):
-        return ["neg", expr_to_json(e.arg)]
-    if isinstance(e, Pow):
-        return ["pow", expr_to_json(e.base), e.exponent]
-    raise TypeError(f"not an expression: {e!r}")
 
 
 def free_vars(e: Expr) -> frozenset[str]:

@@ -204,15 +204,15 @@ class RangeMap:
         return RangeMap({v: iv for v, iv in self._entries.items() if v.name not in drop})
 
 
-def names_union(a: Iterable[VarId], b: Iterable[VarId]) -> frozenset[VarId]:
-    """Identifier-level union; a shared name with conflicting units is an error."""
+def names_union(*sets: Iterable[VarId]) -> frozenset[VarId]:
+    """Identifier-level union of any number of sets, in one pass; a shared
+    name with conflicting units is an error."""
     by_name: dict[str, VarId] = {}
-    for v in list(a) + list(b):
-        seen = by_name.get(v.name)
-        if seen is None:
-            by_name[v.name] = v
-        else:
-            _check_units(seen, v)
+    for s in sets:
+        for v in s:
+            seen = by_name.setdefault(v.name, v)
+            if seen is not v:
+                _check_units(seen, v)
     return frozenset(by_name.values())
 
 
@@ -228,22 +228,26 @@ def names_subset(a: Iterable[VarId], b: Iterable[VarId]) -> bool:
     return all(v.name in bn for v in a)
 
 
-def rangemap_merge(a: RangeMap, b: RangeMap, *, context: str = "") -> RangeMap:
-    """Merge two range maps; shared variables get the intersection of their
-    intervals.  An empty intersection raises EmptyRange (it signals a
-    conflict between the source ranges, never a legal state)."""
-    out: dict[VarId, Interval] = {v: iv for v, iv in a.items()}
-    for v, iv in b.items():
-        if v in out:
-            prior = out[v]
-            _check_units(a.var(v.name), v)
+def rangemap_merge(*maps: RangeMap, context: str = "") -> RangeMap:
+    """Merge any number of range maps in one pass; shared variables get the
+    intersection of their intervals.  An empty intersection raises
+    EmptyRange (it signals a conflict between the source ranges, never a
+    legal state)."""
+    out: dict[str, tuple[VarId, Interval]] = {}
+    for m in maps:
+        for v, iv in m.items():
+            stored = out.get(v.name)
+            if stored is None:
+                out[v.name] = (v, iv)
+                continue
+            var, prior = stored
+            _check_units(var, v)
             merged = interval_intersect(prior, iv)
             if merged.is_empty:
-                raise EmptyRange(v.name, context or f"{prior!r} vs {iv!r}")
-            out[v] = merged
-        else:
-            out[v] = iv
-    return RangeMap(out)
+                clash = f"{prior!r} vs {iv!r}"
+                raise EmptyRange(v.name, f"{context}: {clash}" if context else clash)
+            out[v.name] = (var, merged)
+    return RangeMap(out.values())
 
 
 def restrict(var: VarId | str, m: RangeMap) -> Interval:

@@ -2,31 +2,35 @@
 
 Two stages:
 
-1. ``initial_spaces`` intersects the per-port ranges of all sub-functions
-   (shared variables are merged with ⋓), pins the top-level input and
-   uncontrollable ranges onto the result, and splits the variables into the
-   initial feasible design space (FDS) and feasible performance space (FPS).
+1. ``initial_spaces`` intersects every port range of every sub-function in
+   one pass (shared variables are merged with ⋓), pins the top-level input
+   and uncontrollable ranges onto the result, tightens it with the top
+   outputs, and splits it by the architecture's producer map: produced
+   variables form the initial feasible performance space (FPS), all others
+   the initial feasible design space (FDS).
 
 2. ``narrow`` shrinks the controllable design ranges until the simulated
-   envelope over the whole design box stays inside the FPS (including the
-   top requirement's time-windowed outputs), then re-simulates the narrowed
-   box to get the attainable performance envelope.  Both steps use the
-   sampled-corner envelope from :mod:`.simulation`, so the narrowed spaces
-   are empirical, not formally verified.
+   envelope over the whole design box has no escapes from the FPS
+   (``_escapes``; the top requirement's time-windowed outputs included),
+   then re-simulates the narrowed box to get the attainable performance
+   envelope.  Its escapes are logged: bound escapes are clipped back into
+   the FPS, window escapes only reported, because the attained space holds
+   no windows.  Both steps use the sampled-corner envelope from
+   :mod:`.simulation`, so the narrowed spaces are empirical, not formally
+   verified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .architecture import Architecture, Classification, classify, validate_coverage
+from .architecture import Architecture, validate_coverage
 from .errors import CoverageViolation, Infeasible, NonFinite
 from .intervals import Interval, RangeMap, VarId, rangemap_merge
 from .simulation import Envelope, SamplingPlan, envelope_over_box
 
 __all__ = ["FeasibleSpaces", "NarrowingResult", "EnvelopeEscape",
-           "aggregate_ranges", "compute_group_ranges", "initial_spaces",
-           "narrow", "top_windows"]
+           "initial_spaces", "narrow", "top_windows"]
 
 #: bisection iterations spent on each interval bound while narrowing
 _BISECT_ITERS = 12
@@ -44,13 +48,22 @@ class FeasibleSpaces:
 
 @dataclass(frozen=True)
 class EnvelopeEscape:
-    """A simulated performance bound that left the allowed space and was
-    clipped back to it."""
+    """A simulated performance bound outside its allowed value: a bound of
+    the FPS (clipped back to ``allowed``) or, with ``window`` set, a
+    time-windowed bound of the top requirement (reported only)."""
 
     variable: str
     side: str           # "lo" | "hi"
     simulated: float
-    clipped_to: float
+    allowed: float
+    window: tuple[float, float] | None = None
+
+    def to_log(self) -> dict:
+        entry = {"variable": self.variable, "side": self.side,
+                 "simulated": self.simulated}
+        if self.window is None:
+            return {**entry, "clipped_to": self.allowed}
+        return {**entry, "allowed": self.allowed, "window": list(self.window)}
 
 
 @dataclass(frozen=True)
@@ -60,18 +73,6 @@ class NarrowingResult:
     envelope: Envelope               # raw (unclipped) envelope over the narrowed box
     escapes: tuple[EnvelopeEscape, ...]
     log: tuple[dict, ...]            # step-by-step provenance, JSON-friendly
-
-
-def aggregate_ranges(arch: Architecture) -> dict[str, RangeMap]:
-    """Merge the port ranges of every sub-function by role; shared variables
-    intersect.  Keys: 'inputs', 'outputs', 'controllables', 'uncontrollables'."""
-    roles = {"inputs": RangeMap(), "outputs": RangeMap(),
-             "controllables": RangeMap(), "uncontrollables": RangeMap()}
-    for sf in arch.subfunctions:
-        for role in roles:
-            roles[role] = rangemap_merge(roles[role], getattr(sf, role),
-                                         context=f"{sf.id}.{role}")
-    return roles
 
 
 def _pin(base: RangeMap, pins: RangeMap, label: str) -> RangeMap:
@@ -89,46 +90,24 @@ def _pin(base: RangeMap, pins: RangeMap, label: str) -> RangeMap:
     return out
 
 
-def compute_group_ranges(arch: Architecture,
-                         cls: Classification | None = None) -> dict[str, RangeMap]:
-    """Per-group range maps (x, x_free, c, c_free, u, u_free, y1..y4) built
-    from the aggregated sub-function ranges with top-level pinning applied."""
-    cls = cls or classify(arch)
-    roles = aggregate_ranges(arch)
-    all_ranges = rangemap_merge(
-        rangemap_merge(roles["inputs"], roles["outputs"], context="aggregate"),
-        rangemap_merge(roles["controllables"], roles["uncontrollables"],
-                       context="aggregate"),
-        context="aggregate")
-    all_ranges = _pin(all_ranges, arch.top.inputs, "top input")
-    all_ranges = _pin(all_ranges, arch.top.uncontrollables, "top uncontrollable")
-    # the top requirement's own output demands tighten the performance side
-    all_ranges = rangemap_merge(all_ranges, arch.top.outputs, context="top output")
-
-    def pick(group) -> RangeMap:
-        names = {v.name for v in group}
-        out = RangeMap()
-        for v, iv in all_ranges.items():
-            if v.name in names:
-                out = out.with_entry(v, iv)
-        return out
-
-    return {label: pick(group) for label, group in cls.groups().items()}
-
-
 def initial_spaces(arch: Architecture) -> FeasibleSpaces:
-    """Initial FDS/FPS: intersected sub-function ranges with top-level input
-    and uncontrollable ranges pinned on."""
+    """Initial FDS/FPS: every sub-function port range intersected, top-level
+    input and uncontrollable ranges pinned on, top outputs intersected, and
+    the result split into produced variables (FPS) and the rest (FDS)."""
     validate_coverage(arch)
-    cls = classify(arch)
-    groups = compute_group_ranges(arch, cls)
-    fds = RangeMap()
-    for label in ("x", "x_tilde", "c", "c_tilde", "u", "u_tilde"):
-        fds = rangemap_merge(fds, groups[label], context="fds")
-    fps = RangeMap()
-    for label in ("y1", "y2", "y3", "y4"):
-        fps = rangemap_merge(fps, groups[label], context="fps")
-    return FeasibleSpaces(fds=fds, fps=fps)
+    produced = arch.producer_of()
+    ranges = rangemap_merge(*(m for sf in arch.subfunctions
+                              for m in (sf.inputs, sf.outputs,
+                                        sf.controllables, sf.uncontrollables)),
+                            context="sub-function ports")
+    ranges = _pin(ranges, arch.top.inputs, "top input")
+    ranges = _pin(ranges, arch.top.uncontrollables, "top uncontrollable")
+    # the top requirement's own output demands tighten the performance side
+    ranges = rangemap_merge(ranges, arch.top.outputs, context="top output")
+    items = ranges.items()
+    return FeasibleSpaces(
+        fds=RangeMap((v, iv) for v, iv in items if v.name not in produced),
+        fps=RangeMap((v, iv) for v, iv in items if v.name in produced))
 
 
 def top_windows(arch: Architecture) -> dict[str, list[tuple[float, float, Interval]]]:
@@ -139,24 +118,24 @@ def top_windows(arch: Architecture) -> dict[str, list[tuple[float, float, Interv
     return out
 
 
-def _narrowable(arch: Architecture, cls: Classification) -> list[str]:
-    # only variables we are free to choose can be narrowed; the rest must be
-    # verified over their full range
-    return sorted(v.name for v in (cls.c | cls.c_tilde))
+def _escapes(env: Envelope, fps: RangeMap,
+             windows: dict[str, list[tuple[float, float, Interval]]]) -> list[EnvelopeEscape]:
+    """Every envelope bound outside ``fps`` or outside a top-level window,
+    in variable-name order, unwindowed bounds first."""
+    out: list[EnvelopeEscape] = []
 
+    def judge(name: str, lo: float, hi: float, allowed: Interval, window=None):
+        if lo < allowed.lo:
+            out.append(EnvelopeEscape(name, "lo", lo, allowed.lo, window))
+        if hi > allowed.hi:
+            out.append(EnvelopeEscape(name, "hi", hi, allowed.hi, window))
 
-def _fits(env: Envelope, fps: RangeMap,
-          windows: dict[str, list[tuple[float, float, Interval]]]) -> bool:
-    for v, iv in fps.items():
-        lo, hi = env.bounds[v.name]
-        if lo < iv.lo or hi > iv.hi:
-            return False
-    for name, ws in windows.items():
-        for t0, t1, iv in ws:
-            lo, hi = env.windows[name][(t0, t1)]
-            if lo < iv.lo or hi > iv.hi:
-                return False
-    return True
+    for v, allowed in fps.items():
+        judge(v.name, *env.bounds[v.name], allowed)
+    for name in sorted(windows):
+        for t0, t1, allowed in windows[name]:
+            judge(name, *env.windows[name][(t0, t1)], allowed, (t0, t1))
+    return out
 
 
 def _bisection_round(work: RangeMap, var: VarId, side: str, ok: float, target: float,
@@ -213,11 +192,15 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
     check_plan = plan.reduced()
     windows = top_windows(arch)
     env_windows = {k: [(t0, t1) for t0, t1, _ in ws] for k, ws in windows.items()}
-    cls = classify(arch)
-    candidates = _narrowable(arch, cls)
+    # only variables we are free to choose can be narrowed; the rest must be
+    # verified over their full range
+    candidates = sorted({v.name for sf in arch.subfunctions for v in sf.controllables})
+
+    def fits(env: Envelope) -> bool:
+        return not _escapes(env, spaces.fps, windows)
 
     def check(boxes: list[RangeMap]) -> list:
-        return [r if isinstance(r, NonFinite) else _fits(r, spaces.fps, windows)
+        return [r if isinstance(r, NonFinite) else fits(r)
                 for r in envelope_over_box(arch, boxes, check_plan, windows=env_windows)]
 
     fds = spaces.fds
@@ -225,18 +208,14 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
     log: list[dict] = [{"step": "narrow-start",
                         "candidates": candidates,
                         "samples_per_check": full_check.n_samples}]
-    if _fits(full_check, spaces.fps, windows):
+    if fits(full_check):
         log.append({"step": "full-box-feasible", "narrowed": False})
         narrowed_fds = fds
     else:
         # collapse candidates to midpoints, then grow each bound back out
-        work = fds
-        for name in candidates:
-            iv = fds[VarId(name)]
-            work = work.with_entry(VarId(name, iv.unit),
-                                   Interval(iv.mid, iv.mid, iv.unit))
-        if not _fits(envelope_over_box(arch, work, check_plan, windows=env_windows),
-                     spaces.fps, windows):
+        work = RangeMap((v, Interval(iv.mid, iv.mid, iv.unit) if v.name in candidates else iv)
+                        for v, iv in fds.items())
+        if not fits(envelope_over_box(arch, work, check_plan, windows=env_windows)):
             raise Infeasible("no feasible design at the controllable midpoints")
         # a probe box is a sub-box of the full one, so it has at most as
         # many samples; keep every bundle within the plan's cap
@@ -260,23 +239,14 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
 
     # attainable performance box, clipped to the allowed space where the
     # padded empirical envelope pokes out
-    escapes: list[EnvelopeEscape] = []
-    fps2 = RangeMap()
-    for v, allowed in spaces.fps.items():
-        lo, hi = env.bounds[v.name]
-        if lo < allowed.lo:
-            escapes.append(EnvelopeEscape(v.name, "lo", lo, allowed.lo))
-            lo = allowed.lo
-        if hi > allowed.hi:
-            escapes.append(EnvelopeEscape(v.name, "hi", hi, allowed.hi))
-            hi = allowed.hi
-        fps2 = fps2.with_entry(v, Interval(lo, hi, allowed.unit))
+    escapes = _escapes(env, spaces.fps, windows)
+    fps2 = RangeMap((v, Interval(max(env.bounds[v.name][0], allowed.lo),
+                                 min(env.bounds[v.name][1], allowed.hi), allowed.unit))
+                    for v, allowed in spaces.fps.items())
 
     log.append({"step": "performance-envelope",
                 "samples": env.n_samples,
-                "escapes": [{"variable": e.variable, "side": e.side,
-                             "simulated": e.simulated, "clipped_to": e.clipped_to}
-                            for e in escapes]})
+                "escapes": [e.to_log() for e in escapes]})
     return NarrowingResult(initial=spaces,
                            narrowed=FeasibleSpaces(fds=narrowed_fds, fps=fps2),
                            envelope=env, escapes=tuple(escapes), log=tuple(log))

@@ -20,26 +20,9 @@ from .requirements import _map_to_dict, check_refines, fr_to_dict
 from .simulation import SamplingPlan
 from .tradeoff import PreferenceWeights, TradeoffResult, run_tradeoff
 
-__all__ = ["RunConfig", "PipelineReport", "run_pipeline",
+__all__ = ["PipelineReport", "run_pipeline",
            "report_to_json", "report_to_markdown", "report_to_csv",
            "compare_reports"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    step: float = 0.01
-    horizon: float = 100.0
-    grid: int = 3
-    padding: float = 0.02
-    strict_refinement: bool = False
-
-    def __post_init__(self):
-        if self.step <= 0 or self.horizon <= 0 or self.grid < 0 or self.padding < 0:
-            raise ValueError("RunConfig values must be positive")
-
-    def plan(self) -> SamplingPlan:
-        return SamplingPlan(grid=self.grid, padding=self.padding,
-                            step=self.step, horizon=self.horizon)
 
 
 @dataclass(frozen=True)
@@ -71,9 +54,9 @@ class PipelineReport:
         }
 
 
-def run_pipeline(arch_file, config: RunConfig | None = None,
-                 golden_file=None) -> PipelineReport:
-    config = config or RunConfig()
+def run_pipeline(arch_file, plan: SamplingPlan | None = None, *,
+                 strict_refinement: bool = False, golden_file=None) -> PipelineReport:
+    plan = plan or SamplingPlan()
     arch, raw = load_architecture(arch_file)
     tradeoff = raw.get("tradeoff", {})
     if not isinstance(tradeoff, dict):
@@ -85,13 +68,12 @@ def run_pipeline(arch_file, config: RunConfig | None = None,
                       for label, group in cls.groups().items()}
 
     spaces = initial_spaces(arch)
-    nres: NarrowingResult = narrow(arch, spaces, config.plan())
+    nres: NarrowingResult = narrow(arch, spaces, plan)
     tres: TradeoffResult = run_tradeoff(
         arch, nres.narrowed.fds, spaces.fps, nres.narrowed.fps, weights)
 
     # law post-assertions are raised inside run_tradeoff; report the verdicts
-    refinement = check_refines(tres.composite, arch.top,
-                               strict=config.strict_refinement)
+    refinement = check_refines(tres.composite, arch.top, strict=strict_refinement)
     matrix = [{"producer": producer, "consumer": consumer, "variable": var,
                "ok": bool(res)}
               for producer, consumer, var, res
@@ -106,7 +88,7 @@ def run_pipeline(arch_file, config: RunConfig | None = None,
         subrequirements=[fr_to_dict(fr) for fr in tres.subrequirements],
         law_checks={"composability": matrix,
                     "refinement": {"ok": bool(refinement),
-                                   "strict": config.strict_refinement,
+                                   "strict": strict_refinement,
                                    "witness": refinement.witness_var,
                                    "clause": refinement.clause}},
         narrowing_log=list(nres.log),

@@ -171,47 +171,37 @@ def compose(frs: list[FunctionalRequirement] | tuple[FunctionalRequirement, ...]
     are hidden from the interface.  Exposed input ranges come from the
     consumer side, exposed output ranges from the producer side.
 
-    Preconditions: a single producer per variable, and for every pair that
-    shares producer->consumer variables, range containment on each of them.
+    Preconditions: a single producer per variable, and every consumed
+    range contains the range its producer promises.
     """
     frs = tuple(frs)
     if not frs:
         raise ValueError("compose() needs at least one requirement")
 
-    producers: dict[str, str] = {}
+    producers: dict[str, FunctionalRequirement] = {}
     for fr in frs:
         for v, _ in fr.outputs.items():
             if v.name in producers:
-                raise NotComposable(producers[v.name], fr.name, v.name,
+                raise NotComposable(producers[v.name].name, fr.name, v.name,
                                     "two producers for one variable")
-            producers[v.name] = fr.name
+            producers[v.name] = fr
 
-    for fr_j in frs:
-        for fr_k in frs:
-            if fr_j is fr_k:
-                continue
-            shared = names_intersect(fr_j.outputs.names(), fr_k.inputs.names())
-            for v in sorted(shared, key=lambda v: v.name):
-                if not _contains(fr_k.inputs[v], fr_j.outputs[v]):
-                    raise NotComposable(fr_j.name, fr_k.name, v.name,
-                                        f"{fr_j.outputs[v]!r} not within {fr_k.inputs[v]!r}")
+    # a contract never holds one variable as both input and output, so a
+    # part is never its own producer
+    for fr_k in frs:
+        for v, cons in fr_k.inputs.items():
+            fr_j = producers.get(v.name)
+            if fr_j is not None and not _contains(cons, fr_j.outputs[v]):
+                raise NotComposable(fr_j.name, fr_k.name, v.name,
+                                    f"{fr_j.outputs[v]!r} not within {cons!r}")
 
-    exposed_inputs = RangeMap()
-    for fr in frs:
-        free = fr.inputs.without(producers)
-        exposed_inputs = rangemap_merge(exposed_inputs, free, context="composite inputs")
-    exposed_outputs = RangeMap()
-    for fr in frs:
-        for v, iv in fr.outputs.items():
-            exposed_outputs = exposed_outputs.with_entry(v, iv)
-
-    controllables = RangeMap()
-    uncontrollables = RangeMap()
-    for fr in frs:
-        controllables = rangemap_merge(controllables, fr.controllables,
-                                       context="composite controllables")
-        uncontrollables = rangemap_merge(uncontrollables, fr.uncontrollables,
-                                         context="composite uncontrollables")
+    exposed_inputs = rangemap_merge(*(fr.inputs.without(producers) for fr in frs),
+                                    context="composite inputs")
+    exposed_outputs = RangeMap(item for fr in frs for item in fr.outputs.items())
+    controllables = rangemap_merge(*(fr.controllables for fr in frs),
+                                   context="composite controllables")
+    uncontrollables = rangemap_merge(*(fr.uncontrollables for fr in frs),
+                                     context="composite uncontrollables")
 
     return FunctionalRequirement(
         name=name, inputs=exposed_inputs, outputs=exposed_outputs,

@@ -41,21 +41,25 @@ __all__ = ["OdeSystem", "Trajectory", "Envelope", "SamplingPlan",
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """How to sample a design-space box for envelope estimation."""
+    """How to sample a design-space box for envelope estimation: all
+    corners plus an n-per-axis grid."""
 
     grid: int = 3              # grid points per axis (0 disables the grid)
-    corners: bool = True
     padding: float = 0.02      # outward inflation per bound, fraction of span
     step: float = 0.01         # integration step [s]
     horizon: float = 100.0     # integration horizon [s]
     cap: int = 10_000          # hard cap on bundle size
 
+    def __post_init__(self):
+        if not (self.step > 0 and self.horizon > 0 and self.grid >= 0 and self.padding >= 0):
+            raise ValueError("SamplingPlan needs step > 0, horizon > 0, grid >= 0 "
+                             "and padding >= 0")
+
     def reduced(self) -> "SamplingPlan":
         """Cheaper plan for inner narrowing loops: corners + center only,
         coarser step, no padding."""
-        return SamplingPlan(grid=1, corners=True, padding=0.0,
-                            step=max(self.step, 0.05), horizon=self.horizon,
-                            cap=self.cap)
+        return SamplingPlan(grid=1, padding=0.0, step=max(self.step, 0.05),
+                            horizon=self.horizon, cap=self.cap)
 
 
 @dataclass(frozen=True)
@@ -229,9 +233,7 @@ def design_samples(box: RangeMap, plan: SamplingPlan) -> list[dict[str, float]]:
     grid, deduplicated; beyond the cap, a Halton low-discrepancy set."""
     items = box.items()
     names = [v.name for v, _ in items]
-    lattices = []
-    if plan.corners:
-        lattices.append([(iv.lo, iv.hi) if iv.lo < iv.hi else (iv.lo,) for _, iv in items])
+    lattices = [[(iv.lo, iv.hi) if iv.lo < iv.hi else (iv.lo,) for _, iv in items]]
     if plan.grid > 0:
         lattices.append([(iv.mid,) if iv.lo == iv.hi or plan.grid == 1
                          else tuple(np.linspace(iv.lo, iv.hi, plan.grid))

@@ -126,24 +126,15 @@ class BarrierProblem:
                  weights: PreferenceWeights):
         self.brackets = brackets
         self.weights = weights
-        consumers: dict[str, list[str]] = {name: [] for name in brackets}
-        producers: dict[str, str] = {}
-        for sf in arch.subfunctions:
-            for v, _ in sf.inputs.items():
-                if v.name in consumers:
-                    consumers[v.name].append(sf.id)
-            for v, _ in sf.outputs.items():
-                if v.name in brackets:
-                    producers[v.name] = sf.id
-        self.consumers = consumers
-        self.producers = producers
+        consumers = arch.consumers_of()
+        self.consumers = {name: consumers.get(name, []) for name in brackets}
         for name in weights.producer:
             if name not in brackets:
                 raise ValidationError(
                     f"trade-off weight producer.{name}: '{name}' is not a performance variable")
         for sub_id, ws in weights.consumer.items():
             for name in ws:
-                if sub_id not in consumers.get(name, ()):
+                if sub_id not in self.consumers.get(name, ()):
                     raise ValidationError(
                         f"trade-off weight consumer.{sub_id}.{name}: "
                         f"'{sub_id}' does not consume performance variable '{name}'")
@@ -178,11 +169,9 @@ class BarrierProblem:
         vals = dict(self.pinned)
         for k, (name, side, _, _) in enumerate(self.free):
             vals[(name, side)] = float(x[k])
-        rm = RangeMap()
-        for name, b in self.brackets.items():
-            rm = rm.with_entry(VarId(name, b.unit),
-                               Interval(vals[(name, "lo")], vals[(name, "hi")], b.unit))
-        return rm
+        return RangeMap((VarId(name, b.unit),
+                         Interval(vals[(name, "lo")], vals[(name, "hi")], b.unit))
+                        for name, b in self.brackets.items())
 
 
 def barrier_value(problem: BarrierProblem, x: np.ndarray) -> float:
@@ -289,16 +278,15 @@ def restore_feasibility(arch: Architecture, chosen: RangeMap, fds2: RangeMap,
     subs = _static_subs(arch)
 
     def pulled(t: float) -> RangeMap:
-        cur = chosen
-        for v, got in chosen.items():
+        def pull(v: VarId, got: Interval) -> Interval:
             b = brackets.get(v.name)
             if b is None:
-                continue
+                return got
             # clamped so that t = 1 lands on the attained range exactly
-            cur = cur.with_entry(v, Interval(
-                min(got.lo + t * (b.l2 - got.lo), b.l2),
-                max(got.hi + t * (b.u2 - got.hi), b.u2), got.unit))
-        return cur
+            return Interval(min(got.lo + t * (b.l2 - got.lo), b.l2),
+                            max(got.hi + t * (b.u2 - got.hi), b.u2), got.unit)
+
+        return RangeMap((v, pull(v, got)) for v, got in chosen.items())
 
     def sweep(cur: RangeMap) -> tuple[RangeMap, list[dict]] | None:
         widenings: list[dict] = []
@@ -354,15 +342,8 @@ def assemble_subrequirements(arch: Architecture, fds2: RangeMap,
     the chosen ranges, design variables the narrowed design ranges."""
 
     def remap(role: RangeMap) -> RangeMap:
-        out = RangeMap()
-        for v, declared in role.items():
-            if v in chosen:
-                out = out.with_entry(v, chosen[v])
-            elif v in fds2:
-                out = out.with_entry(v, fds2[v])
-            else:
-                out = out.with_entry(v, declared)
-        return out
+        return RangeMap((v, chosen[v] if v in chosen else fds2[v] if v in fds2 else declared)
+                        for v, declared in role.items())
 
     frs = []
     for sf in arch.subfunctions:
@@ -389,11 +370,10 @@ def run_tradeoff(arch: Architecture, fds2: RangeMap, fps1: RangeMap,
 
     frs = assemble_subrequirements(arch, fds2, chosen)
     by_id = {fr.name: fr for fr in frs}
-    consumers = arch.consumers_of()
     links = []
     for sf in arch.subfunctions:
         for v, _ in sf.outputs.items():
-            for cid in consumers.get(v.name, []):
+            for cid in problem.consumers[v.name]:
                 res = check_composable(by_id[sf.id], by_id[cid])
                 if not res:
                     raise PostconditionFailure(

@@ -20,7 +20,7 @@ from setdecomp.expr import evaluate_interval
 from setdecomp.intervals import (Interval, RangeMap, interval_intersect,
                                  rangemap_merge, restrict)
 from setdecomp.narrowing import initial_spaces, narrow, top_windows
-from setdecomp.pipeline import RunConfig, report_to_json, run_pipeline
+from setdecomp.pipeline import report_to_json, run_pipeline
 from setdecomp.requirements import (check_composable, check_refines,
                                     check_satisfaction_static, compose)
 from setdecomp.simulation import (SamplingPlan, build_ode, design_samples,
@@ -202,7 +202,7 @@ def test_cruise_classification_reproduces_published_sets(arch):
 def test_narrowed_design_points_satisfy_the_speed_requirement(arch, narrowed):
     start = time.perf_counter()
     points = design_samples(narrowed.narrowed.fds,
-                            SamplingPlan(grid=3, corners=True, cap=64))
+                            SamplingPlan(grid=3, cap=64))
     assert len(points) == 64
     bundle = {k: np.array([p[k] for p in points]) for k in points[0]}
     traj = integrate(build_ode(arch, bundle), horizon=100.0, step=0.01)
@@ -368,5 +368,5 @@ class TestNumericalSoundness:
 
 
 def test_repeated_pipeline_runs_are_byte_identical():
-    texts = [report_to_json(run_pipeline(CRUISE, RunConfig())) for _ in range(2)]
+    texts = [report_to_json(run_pipeline(CRUISE)) for _ in range(2)]
     assert texts[0].encode() == texts[1].encode()

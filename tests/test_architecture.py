@@ -4,9 +4,8 @@ import json
 import pytest
 
 from setdecomp.architecture import (Algebraic, Architecture, Integrator,
-                                    SubFunction, architecture_from_dict,
-                                    architecture_to_dict, classify,
-                                    load_architecture, validate_coverage)
+                                    SubFunction, classify, load_architecture,
+                                    validate_coverage)
 from setdecomp.errors import (CoverageViolation, ParseError, ProducerConflict,
                               ValidationError)
 from setdecomp.expr import BinOp, Num, Var, parse_expr
@@ -110,11 +109,6 @@ class TestClassification:
 
 
 class TestJson:
-    def test_cruise_round_trip(self, cruise):
-        doc = architecture_to_dict(cruise)
-        again = architecture_from_dict(json.loads(json.dumps(doc)))
-        assert again == cruise
-
     def test_malformed_json_reports_position(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"top": ???}')

@@ -88,6 +88,13 @@ class TestDecompose:
         assert main(["decompose", str(path), *FAST]) == 2
         assert "'tradeoff' section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--step", "0"], ["--horizon", "0"],
+                                       ["--grid", "-1"], ["--padding", "-0.1"]],
+                             ids=["step", "horizon", "grid", "padding"])
+    def test_bad_sampling_plan_is_validation_error(self, flags, capsys):
+        assert main(["decompose", CRUISE, *flags]) == 2
+        assert "SamplingPlan" in capsys.readouterr().err
+
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["decompose", "/nonexistent.json"]) == 2
         assert "error" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -24,6 +25,31 @@ def intervals(draw, unit=""):
 def rangemaps(draw, unit=""):
     names = draw(st.lists(st.sampled_from("abcdefgh"), unique=True, max_size=6))
     return RangeMap([(VarId(n, unit), draw(intervals(unit))) for n in names])
+
+
+units = st.sampled_from(["", "m"])
+
+
+@st.composite
+def mixed_unit_rangemaps(draw):
+    """Few names, two units: shared names often disagree on their unit."""
+    entries = []
+    for n in draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=4)):
+        unit = draw(units)
+        entries.append((VarId(n, unit), draw(intervals(unit))))
+    return RangeMap(entries)
+
+
+def _outcome(call):
+    """A name set or range map as (name, unit[, interval]) rows, or the type
+    and message of the set-algebra error raised instead."""
+    try:
+        out = call()
+    except (EmptyRange, UnitMismatch) as e:
+        return type(e), str(e)
+    if isinstance(out, RangeMap):
+        return [(v.name, v.unit, iv) for v, iv in out.items()]
+    return sorted((v.name, v.unit) for v in out)
 
 
 class TestInterval:
@@ -98,6 +124,12 @@ class TestNameSets:
         assert names_subset(ab, abc)
         assert names_subset(a.names(), abc)
 
+    @given(st.lists(st.frozensets(st.builds(VarId, st.sampled_from("abcd"), units)),
+                    min_size=1, max_size=5))
+    def test_nary_union_equals_folded_pairs(self, sets):
+        assert (_outcome(lambda: names_union(*sets))
+                == _outcome(lambda: functools.reduce(names_union, sets)))
+
     def test_union_with_conflicting_units_raises(self):
         with pytest.raises(UnitMismatch):
             names_union({VarId("v", "m/s")}, {VarId("v", "mph")})
@@ -147,12 +179,24 @@ class TestMerge:
     def test_merge_idempotent(self, a):
         assert rangemap_merge(a, a) == a
 
+    @settings(deadline=None)
+    @given(st.lists(mixed_unit_rangemaps(), min_size=1, max_size=5))
+    def test_nary_merge_equals_folded_pairs(self, maps):
+        assert (_outcome(lambda: rangemap_merge(*maps))
+                == _outcome(lambda: functools.reduce(rangemap_merge, maps)))
+
     def test_merge_intersects_shared_names(self):
         a = RangeMap.of(v=(0, 10), w=(1, 2))
         b = RangeMap.of(v=(5, 20))
         merged = rangemap_merge(a, b)
         assert merged["v"] == Interval(5, 10)
         assert merged["w"] == Interval(1, 2)
+
+    def test_merge_unit_mismatch_names_the_variable(self):
+        with pytest.raises(UnitMismatch) as e:
+            rangemap_merge(RangeMap.of(v=(0, 1, "m")), RangeMap.of(w=(0, 1)),
+                           RangeMap.of(v=(0, 1, "s")))
+        assert (e.value.name, e.value.units) == ("v", ("m", "s"))
 
     def test_merge_empty_intersection_raises(self):
         a = RangeMap.of(v=(0, 1))

@@ -1,14 +1,15 @@
 import importlib.resources
+import random
 
 import pytest
 
-from setdecomp.architecture import (Algebraic, Architecture, SubFunction,
-                                    load_architecture)
+from setdecomp.architecture import (Algebraic, Architecture, InternalState,
+                                    SubFunction, load_architecture)
 from setdecomp.errors import CoverageViolation, Infeasible
-from setdecomp.expr import BinOp, Num, Var
+from setdecomp.expr import BinOp, Num, Var, parse_expr
 from setdecomp.intervals import Interval, RangeMap, VarId
-from setdecomp.narrowing import (aggregate_ranges, compute_group_ranges,
-                                 initial_spaces, narrow, top_windows)
+from setdecomp.narrowing import initial_spaces, narrow, top_windows
+from setdecomp.requirements import FunctionalRequirement, TimedOutputSpec
 from setdecomp.simulation import SamplingPlan, envelope_over_box
 
 CRUISE = str(importlib.resources.files("setdecomp") / "data" / "cruise.json")
@@ -22,11 +23,11 @@ def cruise():
     return arch
 
 
-def _passthrough_arch(c_range=(0.0, 10.0), top_out=(0.0, 5.0)):
+def _passthrough_arch(c_range=(0.0, 10.0), top_out=(0.0, 5.0), timed_outputs=()):
     """y = c + 0*x: output directly tracks the controllable."""
-    from setdecomp.requirements import FunctionalRequirement
     top = FunctionalRequirement("top", inputs=RangeMap.of(x=(0, 1)),
-                                outputs=RangeMap.of(y=top_out))
+                                outputs=RangeMap.of(y=top_out),
+                                timed_outputs=timed_outputs)
     f = SubFunction(
         id="f",
         kind=Algebraic(exprs=(("y", BinOp("+", Var("c"),
@@ -80,6 +81,58 @@ def _sequential_fds(arch, spaces, plan):
     return work
 
 
+def _chain_arch(n=200, seed=1):
+    """A chain s_k = 0.5*s_{k-1} + 1 [+ c_k] of ``n`` links: every tenth
+    link a first-order lag, ten links with a controllable offset, and
+    seeded port ranges that differ between producer and consumer."""
+    rng = random.Random(seed)
+
+    def port(name):
+        lo, hi = -10.0 + rng.uniform(0, 2), 20.0 - rng.uniform(0, 2)
+        return RangeMap.of(**{name: (lo, hi)})
+
+    subs = []
+    for k in range(1, n + 1):
+        step = ["+", ["*", 0.5, ["var", f"s{k - 1}"]], 1.0]
+        controllables, states = RangeMap(), ()
+        if k % 10 == 0:
+            states = (InternalState(f"z{k}", parse_expr(["-", step, ["var", f"z{k}"]]),
+                                    Num(0.0)),)
+            step = ["var", f"z{k}"]
+        elif k % (n // 10) == 5:
+            lo = rng.uniform(0.0, 0.2)
+            controllables = RangeMap.of(**{f"c{k}": (lo, lo + rng.uniform(0.2, 0.5))})
+            step = ["+", step, ["var", f"c{k}"]]
+        subs.append(SubFunction(
+            id=f"L{k:03d}", kind=Algebraic(exprs=((f"s{k}", parse_expr(step)),), states=states),
+            inputs=port(f"s{k - 1}"), outputs=port(f"s{k}"), controllables=controllables))
+    top = FunctionalRequirement(f"chain-{n}", inputs=RangeMap.of(s0=(0.0, 1.0)),
+                                outputs=RangeMap.of(**{f"s{n}": (-5.0, 15.0)}))
+    return Architecture(top=top, subfunctions=tuple(subs))
+
+
+def _oracle_spaces(arch):
+    """Plain intersect -> pin -> split-by-producer, as (lo, hi) by name."""
+    ranges: dict[str, tuple[float, float]] = {}
+
+    def tighten(name, iv):
+        lo, hi = ranges.get(name, (-float("inf"), float("inf")))
+        ranges[name] = (max(lo, iv.lo), min(hi, iv.hi))
+
+    for sf in arch.subfunctions:
+        for role in (sf.inputs, sf.outputs, sf.controllables, sf.uncontrollables):
+            for v, iv in role.items():
+                tighten(v.name, iv)
+    for role in (arch.top.inputs, arch.top.uncontrollables):
+        for v, iv in role.items():
+            ranges[v.name] = (iv.lo, iv.hi)
+    for v, iv in arch.top.outputs.items():
+        tighten(v.name, iv)
+    produced = {v.name for sf in arch.subfunctions for v in sf.outputs}
+    return ({k: r for k, r in ranges.items() if k not in produced},
+            {k: r for k, r in ranges.items() if k in produced})
+
+
 class TestInitialSpaces:
     def test_cruise_fds1_exact(self, cruise):
         fds = initial_spaces(cruise).fds
@@ -102,21 +155,33 @@ class TestInitialSpaces:
         assert len(fps) == 8
 
     def test_aggregation_intersects_shared_ports(self, cruise):
-        roles = aggregate_ranges(cruise)
-        # m appears in f2 and f3 with identical printed ranges
-        assert roles["uncontrollables"]["m"] == Interval(990, 1100, "kg")
-        # v is consumed by f5 [0,60], f6 [0,55] and f8 [0,60]
-        assert roles["inputs"]["v"] == Interval(0, 55, "m/s")
+        spaces = initial_spaces(cruise)
+        # m is an uncontrollable of both f2 and f3
+        assert spaces.fds["m"] == Interval(990, 1100, "kg")
+        # Fr: f3 produces [70, 120], f2 consumes [60, 130]
+        assert spaces.fps["Fr"] == Interval(70, 120, "N")
 
-    def test_group_ranges_pin_top_inputs(self, cruise):
-        groups = compute_group_ranges(cruise)
-        assert groups["x"]["v_0"] == Interval(23.0, 30.0, "m/s")
-        assert groups["y3"]["v"] == Interval(20.0, 40.0, "m/s")
+    def test_initial_spaces_pin_top_inputs(self, cruise):
+        spaces = initial_spaces(cruise)
+        # f1 accepts v_0 in [0, 40]; the top input pins it
+        assert spaces.fds["v_0"] == Interval(23.0, 30.0, "m/s")
+        # v is produced and fed back: a top output, tightened, in the FPS
+        assert spaces.fps["v"] == Interval(20.0, 40.0, "m/s")
+
+    @pytest.mark.parametrize("build", [
+        lambda: load_architecture(CRUISE)[0],
+        _chain_arch,
+    ], ids=["cruise", "chain-200"])
+    def test_spaces_equal_plain_intersect_pin_split(self, build):
+        arch = build()
+        spaces = initial_spaces(arch)
+        fds, fps = _oracle_spaces(arch)
+        assert {v.name: (iv.lo, iv.hi) for v, iv in spaces.fds.items()} == fds
+        assert {v.name: (iv.lo, iv.hi) for v, iv in spaces.fps.items()} == fps
 
     def test_top_range_wider_than_architecture_is_a_coverage_violation(self):
         arch = _passthrough_arch()
         wide = arch.top.inputs.with_entry(VarId("x"), Interval(-5, 5))
-        from setdecomp.requirements import FunctionalRequirement
         bad = Architecture(
             top=FunctionalRequirement("top", inputs=wide, outputs=arch.top.outputs),
             subfunctions=arch.subfunctions)
@@ -161,6 +226,25 @@ class TestNarrow:
         # raw envelope kept alongside the clipped space
         lo, hi = res.envelope.bounds["y"]
         assert lo < 0.0 < 5.0 < hi
+
+    def test_padded_window_escape_is_reported_not_clipped(self):
+        # y = c over c in [1, 4]: unpadded, y reaches the window bound 4
+        # exactly; padded by 10% of its span it reaches 4.3
+        window = TimedOutputSpec(VarId("y"), ((0.0, 1.0, Interval(0.0, 4.0)),))
+        arch = _passthrough_arch(c_range=(1.0, 4.0), top_out=(0.0, 10.0),
+                                 timed_outputs=(window,))
+        spaces = initial_spaces(arch)
+        res = narrow(arch, spaces, SamplingPlan(grid=2, padding=0.1,
+                                                step=0.5, horizon=1.0))
+        # the unpadded probe fits, so the box is left alone
+        assert res.narrowed.fds == spaces.fds
+        (escape,) = res.escapes
+        assert escape.simulated == pytest.approx(4.3)
+        assert res.log[-1]["escapes"] == [
+            {"variable": "y", "side": "hi", "simulated": escape.simulated,
+             "allowed": 4.0, "window": [0.0, 1.0]}]
+        # the attained space holds no windows: y is not clipped to 4
+        assert res.narrowed.fps["y"].hi == escape.simulated
 
     @pytest.mark.parametrize("extra", [
         # c = 8.75 is probed only if the first hi trial, 7.5, passes; it

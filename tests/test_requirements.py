@@ -179,6 +179,15 @@ class TestCompose:
         with pytest.raises(NotComposable):
             compose([a, b])
 
+    def test_violation_is_found_when_the_consumer_comes_first(self):
+        a = FunctionalRequirement("a", outputs=RangeMap.of(y=(0, 3)))
+        b = FunctionalRequirement("b", inputs=RangeMap.of(y=(0, 2)),
+                                  outputs=RangeMap.of(z=(0, 1)))
+        with pytest.raises(NotComposable) as exc:
+            compose([b, a])
+        assert (exc.value.producer, exc.value.consumer) == ("a", "b")
+        assert "'y'" in str(exc.value)
+
     def test_shared_free_input_ranges_intersect(self):
         a = FunctionalRequirement("a", inputs=RangeMap.of(x=(0, 10)),
                                   outputs=RangeMap.of(y=(0, 1)))

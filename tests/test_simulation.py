@@ -133,7 +133,7 @@ class TestIntegrate:
 class TestSampling:
     def test_corners_and_grid(self):
         box = RangeMap.of(a=(0, 1), b=(10, 20))
-        plan = SamplingPlan(grid=3, corners=True)
+        plan = SamplingPlan(grid=3)
         pts = design_samples(box, plan)
         # 4 corners + 9 grid points, 4 shared
         assert len(pts) == 9
