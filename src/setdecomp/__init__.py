@@ -11,25 +11,25 @@ from .architecture import (Algebraic, Architecture, Classification, Integrator,
                            InternalState, SubFunction, classify,
                            load_architecture, validate_coverage)
 from .errors import SetDecompError
-from .intervals import EMPTY, Interval, RangeMap, VarId, interval_intersect, rangemap_merge
+from .intervals import Interval, RangeMap, VarId, interval_intersect, rangemap_merge
 from .narrowing import FeasibleSpaces, NarrowingResult, initial_spaces, narrow
 from .pipeline import PipelineReport, run_pipeline
 from .requirements import (FunctionalRequirement, TimedOutputSpec,
-                           check_composable, check_refines, compose)
+                           check_composable, check_refines, compose, links)
 from .simulation import Envelope, SamplingPlan, Trajectory, build_ode, envelope_over_box, integrate
 from .tradeoff import PreferenceWeights, TradeoffResult, run_tradeoff
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebraic", "Architecture", "Classification", "EMPTY",
+    "Algebraic", "Architecture", "Classification",
     "Envelope", "FeasibleSpaces", "FunctionalRequirement", "Integrator",
     "InternalState", "Interval", "NarrowingResult", "PipelineReport",
     "PreferenceWeights", "RangeMap", "SamplingPlan",
     "SetDecompError", "SubFunction", "TimedOutputSpec", "TradeoffResult",
     "Trajectory", "VarId", "build_ode", "check_composable", "check_refines",
     "classify", "compose", "envelope_over_box", "initial_spaces",
-    "integrate", "interval_intersect", "load_architecture", "narrow",
+    "integrate", "interval_intersect", "links", "load_architecture", "narrow",
     "rangemap_merge", "run_pipeline", "run_tradeoff", "validate_coverage",
     "__version__",
 ]

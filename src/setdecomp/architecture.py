@@ -149,12 +149,6 @@ class Classification:
     y3: frozenset[VarId]
     y4: frozenset[VarId]
 
-    def design_names(self) -> frozenset[VarId]:
-        return self.x | self.x_tilde | self.c | self.c_tilde | self.u | self.u_tilde
-
-    def performance_names(self) -> frozenset[VarId]:
-        return self.y1 | self.y2 | self.y3 | self.y4
-
     def groups(self) -> dict[str, frozenset[VarId]]:
         return {"x": self.x, "x_tilde": self.x_tilde, "c": self.c,
                 "c_tilde": self.c_tilde, "u": self.u, "u_tilde": self.u_tilde,

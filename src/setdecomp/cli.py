@@ -5,9 +5,9 @@ Three subcommands:
 * ``decompose <arch.json>`` — run the full pipeline and emit a report
   (``--emit json|md|csv``), optionally diffed against a golden report
   (``--compare``).
-* ``check-laws <part.json> [...] <top.json>`` — verify that the leading
-  contract files are pairwise composable and that their composite refines
-  the last file.
+* ``check-laws <part.json> [...] <top.json>`` — verify that every
+  producer->consumer link between the leading contract files is composable
+  and that their composite refines the last file.
 * ``simulate <arch.json> [name=value ...]`` — export one trajectory as CSV;
   unspecified design variables default to the midpoints of the initial
   design space.
@@ -26,7 +26,7 @@ from .errors import (EmptyRange, Infeasible, NonFinite, NotComposable,
                      ParseError, PostconditionFailure, SetDecompError)
 from .narrowing import initial_spaces
 from .pipeline import report_to_csv, report_to_json, report_to_markdown, run_pipeline
-from .requirements import check_composable, check_refines, compose, load_fr
+from .requirements import check_refines, compose, links, load_fr
 from .simulation import SamplingPlan, build_ode, integrate
 
 EXIT_OK = 0
@@ -106,18 +106,14 @@ def _cmd_check_laws(args) -> int:
     frs = [load_fr(f) for f in args.files]
     parts, top = frs[:-1], frs[-1]
     failures = 0
-    for j, fr_j in enumerate(parts):
-        for k, fr_k in enumerate(parts):
-            if j == k:
-                continue
-            res = check_composable(fr_j, fr_k)
-            if res.shared and not res:
-                failures += 1
-                print(f"FAIL composable {fr_j.name} -> {fr_k.name}: "
-                      f"'{res.witness_var}' {res.producer_range!r} not within "
-                      f"{res.consumer_range!r}")
-            elif res:
-                print(f"pass composable {fr_j.name} -> {fr_k.name}")
+    for fr_j, fr_k, res in links(parts):
+        if res:
+            print(f"pass composable {fr_j.name} -> {fr_k.name}")
+        else:
+            failures += 1
+            print(f"FAIL composable {fr_j.name} -> {fr_k.name}: "
+                  f"'{res.witness_var}' {res.producer_range!r} not within "
+                  f"{res.consumer_range!r}")
     whole = compose(parts) if len(parts) > 1 else parts[0]
     res = check_refines(whole, top, strict=args.strict_refinement)
     if res:

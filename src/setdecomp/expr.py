@@ -188,8 +188,6 @@ def evaluate_interval(e: Expr, env) -> Interval:
             return (e.value, e.value)
         if isinstance(e, Var):
             iv = env[e.name]
-            if iv.is_empty:
-                raise DomainError(f"empty interval bound to '{e.name}'")
             return (iv.lo, iv.hi)
         if isinstance(e, BinOp):
             a, b = go(e.left), go(e.right)

@@ -15,9 +15,9 @@ from typing import Iterable, Iterator, Mapping
 from .errors import EmptyRange, NotFound, UnitMismatch
 
 __all__ = [
-    "VarId", "Interval", "EMPTY", "RangeMap",
+    "VarId", "Interval", "RangeMap",
     "interval_intersect", "names_union", "names_intersect", "names_subset",
-    "rangemap_merge", "restrict",
+    "rangemap_merge",
 ]
 
 
@@ -53,71 +53,46 @@ def _check_units(a: VarId, b: VarId) -> VarId:
 
 @dataclass(frozen=True)
 class Interval:
-    """A closed interval [lo, hi].  The empty interval is the distinguished
-    module-level ``EMPTY`` value; lo > hi is rejected at construction."""
+    """A closed, non-empty interval [lo, hi]; lo > hi is rejected at
+    construction."""
 
     lo: float
     hi: float
     unit: str = ""
-    _empty: bool = False
 
     def __post_init__(self):
-        if self._empty:
-            return
         if math.isnan(self.lo) or math.isnan(self.hi):
             raise ValueError("interval bounds must not be NaN")
         if self.lo > self.hi:
             raise ValueError(f"invalid interval: lo={self.lo} > hi={self.hi}")
 
-    @staticmethod
-    def empty(unit: str = "") -> "Interval":
-        return Interval(math.inf, -math.inf, unit, _empty=True)
-
-    @property
-    def is_empty(self) -> bool:
-        return self._empty
-
     @property
     def width(self) -> float:
-        return 0.0 if self._empty else self.hi - self.lo
+        return self.hi - self.lo
 
     @property
     def mid(self) -> float:
-        if self._empty:
-            raise ValueError("empty interval has no midpoint")
         return 0.5 * (self.lo + self.hi)
 
     def __contains__(self, v: float) -> bool:
-        return (not self._empty) and self.lo <= v <= self.hi
+        return self.lo <= v <= self.hi
 
     def contains_interval(self, other: "Interval") -> bool:
-        """True when ``other`` is a subset of self (the empty interval is a
-        subset of everything)."""
-        if other._empty:
-            return True
-        if self._empty:
-            return False
+        """True when ``other`` is a subset of self."""
         return self.lo <= other.lo and other.hi <= self.hi
 
     def __repr__(self):
-        if self._empty:
-            return "Interval.empty()"
         u = f" {self.unit}" if self.unit else ""
         return f"[{self.lo:g},{self.hi:g}]{u}"
 
 
-EMPTY = Interval.empty()
-
-
-def interval_intersect(a: Interval, b: Interval) -> Interval:
-    """Intersection of two same-unit intervals; EMPTY when disjoint."""
+def interval_intersect(a: Interval, b: Interval) -> Interval | None:
+    """Intersection of two same-unit intervals; None when disjoint."""
     if a.unit != b.unit:
         raise UnitMismatch("<interval>", a.unit, b.unit)
-    if a.is_empty or b.is_empty:
-        return Interval.empty(a.unit)
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo > hi:
-        return Interval.empty(a.unit)
+        return None
     return Interval(lo, hi, a.unit)
 
 
@@ -243,13 +218,9 @@ def rangemap_merge(*maps: RangeMap, context: str = "") -> RangeMap:
             var, prior = stored
             _check_units(var, v)
             merged = interval_intersect(prior, iv)
-            if merged.is_empty:
+            if merged is None:
                 clash = f"{prior!r} vs {iv!r}"
                 raise EmptyRange(v.name, f"{context}: {clash}" if context else clash)
             out[v.name] = (var, merged)
     return RangeMap(out.values())
 
-
-def restrict(var: VarId | str, m: RangeMap) -> Interval:
-    """The range bound to ``var`` in ``m``."""
-    return m[var]

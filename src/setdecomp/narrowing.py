@@ -25,13 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .architecture import Architecture, validate_coverage
-from .errors import CoverageViolation, Infeasible, NonFinite
+from .errors import CoverageViolation, EmptyRange, Infeasible, NonFinite
 from .intervals import Interval, RangeMap, VarId, rangemap_merge
 from .simulation import Envelope, SamplingPlan, envelope_over_box
 
 __all__ = ["FeasibleSpaces", "NarrowingResult", "EnvelopeEscape",
            "initial_spaces", "narrow", "top_windows"]
 
+#: a sub-function's port roles, as attribute names
+_ROLES = ("inputs", "outputs", "controllables", "uncontrollables")
 #: bisection iterations spent on each interval bound while narrowing
 _BISECT_ITERS = 12
 #: bisection levels whose probes are simulated together in one bundle
@@ -68,7 +70,6 @@ class EnvelopeEscape:
 
 @dataclass(frozen=True)
 class NarrowingResult:
-    initial: FeasibleSpaces          # FDS/FPS before narrowing
     narrowed: FeasibleSpaces         # FDS after shrink, FPS re-simulated
     envelope: Envelope               # raw (unclipped) envelope over the narrowed box
     escapes: tuple[EnvelopeEscape, ...]
@@ -93,13 +94,20 @@ def _pin(base: RangeMap, pins: RangeMap, label: str) -> RangeMap:
 def initial_spaces(arch: Architecture) -> FeasibleSpaces:
     """Initial FDS/FPS: every sub-function port range intersected, top-level
     input and uncontrollable ranges pinned on, top outputs intersected, and
-    the result split into produced variables (FPS) and the rest (FDS)."""
+    the result split into produced variables (FPS) and the rest (FDS).  Port
+    ranges that do not overlap raise :class:`EmptyRange` naming every port
+    that declares the variable."""
     validate_coverage(arch)
     produced = arch.producer_of()
-    ranges = rangemap_merge(*(m for sf in arch.subfunctions
-                              for m in (sf.inputs, sf.outputs,
-                                        sf.controllables, sf.uncontrollables)),
-                            context="sub-function ports")
+    try:
+        ranges = rangemap_merge(*(getattr(sf, role) for sf in arch.subfunctions
+                                  for role in _ROLES))
+    except EmptyRange as e:
+        # name every port that declares the clashing variable
+        ports = ", ".join(f"{sf.id}.{role} {getattr(sf, role)[e.name]!r}"
+                          for sf in arch.subfunctions for role in _ROLES
+                          if e.name in getattr(sf, role))
+        raise EmptyRange(e.name, f"sub-function ports: {ports}") from None
     ranges = _pin(ranges, arch.top.inputs, "top input")
     ranges = _pin(ranges, arch.top.uncontrollables, "top uncontrollable")
     # the top requirement's own output demands tighten the performance side
@@ -247,6 +255,5 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
     log.append({"step": "performance-envelope",
                 "samples": env.n_samples,
                 "escapes": [e.to_log() for e in escapes]})
-    return NarrowingResult(initial=spaces,
-                           narrowed=FeasibleSpaces(fds=narrowed_fds, fps=fps2),
+    return NarrowingResult(narrowed=FeasibleSpaces(fds=narrowed_fds, fps=fps2),
                            envelope=env, escapes=tuple(escapes), log=tuple(log))

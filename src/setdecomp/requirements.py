@@ -3,14 +3,17 @@
 A ``FunctionalRequirement`` is a constrained mapping from admissible input,
 uncontrollable-parameter and controllable-parameter ranges to guaranteed
 output ranges.  ``check_refines`` and ``check_composable`` implement the two
-relations that make independently developed sub-requirements safe to compose,
-and ``compose`` builds the composite contract those laws talk about.
+relations that make independently developed sub-requirements safe to compose.
+``links`` derives, once, every producer->consumer pair of a set of parts
+with its composability verdict; ``compose`` takes its precondition from
+those links and builds the composite contract the laws talk about.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import NotComposable, ValidationError
 from .intervals import Interval, RangeMap, VarId, names_intersect, rangemap_merge
@@ -18,7 +21,7 @@ from .intervals import Interval, RangeMap, VarId, names_intersect, rangemap_merg
 __all__ = [
     "TimedOutputSpec", "FunctionalRequirement",
     "RefinementResult", "ComposabilityResult",
-    "check_refines", "check_composable", "compose", "check_satisfaction_static",
+    "check_refines", "check_composable", "links", "compose",
     "fr_to_dict", "fr_from_dict", "load_fr", "save_fr",
 ]
 
@@ -35,15 +38,13 @@ class TimedOutputSpec:
         for t0, t1, iv in self.windows:
             if t0 > t1:
                 raise ValueError(f"window [{t0},{t1}] for {self.variable.name} is reversed")
-            if iv.is_empty:
-                raise ValueError(f"empty window interval for {self.variable.name}")
 
 
 @dataclass(frozen=True)
 class FunctionalRequirement:
     """The contract (inputs, uncontrollables, controllables) -> outputs.
 
-    The four key sets must be pairwise disjoint and contain no empty ranges.
+    The four key sets must be pairwise disjoint.
     """
 
     name: str
@@ -60,22 +61,12 @@ class FunctionalRequirement:
         }
         seen: dict[str, str] = {}
         for role, m in maps.items():
-            for v, iv in m.items():
-                if iv.is_empty:
-                    raise ValueError(f"{self.name}: empty range for {role} variable '{v.name}'")
+            for v in m:
                 if v.name in seen:
                     raise ValueError(
                         f"{self.name}: variable '{v.name}' appears in both "
                         f"{seen[v.name]} and {role}")
                 seen[v.name] = role
-
-    def role_of(self, name: str) -> str | None:
-        for role, m in (("input", self.inputs), ("output", self.outputs),
-                        ("controllable", self.controllables),
-                        ("uncontrollable", self.uncontrollables)):
-            if name in m:
-                return role
-        return None
 
 
 @dataclass(frozen=True)
@@ -102,10 +93,6 @@ class ComposabilityResult:
         return self.ok
 
 
-def _contains(outer: Interval, inner: Interval) -> bool:
-    return outer.contains_interval(inner)
-
-
 def check_refines(fr_new: FunctionalRequirement, fr_old: FunctionalRequirement,
                   *, strict: bool = True) -> RefinementResult:
     """Does ``fr_new`` refine ``fr_old``?
@@ -122,27 +109,27 @@ def check_refines(fr_new: FunctionalRequirement, fr_old: FunctionalRequirement,
         if v not in fr_new.inputs:
             return RefinementResult(False, v.name, "input-missing", None, iv_old)
         iv_new = fr_new.inputs[v]
-        if not _contains(iv_new, iv_old):
+        if not iv_new.contains_interval(iv_old):
             return RefinementResult(False, v.name, "input-not-widened", iv_new, iv_old)
     for v, iv_old in fr_old.outputs.items():
         if v not in fr_new.outputs:
             return RefinementResult(False, v.name, "output-missing", None, iv_old)
         iv_new = fr_new.outputs[v]
-        if not _contains(iv_old, iv_new):
+        if not iv_old.contains_interval(iv_new):
             return RefinementResult(False, v.name, "output-not-tightened", iv_new, iv_old)
     if strict:
         for v, iv_old in fr_old.uncontrollables.items():
             if v not in fr_new.uncontrollables:
                 return RefinementResult(False, v.name, "uncontrollable-missing", None, iv_old)
             iv_new = fr_new.uncontrollables[v]
-            if not _contains(iv_new, iv_old):
+            if not iv_new.contains_interval(iv_old):
                 return RefinementResult(False, v.name, "uncontrollable-not-widened",
                                         iv_new, iv_old)
         for v, iv_old in fr_old.controllables.items():
             if v not in fr_new.controllables:
                 return RefinementResult(False, v.name, "controllable-missing", None, iv_old)
             iv_new = fr_new.controllables[v]
-            if not _contains(iv_old, iv_new):
+            if not iv_old.contains_interval(iv_new):
                 return RefinementResult(False, v.name, "controllable-not-tightened",
                                         iv_new, iv_old)
     return RefinementResult(True)
@@ -157,45 +144,59 @@ def check_composable(fr_j: FunctionalRequirement, fr_k: FunctionalRequirement) -
         return ComposabilityResult(False, frozenset())
     for v in sorted(shared, key=lambda v: v.name):
         prod, cons = fr_j.outputs[v], fr_k.inputs[v]
-        if not _contains(cons, prod):
+        if not cons.contains_interval(prod):
             return ComposabilityResult(False, shared, v.name, prod, cons)
     return ComposabilityResult(True, shared)
 
 
+def links(frs: Iterable[FunctionalRequirement]
+          ) -> list[tuple[FunctionalRequirement, FunctionalRequirement, ComposabilityResult]]:
+    """Every producer->consumer pair of ``frs``: each pair of parts where the
+    first produces a variable the second consumes, listed once, in
+    (producer position, consumer position) order, with its
+    :func:`check_composable` result.
+
+    Raises :class:`NotComposable` when two parts produce one variable.
+    """
+    frs = tuple(frs)
+    producer: dict[str, int] = {}
+    for j, fr in enumerate(frs):
+        for v, _ in fr.outputs.items():
+            if v.name in producer:
+                raise NotComposable(frs[producer[v.name]].name, fr.name, v.name,
+                                    "two producers for one variable")
+            producer[v.name] = j
+    # a contract never holds one variable as both input and output, so a
+    # part is never its own producer
+    pairs = sorted({(producer[v.name], k) for k, fr in enumerate(frs)
+                    for v in fr.inputs if v.name in producer})
+    return [(frs[j], frs[k], check_composable(frs[j], frs[k])) for j, k in pairs]
+
+
 def compose(frs: list[FunctionalRequirement] | tuple[FunctionalRequirement, ...],
             name: str = "composite") -> FunctionalRequirement:
-    """Build the composite contract of a set of pairwise-compatible
-    requirements.
+    """Build the composite contract of a set of requirements whose
+    producer->consumer links all compose.
 
     Internal shared variables (produced by one part, consumed by another)
     are hidden from the interface.  Exposed input ranges come from the
     consumer side, exposed output ranges from the producer side.
 
     Preconditions: a single producer per variable, and every consumed
-    range contains the range its producer promises.
+    range contains the range its producer promises; the first violation in
+    :func:`links` order raises :class:`NotComposable`.
     """
     frs = tuple(frs)
     if not frs:
         raise ValueError("compose() needs at least one requirement")
 
-    producers: dict[str, FunctionalRequirement] = {}
-    for fr in frs:
-        for v, _ in fr.outputs.items():
-            if v.name in producers:
-                raise NotComposable(producers[v.name].name, fr.name, v.name,
-                                    "two producers for one variable")
-            producers[v.name] = fr
+    for fr_j, fr_k, res in links(frs):
+        if not res:
+            raise NotComposable(fr_j.name, fr_k.name, res.witness_var,
+                                f"{res.producer_range!r} not within {res.consumer_range!r}")
 
-    # a contract never holds one variable as both input and output, so a
-    # part is never its own producer
-    for fr_k in frs:
-        for v, cons in fr_k.inputs.items():
-            fr_j = producers.get(v.name)
-            if fr_j is not None and not _contains(cons, fr_j.outputs[v]):
-                raise NotComposable(fr_j.name, fr_k.name, v.name,
-                                    f"{fr_j.outputs[v]!r} not within {cons!r}")
-
-    exposed_inputs = rangemap_merge(*(fr.inputs.without(producers) for fr in frs),
+    produced = {v.name for fr in frs for v in fr.outputs}
+    exposed_inputs = rangemap_merge(*(fr.inputs.without(produced) for fr in frs),
                                     context="composite inputs")
     exposed_outputs = RangeMap(item for fr in frs for item in fr.outputs.items())
     controllables = rangemap_merge(*(fr.controllables for fr in frs),
@@ -206,14 +207,6 @@ def compose(frs: list[FunctionalRequirement] | tuple[FunctionalRequirement, ...]
     return FunctionalRequirement(
         name=name, inputs=exposed_inputs, outputs=exposed_outputs,
         controllables=controllables, uncontrollables=uncontrollables)
-
-
-def check_satisfaction_static(impl: FunctionalRequirement,
-                              spec: FunctionalRequirement,
-                              *, strict: bool = True) -> RefinementResult:
-    """Range-level satisfaction: an implementation's achieved ranges satisfy a
-    contract exactly when they refine it."""
-    return check_refines(impl, spec, strict=strict)
 
 
 # --- JSON (de)serialization -------------------------------------------------

@@ -30,7 +30,7 @@ from .errors import (Infeasible, InfeasibleBrackets, PostconditionFailure,
 from .expr import evaluate_interval
 from .intervals import Interval, RangeMap, VarId
 from .requirements import (ComposabilityResult, FunctionalRequirement,
-                           check_composable, check_refines, compose)
+                           check_refines, compose, links)
 
 __all__ = ["PreferenceWeights", "Bracket", "BarrierProblem", "TradeoffResult",
            "build_brackets", "barrier_value", "barrier_gradient",
@@ -74,11 +74,6 @@ class PreferenceWeights:
                        default=_weight("default", doc.get("default", 0.5)))
         except AttributeError as e:     # a section that is not a JSON object
             raise ValidationError(f"trade-off weights must map names to numbers: {e}") from None
-
-    def to_dict(self) -> dict:
-        return {"producer": dict(self.producer),
-                "consumer": {k: dict(v) for k, v in self.consumer.items()},
-                "default": self.default}
 
 
 @dataclass(frozen=True)
@@ -331,7 +326,8 @@ class TradeoffResult:
     chosen: RangeMap                       # final performance ranges
     subrequirements: tuple[FunctionalRequirement, ...]
     composite: FunctionalRequirement
-    #: (producer, consumer, variable, result) for every producer->consumer link
+    #: (producer, consumer, variable, result) for every variable a
+    #: producer->consumer link shares
     composability: tuple[tuple[str, str, str, ComposabilityResult], ...]
     log: tuple[dict, ...]
 
@@ -369,16 +365,13 @@ def run_tradeoff(arch: Architecture, fds2: RangeMap, fps1: RangeMap,
     log.extend(rlog)
 
     frs = assemble_subrequirements(arch, fds2, chosen)
-    by_id = {fr.name: fr for fr in frs}
-    links = []
-    for sf in arch.subfunctions:
-        for v, _ in sf.outputs.items():
-            for cid in problem.consumers[v.name]:
-                res = check_composable(by_id[sf.id], by_id[cid])
-                if not res:
-                    raise PostconditionFailure(
-                        "composability", f"{sf.id} -> {cid}: {res.witness_var}")
-                links.append((sf.id, cid, v.name, res))
+    composability = []
+    for fr_j, fr_k, res in links(frs):
+        if not res:
+            raise PostconditionFailure(
+                "composability", f"{fr_j.name} -> {fr_k.name}: {res.witness_var}")
+        composability.extend((fr_j.name, fr_k.name, v.name, res)
+                             for v in sorted(res.shared, key=lambda v: v.name))
     composite = compose(frs, name=f"{arch.top.name}-composite")
     res = check_refines(composite, arch.top, strict=False)
     if not res:
@@ -386,4 +379,4 @@ def run_tradeoff(arch: Architecture, fds2: RangeMap, fps1: RangeMap,
             "refinement", f"{res.witness_var}: {res.clause}")
     log.append({"step": "post-conditions", "composable": True, "refines_top": True})
     return TradeoffResult(chosen=chosen, subrequirements=frs, composite=composite,
-                          composability=tuple(links), log=tuple(log))
+                          composability=tuple(composability), log=tuple(log))

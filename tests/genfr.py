@@ -81,6 +81,19 @@ def rand_chain(rng: random.Random, n=3) -> list[FunctionalRequirement]:
     return frs
 
 
+def rand_fan_out(rng: random.Random, consumers=3) -> list[FunctionalRequirement]:
+    """One producer of ``s`` and ``consumers`` parts that each read ``s``
+    with a random range, so some links hold and some do not."""
+    s = VarId("s")
+    frs = [FunctionalRequirement("prod", inputs=RangeMap([(VarId("x"), rand_interval(rng))]),
+                                 outputs=RangeMap([(s, rand_interval(rng, -10, 10))]))]
+    for k in range(consumers):
+        frs.append(FunctionalRequirement(
+            f"cons{k}", inputs=RangeMap([(s, rand_interval(rng, -20, 20))]),
+            outputs=RangeMap([(VarId(f"y{k}"), rand_interval(rng))])))
+    return frs
+
+
 # --- oracles: containment checked variable-by-variable, no library calls ----
 
 def _as_dict(m: RangeMap) -> dict:

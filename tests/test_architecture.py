@@ -96,9 +96,11 @@ class TestClassification:
                              "F", "Fa", "T", "u", "omega"}
 
     def test_design_and_performance_spaces(self, cruise):
-        cls = classify(cruise)
-        assert {v.name for v in cls.design_names()} == {"v_0", "v_r", "m", "omega_m"}
-        assert len(cls.performance_names()) == 8
+        groups = classify(cruise).groups()
+        design = {v.name for g in ("x", "x_tilde", "c", "c_tilde", "u", "u_tilde")
+                  for v in groups[g]}
+        assert design == {"v_0", "v_r", "m", "omega_m"}
+        assert sum(len(groups[g]) for g in ("y1", "y2", "y3", "y4")) == 8
 
     def test_tiny_arch_classifies(self):
         cls = classify(_tiny_arch())

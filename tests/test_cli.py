@@ -1,12 +1,15 @@
 import importlib.resources
 import json
+import random
 import shutil
 
 import pytest
 
 from setdecomp.cli import main
-from setdecomp.intervals import RangeMap
+from setdecomp.intervals import Interval, RangeMap, VarId
 from setdecomp.requirements import FunctionalRequirement, save_fr
+
+from genfr import rand_chain
 
 CRUISE = str(importlib.resources.files("setdecomp") / "data" / "cruise.json")
 
@@ -95,6 +98,17 @@ class TestDecompose:
         assert main(["decompose", CRUISE, *flags]) == 2
         assert "SamplingPlan" in capsys.readouterr().err
 
+    def test_port_range_conflict_names_the_subfunctions(self, tmp_path, capsys):
+        doc = json.loads(open(CRUISE).read())
+        (f5,) = [sf for sf in doc["subfunctions"] if sf["id"] == "f5"]
+        f5["inputs"]["v"] = {"lo": 70.0, "hi": 80.0, "unit": "m/s"}
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), *FAST]) == 2
+        err = capsys.readouterr().err
+        assert "empty range for 'v'" in err
+        assert "f1.outputs [0,50] m/s" in err and "f5.inputs [70,80] m/s" in err
+
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["decompose", "/nonexistent.json"]) == 2
         assert "error" in capsys.readouterr().err
@@ -173,6 +187,54 @@ class TestCheckLaws:
         rc = main(["check-laws", str(p), chain_files["b"], chain_files["top"]])
         assert rc == 4
         assert "FAIL composable loose -> b" in capsys.readouterr().out
+
+    def test_link_lines_equal_an_all_pairs_oracle(self, chain_files, tmp_path, capsys):
+        rng = random.Random(5)
+        parts = rand_chain(rng, n=60)
+        # break link fr29 -> fr30: the consumer accepts none of s29's range
+        s29 = VarId("s29")
+        produced = parts[29].outputs[s29]
+        broken = Interval(produced.hi + 1.0, produced.hi + 2.0)
+        parts[30] = FunctionalRequirement(
+            "fr30", inputs=RangeMap([(VarId("x30"), parts[30].inputs["x30"]), (s29, broken)]),
+            outputs=parts[30].outputs)
+        rng.shuffle(parts)
+        expected = []
+        for fr_j in parts:
+            for fr_k in parts:
+                shared = sorted(set(v.name for v in fr_j.outputs)
+                                & set(v.name for v in fr_k.inputs))
+                if fr_j is fr_k or not shared:
+                    continue
+                bad = [n for n in shared
+                       if not (fr_k.inputs[n].lo <= fr_j.outputs[n].lo
+                               and fr_j.outputs[n].hi <= fr_k.inputs[n].hi)]
+                if bad:
+                    expected.append(f"FAIL composable {fr_j.name} -> {fr_k.name}: "
+                                    f"'{bad[0]}' {fr_j.outputs[bad[0]]!r} not within "
+                                    f"{fr_k.inputs[bad[0]]!r}")
+                else:
+                    expected.append(f"pass composable {fr_j.name} -> {fr_k.name}")
+        paths = []
+        for fr in parts:
+            paths.append(str(tmp_path / f"{fr.name}.json"))
+            save_fr(fr, paths[-1])
+        rc = main(["check-laws", *paths, chain_files["top"]])
+        out = capsys.readouterr().out
+        assert rc == 4
+        assert out.splitlines() == expected
+        assert len(expected) == 59 and sum(line.startswith("FAIL") for line in expected) == 1
+
+    def test_two_producers_of_one_variable_exit_four(self, chain_files, tmp_path, capsys):
+        twin = _fr("twin", inputs={"w": (0, 1)}, outputs={"y": (2.0, 3.0)})
+        p = tmp_path / "twin.json"
+        save_fr(twin, p)
+        rc = main(["check-laws", chain_files["a"], str(p), chain_files["b"],
+                   chain_files["top"]])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert "two producers for one variable" in captured.err
+        assert captured.out == ""
 
     def test_one_file_is_usage_error(self, chain_files, capsys):
         assert main(["check-laws", chain_files["a"]]) == 2

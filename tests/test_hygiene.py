@@ -1,6 +1,8 @@
-"""Source hygiene: every name a package module imports is used or re-exported."""
+"""Source hygiene: every name a package module imports is used or re-exported,
+and every name it exports exists."""
 
 import ast
+import importlib
 import importlib.resources
 
 import pytest
@@ -37,3 +39,14 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items()
                     if name not in used and name not in _exported(tree))
     assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_export_resolves_once(path):
+    name = "setdecomp" if path.name == "__init__.py" else f"setdecomp.{path.name[:-3]}"
+    module = importlib.import_module(name)
+    exported = list(getattr(module, "__all__", ()))
+    missing = [n for n in exported if not hasattr(module, n)]
+    repeated = sorted({n for n in exported if exported.count(n) > 1})
+    assert not missing, f"{path.name}: __all__ names undefined {', '.join(missing)}"
+    assert not repeated, f"{path.name}: __all__ lists twice {', '.join(repeated)}"

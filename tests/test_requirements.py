@@ -6,33 +6,17 @@ import pytest
 from setdecomp.errors import NotComposable
 from setdecomp.intervals import Interval, RangeMap, VarId
 from setdecomp.requirements import (FunctionalRequirement, TimedOutputSpec,
-                                    check_composable, check_refines,
-                                    check_satisfaction_static, compose,
-                                    fr_from_dict, fr_to_dict)
+                                    check_composable, check_refines, compose,
+                                    fr_from_dict, fr_to_dict, links)
 
-from genfr import (oracle_composable, oracle_refines, rand_chain, rand_fr,
-                   rand_refinement)
+from genfr import (oracle_composable, oracle_refines, rand_chain, rand_fan_out,
+                   rand_fr, rand_interval, rand_refinement)
 
 
 def test_roles_must_be_disjoint():
     with pytest.raises(ValueError):
         FunctionalRequirement("bad", inputs=RangeMap.of(v=(0, 1)),
                               outputs=RangeMap.of(v=(0, 1)))
-
-
-def test_empty_range_rejected():
-    with pytest.raises(ValueError):
-        FunctionalRequirement("bad", inputs=RangeMap([(VarId("v"), Interval.empty())]))
-
-
-def test_role_of():
-    fr = FunctionalRequirement("fr", inputs=RangeMap.of(a=(0, 1)),
-                               outputs=RangeMap.of(b=(0, 1)),
-                               controllables=RangeMap.of(c=(0, 1)))
-    assert fr.role_of("a") == "input"
-    assert fr.role_of("b") == "output"
-    assert fr.role_of("c") == "controllable"
-    assert fr.role_of("zzz") is None
 
 
 def test_reversed_time_window_rejected():
@@ -134,8 +118,8 @@ class TestSatisfaction:
             fr = rand_fr(rng)
             fr1 = rand_refinement(rng, fr)
             system = rand_refinement(rng, fr1)
-            assert check_satisfaction_static(system, fr1)
-            assert check_satisfaction_static(system, fr)
+            assert check_refines(system, fr1)
+            assert check_refines(system, fr)
 
     def test_property_5_satisfying_systems_stay_composable(self):
         rng = random.Random(43)
@@ -143,7 +127,7 @@ class TestSatisfaction:
             chain = rand_chain(rng, n=3)
             systems = [rand_refinement(rng, fr) for fr in chain]
             for j in range(len(chain) - 1):
-                assert check_satisfaction_static(systems[j], chain[j])
+                assert check_refines(systems[j], chain[j])
                 assert check_composable(systems[j], systems[j + 1])
 
     def test_property_6_composite_of_systems_satisfies_composite(self):
@@ -151,7 +135,7 @@ class TestSatisfaction:
         for _ in range(200):
             chain = rand_chain(rng, n=3)
             systems = [rand_refinement(rng, fr) for fr in chain]
-            assert check_satisfaction_static(compose(systems), compose(chain))
+            assert check_refines(compose(systems), compose(chain))
 
 
 class TestCompose:
@@ -195,6 +179,66 @@ class TestCompose:
                                   outputs=RangeMap.of(z=(0, 1)))
         whole = compose([a, b])
         assert whole.inputs["x"] == Interval(5, 10)
+
+
+def _all_pairs(frs):
+    """Oracle: every ordered pair of distinct parts that shares a variable."""
+    return [(j, k, check_composable(frs[j], frs[k]))
+            for j in range(len(frs)) for k in range(len(frs))
+            if j != k and check_composable(frs[j], frs[k]).shared]
+
+
+def _positions(frs, found):
+    index = {id(fr): i for i, fr in enumerate(frs)}
+    return [(index[id(fr_j)], index[id(fr_k)], res) for fr_j, fr_k, res in found]
+
+
+class TestLinks:
+    def test_chains_match_all_pairs(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            chain = rand_chain(rng, n=rng.randint(1, 8))
+            chain = [rand_refinement(rng, fr, name=fr.name) if rng.random() < 0.5 else fr
+                     for fr in chain]
+            rng.shuffle(chain)
+            assert _positions(chain, links(chain)) == _all_pairs(chain)
+
+    def test_fan_out_matches_all_pairs(self):
+        rng = random.Random(59)
+        for _ in range(100):
+            parts = rand_fan_out(rng, consumers=3)
+            rng.shuffle(parts)
+            found = _positions(parts, links(parts))
+            assert found == _all_pairs(parts)
+            assert len(found) == 3
+
+    def test_two_shared_variables_make_one_link(self):
+        rng = random.Random(61)
+        for _ in range(100):
+            a_iv, b_iv = rand_interval(rng), rand_interval(rng)
+            prod = FunctionalRequirement(
+                "prod", outputs=RangeMap([(VarId("a"), a_iv), (VarId("b"), b_iv)]))
+            cons = FunctionalRequirement(
+                "cons", inputs=RangeMap([(VarId("a"), rand_interval(rng)),
+                                         (VarId("b"), rand_interval(rng))]),
+                outputs=RangeMap([(VarId("c"), rand_interval(rng))]))
+            parts = [cons, prod] if rng.random() < 0.5 else [prod, cons]
+            found = _positions(parts, links(parts))
+            assert found == _all_pairs(parts)
+            (_, _, res), = found
+            assert {v.name for v in res.shared} == {"a", "b"}
+            assert bool(res) == oracle_composable(prod, cons)
+
+    def test_random_parts_match_all_pairs_or_name_two_producers(self):
+        rng = random.Random(67)
+        for _ in range(300):
+            parts = [rand_fr(rng, name=f"p{k}") for k in range(rng.randint(1, 4))]
+            outputs = [v.name for fr in parts for v in fr.outputs]
+            if len(outputs) == len(set(outputs)):
+                assert _positions(parts, links(parts)) == _all_pairs(parts)
+            else:
+                with pytest.raises(NotComposable, match="two producers"):
+                    links(parts)
 
 
 def test_json_round_trip():
