@@ -11,7 +11,7 @@ from .architecture import (Algebraic, Architecture, Classification, Integrator,
                            InternalState, SubFunction, classify,
                            load_architecture, validate_coverage)
 from .errors import SetDecompError
-from .intervals import Interval, RangeMap, VarId, interval_intersect, rangemap_merge
+from .intervals import Interval, RangeMap, interval_intersect, rangemap_merge
 from .narrowing import FeasibleSpaces, NarrowingResult, initial_spaces, narrow
 from .pipeline import PipelineReport, run_pipeline
 from .requirements import (FunctionalRequirement, TimedOutputSpec,
@@ -27,7 +27,7 @@ __all__ = [
     "InternalState", "Interval", "NarrowingResult", "PipelineReport",
     "PreferenceWeights", "RangeMap", "SamplingPlan",
     "SetDecompError", "SubFunction", "TimedOutputSpec", "TradeoffResult",
-    "Trajectory", "VarId", "build_ode", "check_composable", "check_refines",
+    "Trajectory", "build_ode", "check_composable", "check_refines",
     "classify", "compose", "envelope_over_box", "initial_spaces",
     "integrate", "interval_intersect", "links", "load_architecture", "narrow",
     "rangemap_merge", "run_pipeline", "run_tradeoff", "validate_coverage",

@@ -1,24 +1,24 @@
 """Functional architectures: connected sub-functions, coverage, classification.
 
 An architecture is a set of sub-functions wired implicitly by variable
-identity (one producer per variable, fan-out allowed) together with the
+name (one producer per variable, fan-out allowed) together with the
 top-level requirement it is meant to implement.  ``classify`` sorts every
 variable into the ten exclusive groups that define the design space
 (independent variables/parameters) and the performance space (dependent
-variables).
+variables).  Wiring and classification work on names alone; the units of
+one variable's port ranges are checked where those ranges are merged
+(``narrowing.initial_spaces``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from . import expr as ex
 from .errors import (CoverageViolation, ParseError, ProducerConflict,
                      ValidationError)
-from .intervals import (RangeMap, VarId, names_intersect, names_subset,
-                        names_union)
+from .intervals import RangeMap
 from .requirements import FunctionalRequirement, _map_from_dict, fr_from_dict
 
 __all__ = [
@@ -67,10 +67,9 @@ class SubFunction:
     controllables: RangeMap = field(default_factory=RangeMap)
     uncontrollables: RangeMap = field(default_factory=RangeMap)
 
-    def port_names(self) -> frozenset[VarId]:
-        out = self.inputs.names() | self.outputs.names()
-        out |= self.controllables.names() | self.uncontrollables.names()
-        return frozenset(out)
+    def port_names(self) -> frozenset[str]:
+        return (self.inputs.names() | self.outputs.names()
+                | self.controllables.names() | self.uncontrollables.names())
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,11 @@ class Architecture:
         # referenced names must be ports, constants, or declared internal state
         const_names = {k for k, _ in self.constants}
         for sf in self.subfunctions:
-            ports = {v.name for v in sf.port_names()}
+            ports = sf.port_names()
             if isinstance(sf.kind, Algebraic):
                 states = {s.name for s in sf.kind.states}
                 for out, e in sf.kind.exprs:
-                    if out not in {v.name for v in sf.outputs.names()}:
+                    if out not in sf.outputs:
                         raise ValidationError(
                             f"{sf.id}: expression for '{out}' which is not an output port")
                     for name in sorted(ex.free_vars(e)):
@@ -104,7 +103,7 @@ class Architecture:
                                 f"{sf.id}: state '{st.name}' references undeclared '{name}'")
             else:
                 k = sf.kind
-                if k.state not in {v.name for v in sf.outputs.names()}:
+                if k.state not in sf.outputs:
                     raise ValidationError(f"{sf.id}: integrator state '{k.state}' is not an output")
                 for name in (k.derivative_input, k.initial_input):
                     if name not in ports:
@@ -118,16 +117,16 @@ class Architecture:
         out: dict[str, str] = {}
         for sf in self.subfunctions:
             for v, _ in sf.outputs.items():
-                if v.name in out:
-                    raise ProducerConflict(v.name, (out[v.name], sf.id))
-                out[v.name] = sf.id
+                if v in out:
+                    raise ProducerConflict(v, (out[v], sf.id))
+                out[v] = sf.id
         return out
 
     def consumers_of(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {}
         for sf in self.subfunctions:
             for v, _ in sf.inputs.items():
-                out.setdefault(v.name, []).append(sf.id)
+                out.setdefault(v, []).append(sf.id)
         return out
 
 
@@ -138,32 +137,29 @@ class Classification:
     (y1: internal-only outputs, y2: internal links, y3: top outputs fed back
     into sub-functions, y4: terminal top outputs)."""
 
-    x: frozenset[VarId]
-    x_tilde: frozenset[VarId]
-    c: frozenset[VarId]
-    c_tilde: frozenset[VarId]
-    u: frozenset[VarId]
-    u_tilde: frozenset[VarId]
-    y1: frozenset[VarId]
-    y2: frozenset[VarId]
-    y3: frozenset[VarId]
-    y4: frozenset[VarId]
+    x: frozenset[str]
+    x_tilde: frozenset[str]
+    c: frozenset[str]
+    c_tilde: frozenset[str]
+    u: frozenset[str]
+    u_tilde: frozenset[str]
+    y1: frozenset[str]
+    y2: frozenset[str]
+    y3: frozenset[str]
+    y4: frozenset[str]
 
-    def groups(self) -> dict[str, frozenset[VarId]]:
+    def groups(self) -> dict[str, frozenset[str]]:
         return {"x": self.x, "x_tilde": self.x_tilde, "c": self.c,
                 "c_tilde": self.c_tilde, "u": self.u, "u_tilde": self.u_tilde,
                 "y1": self.y1, "y2": self.y2, "y3": self.y3, "y4": self.y4}
 
 
-def aggregate_names(arch: Architecture) -> tuple[frozenset[VarId], frozenset[VarId],
-                                                 frozenset[VarId], frozenset[VarId]]:
-    """Union the per-sub-function port identifier sets into
+def aggregate_names(arch: Architecture) -> tuple[frozenset[str], frozenset[str],
+                                                 frozenset[str], frozenset[str]]:
+    """Union the per-sub-function port name sets into
     ({x'}, {y'}, {c'}, {u'})."""
-    subs = arch.subfunctions
-    return (names_union(*(sf.inputs.names() for sf in subs)),
-            names_union(*(sf.outputs.names() for sf in subs)),
-            names_union(*(sf.controllables.names() for sf in subs)),
-            names_union(*(sf.uncontrollables.names() for sf in subs)))
+    return tuple(frozenset().union(*(getattr(sf, role).names() for sf in arch.subfunctions))
+                 for role in ("inputs", "outputs", "controllables", "uncontrollables"))
 
 
 def validate_coverage(arch: Architecture) -> None:
@@ -175,16 +171,9 @@ def validate_coverage(arch: Architecture) -> None:
                                      (arch.top.controllables.names(), cs, "controllable"),
                                      (arch.top.uncontrollables.names(), us, "uncontrollable"),
                                      (arch.top.outputs.names(), ys, "output")):
-        if not names_subset(top_set, arch_set):
-            missing.extend(f"{v.name} ({label})" for v in sorted(top_set, key=lambda v: v.name)
-                           if v.name not in {a.name for a in arch_set})
+        missing.extend(f"{v} ({label})" for v in sorted(top_set - arch_set))
     if missing:
         raise CoverageViolation(missing, "top-level variables absent from the architecture")
-
-
-def _minus(a: Iterable[VarId], *others: Iterable[VarId]) -> frozenset[VarId]:
-    drop = {v.name for o in others for v in o}
-    return frozenset(v for v in a if v.name not in drop)
 
 
 def classify(arch: Architecture) -> Classification:
@@ -200,23 +189,16 @@ def classify(arch: Architecture) -> Classification:
     top_c = arch.top.controllables.names()
     top_u = arch.top.uncontrollables.names()
 
-    c_tilde = _minus(cs, top_c)
-    u_tilde = _minus(us, top_u)
-    y1 = _minus(ys, top_y, xs)
-    y2 = _minus(names_intersect(ys, xs), top_y)
-    y3 = names_intersect(top_y, xs)
-    y4 = _minus(top_y, xs)
-    x_tilde = _minus(xs, ys, top_x)
-
-    cls = Classification(x=frozenset(top_x), x_tilde=x_tilde,
-                         c=frozenset(top_c), c_tilde=c_tilde,
-                         u=frozenset(top_u), u_tilde=u_tilde,
-                         y1=y1, y2=y2, y3=y3, y4=y4)
+    cls = Classification(x=top_x, x_tilde=xs - ys - top_x,
+                         c=top_c, c_tilde=cs - top_c,
+                         u=top_u, u_tilde=us - top_u,
+                         y1=ys - top_y - xs, y2=(ys & xs) - top_y,
+                         y3=top_y & xs, y4=top_y - xs)
 
     # exclusive + exhaustive, asserted by construction
-    all_names = [v.name for g in cls.groups().values() for v in g]
+    all_names = [v for g in cls.groups().values() for v in g]
     assert len(all_names) == len(set(all_names)), "classification groups overlap"
-    universe = {v.name for s in (xs, ys, cs, us, top_x, top_y, top_c, top_u) for v in s}
+    universe = xs | ys | cs | us | top_x | top_y | top_c | top_u
     assert set(all_names) == universe, "classification does not cover all variables"
     return cls
 

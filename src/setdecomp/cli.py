@@ -7,7 +7,7 @@ Three subcommands:
   (``--compare``).
 * ``check-laws <part.json> [...] <top.json>`` — verify that every
   producer->consumer link between the leading contract files is composable
-  and that their composite refines the last file.
+  and, when all are, that their composite refines the last file.
 * ``simulate <arch.json> [name=value ...]`` — export one trajectory as CSV;
   unspecified design variables default to the midpoints of the initial
   design space.
@@ -26,7 +26,7 @@ from .errors import (EmptyRange, Infeasible, NonFinite, NotComposable,
                      ParseError, PostconditionFailure, SetDecompError)
 from .narrowing import initial_spaces
 from .pipeline import report_to_csv, report_to_json, report_to_markdown, run_pipeline
-from .requirements import check_refines, compose, links, load_fr
+from .requirements import _assemble, check_refines, links, load_fr
 from .simulation import SamplingPlan, build_ode, integrate
 
 EXIT_OK = 0
@@ -105,30 +105,31 @@ def _cmd_check_laws(args) -> int:
         return EXIT_VALIDATION
     frs = [load_fr(f) for f in args.files]
     parts, top = frs[:-1], frs[-1]
-    failures = 0
+    composable = True
     for fr_j, fr_k, res in links(parts):
         if res:
             print(f"pass composable {fr_j.name} -> {fr_k.name}")
         else:
-            failures += 1
+            composable = False
             print(f"FAIL composable {fr_j.name} -> {fr_k.name}: "
                   f"'{res.witness_var}' {res.producer_range!r} not within "
                   f"{res.consumer_range!r}")
-    whole = compose(parts) if len(parts) > 1 else parts[0]
+    if not composable:
+        return EXIT_LAW
+    whole = _assemble(parts, "composite") if len(parts) > 1 else parts[0]
     res = check_refines(whole, top, strict=args.strict_refinement)
     if res:
         print(f"pass refines {whole.name} -> {top.name}")
-    else:
-        failures += 1
-        print(f"FAIL refines {whole.name} -> {top.name}: "
-              f"'{res.witness_var}' {res.clause} ({res.refining!r} vs {res.refined!r})")
-    return EXIT_OK if failures == 0 else EXIT_LAW
+        return EXIT_OK
+    print(f"FAIL refines {whole.name} -> {top.name}: "
+          f"'{res.witness_var}' {res.clause} ({res.refining!r} vs {res.refined!r})")
+    return EXIT_LAW
 
 
 def _cmd_simulate(args) -> int:
     arch, _ = load_architecture(args.architecture)
     spaces = initial_spaces(arch)
-    point = {v.name: iv.mid for v, iv in spaces.fds.items()}
+    point = {v: iv.mid for v, iv in spaces.fds.items()}
     for item in args.overrides:
         if "=" not in item:
             print(f"bad override {item!r}, expected name=value", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Closed intervals, named variables, and the set/range algebra.
 
 Everything downstream (requirement contracts, architecture analysis,
-narrowing) is built on three value types: ``VarId`` (a named, unit-tagged
-variable), ``Interval`` (a closed numeric range) and ``RangeMap`` (a finite
-map from variables to intervals).  All of them are immutable.
+narrowing) is built on two immutable value types: ``Interval`` (a closed
+numeric range with a unit) and ``RangeMap`` (a finite map from variable
+names to intervals).  A variable is its name; its unit travels on its
+interval, and two ranges of one variable meet only in the same unit.
 """
 
 from __future__ import annotations
@@ -14,41 +15,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import EmptyRange, NotFound, UnitMismatch
 
-__all__ = [
-    "VarId", "Interval", "RangeMap",
-    "interval_intersect", "names_union", "names_intersect", "names_subset",
-    "rangemap_merge",
-]
-
-
-@dataclass(frozen=True)
-class VarId:
-    """A variable identifier.  Identity (equality, hashing) is by name only;
-    the unit tag travels along and is checked for consistency on merges."""
-
-    name: str
-    unit: str = ""
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("variable name must be non-empty")
-
-    def __eq__(self, other):
-        if isinstance(other, VarId):
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def __repr__(self):
-        return f"VarId({self.name!r}, {self.unit!r})" if self.unit else f"VarId({self.name!r})"
-
-
-def _check_units(a: VarId, b: VarId) -> VarId:
-    if a.unit != b.unit:
-        raise UnitMismatch(a.name, a.unit, b.unit)
-    return a
+__all__ = ["Interval", "RangeMap", "interval_intersect", "rangemap_merge"]
 
 
 @dataclass(frozen=True)
@@ -97,21 +64,20 @@ def interval_intersect(a: Interval, b: Interval) -> Interval | None:
 
 
 class RangeMap:
-    """An immutable finite map VarId -> Interval: one range per variable.
-    Keys are unique by variable name; the interval's unit always matches
-    its variable's unit."""
+    """An immutable finite map variable name -> Interval: one range per
+    variable.  The unit lives on the interval."""
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries: Mapping[VarId, Interval] | Iterable[tuple[VarId, Interval]] = ()):
+    def __init__(self, entries: Mapping[str, Interval] | Iterable[tuple[str, Interval]] = ()):
         items = entries.items() if isinstance(entries, Mapping) else entries
-        d: dict[VarId, Interval] = {}
-        for var, iv in items:
-            if var in d:
-                raise ValueError(f"duplicate variable '{var.name}' in RangeMap")
-            if iv.unit != var.unit:
-                raise UnitMismatch(var.name, var.unit, iv.unit)
-            d[var] = iv
+        d: dict[str, Interval] = {}
+        for name, iv in items:
+            if not name:
+                raise ValueError("variable name must be non-empty")
+            if name in d:
+                raise ValueError(f"duplicate variable '{name}' in RangeMap")
+            d[name] = iv
         object.__setattr__(self, "_entries", d)
 
     def __setattr__(self, *_):
@@ -120,41 +86,28 @@ class RangeMap:
     @staticmethod
     def of(**ranges: tuple) -> "RangeMap":
         """Convenience constructor: ``RangeMap.of(v=(0, 40, "m/s"))``."""
-        entries = []
-        for name, spec in ranges.items():
-            lo, hi, *rest = spec
-            unit = rest[0] if rest else ""
-            entries.append((VarId(name, unit), Interval(lo, hi, unit)))
-        return RangeMap(entries)
+        return RangeMap((name, Interval(*spec)) for name, spec in ranges.items())
 
-    def names(self) -> frozenset[VarId]:
+    def names(self) -> frozenset[str]:
         return frozenset(self._entries)
 
-    def var(self, name: str) -> VarId:
-        for v in self._entries:
-            if v.name == name:
-                return v
-        raise NotFound(name)
-
-    def __iter__(self) -> Iterator[VarId]:
+    def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, var) -> bool:
-        key = var if isinstance(var, VarId) else VarId(str(var))
-        return key in self._entries
+    def __contains__(self, name) -> bool:
+        return name in self._entries
 
-    def __getitem__(self, var) -> Interval:
-        key = var if isinstance(var, VarId) else VarId(str(var))
+    def __getitem__(self, name: str) -> Interval:
         try:
-            return self._entries[key]
+            return self._entries[name]
         except KeyError:
-            raise NotFound(key.name) from None
+            raise NotFound(name) from None
 
-    def items(self) -> list[tuple[VarId, Interval]]:
-        return sorted(self._entries.items(), key=lambda kv: kv[0].name)
+    def items(self) -> list[tuple[str, Interval]]:
+        return sorted(self._entries.items())
 
     def __eq__(self, other):
         if isinstance(other, RangeMap):
@@ -165,62 +118,38 @@ class RangeMap:
         return hash(tuple(self.items()))
 
     def __repr__(self):
-        body = ", ".join(f"{v.name}:{iv!r}" for v, iv in self.items())
+        body = ", ".join(f"{v}:{iv!r}" for v, iv in self.items())
         return f"RangeMap({{{body}}})"
 
-    def with_entry(self, var: VarId, iv: Interval) -> "RangeMap":
+    def with_entry(self, name: str, iv: Interval) -> "RangeMap":
         d = dict(self._entries)
-        d.pop(var, None)
-        d[var] = iv
+        d.pop(name, None)
+        d[name] = iv
         return RangeMap(d)
 
     def without(self, names: Iterable[str]) -> "RangeMap":
         drop = set(names)
-        return RangeMap({v: iv for v, iv in self._entries.items() if v.name not in drop})
-
-
-def names_union(*sets: Iterable[VarId]) -> frozenset[VarId]:
-    """Identifier-level union of any number of sets, in one pass; a shared
-    name with conflicting units is an error."""
-    by_name: dict[str, VarId] = {}
-    for s in sets:
-        for v in s:
-            seen = by_name.setdefault(v.name, v)
-            if seen is not v:
-                _check_units(seen, v)
-    return frozenset(by_name.values())
-
-
-def names_intersect(a: Iterable[VarId], b: Iterable[VarId]) -> frozenset[VarId]:
-    """Identifier-level intersection."""
-    bn = {v.name for v in b}
-    return frozenset(v for v in a if v.name in bn)
-
-
-def names_subset(a: Iterable[VarId], b: Iterable[VarId]) -> bool:
-    """True when every identifier of ``a`` occurs in ``b``."""
-    bn = {v.name for v in b}
-    return all(v.name in bn for v in a)
+        return RangeMap({v: iv for v, iv in self._entries.items() if v not in drop})
 
 
 def rangemap_merge(*maps: RangeMap, context: str = "") -> RangeMap:
     """Merge any number of range maps in one pass; shared variables get the
-    intersection of their intervals.  An empty intersection raises
+    intersection of their intervals.  Two ranges of one variable in
+    different units raise UnitMismatch; an empty intersection raises
     EmptyRange (it signals a conflict between the source ranges, never a
     legal state)."""
-    out: dict[str, tuple[VarId, Interval]] = {}
+    out: dict[str, Interval] = {}
     for m in maps:
         for v, iv in m.items():
-            stored = out.get(v.name)
-            if stored is None:
-                out[v.name] = (v, iv)
+            prior = out.get(v)
+            if prior is None:
+                out[v] = iv
                 continue
-            var, prior = stored
-            _check_units(var, v)
+            if prior.unit != iv.unit:
+                raise UnitMismatch(v, prior.unit, iv.unit)
             merged = interval_intersect(prior, iv)
             if merged is None:
                 clash = f"{prior!r} vs {iv!r}"
-                raise EmptyRange(v.name, f"{context}: {clash}" if context else clash)
-            out[v.name] = (var, merged)
-    return RangeMap(out.values())
-
+                raise EmptyRange(v, f"{context}: {clash}" if context else clash)
+            out[v] = merged
+    return RangeMap(out)

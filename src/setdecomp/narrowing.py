@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .architecture import Architecture, validate_coverage
-from .errors import CoverageViolation, EmptyRange, Infeasible, NonFinite
-from .intervals import Interval, RangeMap, VarId, rangemap_merge
+from .errors import CoverageViolation, EmptyRange, Infeasible, NonFinite, UnitMismatch
+from .intervals import Interval, RangeMap, rangemap_merge
 from .simulation import Envelope, SamplingPlan, envelope_over_box
 
 __all__ = ["FeasibleSpaces", "NarrowingResult", "EnvelopeEscape",
@@ -78,14 +78,16 @@ class NarrowingResult:
 
 def _pin(base: RangeMap, pins: RangeMap, label: str) -> RangeMap:
     """Overwrite ranges in ``base`` with top-level ranges, after checking the
-    architecture can actually cover them."""
+    architecture can actually cover them, in the same unit."""
     out = base
     for v, iv in pins.items():
         if v not in base:
-            raise CoverageViolation([v.name], f"{label} variable not consumed by any sub-function")
+            raise CoverageViolation([v], f"{label} variable not consumed by any sub-function")
+        if base[v].unit != iv.unit:
+            raise UnitMismatch(v, base[v].unit, iv.unit)
         if not base[v].contains_interval(iv):
             raise CoverageViolation(
-                [v.name],
+                [v],
                 f"{label} range {iv} exceeds what the sub-functions accept ({base[v]})")
         out = out.with_entry(v, iv)
     return out
@@ -96,7 +98,8 @@ def initial_spaces(arch: Architecture) -> FeasibleSpaces:
     input and uncontrollable ranges pinned on, top outputs intersected, and
     the result split into produced variables (FPS) and the rest (FDS).  Port
     ranges that do not overlap raise :class:`EmptyRange` naming every port
-    that declares the variable."""
+    that declares the variable; two ranges of one variable in different
+    units raise :class:`UnitMismatch`, before anything is simulated."""
     validate_coverage(arch)
     produced = arch.producer_of()
     try:
@@ -114,15 +117,15 @@ def initial_spaces(arch: Architecture) -> FeasibleSpaces:
     ranges = rangemap_merge(ranges, arch.top.outputs, context="top output")
     items = ranges.items()
     return FeasibleSpaces(
-        fds=RangeMap((v, iv) for v, iv in items if v.name not in produced),
-        fps=RangeMap((v, iv) for v, iv in items if v.name in produced))
+        fds=RangeMap((v, iv) for v, iv in items if v not in produced),
+        fps=RangeMap((v, iv) for v, iv in items if v in produced))
 
 
 def top_windows(arch: Architecture) -> dict[str, list[tuple[float, float, Interval]]]:
     """Time-windowed output specs of the top requirement, keyed by variable."""
     out: dict[str, list[tuple[float, float, Interval]]] = {}
     for spec in arch.top.timed_outputs:
-        out.setdefault(spec.variable.name, []).extend(spec.windows)
+        out.setdefault(spec.variable, []).extend(spec.windows)
     return out
 
 
@@ -139,14 +142,14 @@ def _escapes(env: Envelope, fps: RangeMap,
             out.append(EnvelopeEscape(name, "hi", hi, allowed.hi, window))
 
     for v, allowed in fps.items():
-        judge(v.name, *env.bounds[v.name], allowed)
+        judge(v, *env.bounds[v], allowed)
     for name in sorted(windows):
         for t0, t1, allowed in windows[name]:
             judge(name, *env.windows[name][(t0, t1)], allowed, (t0, t1))
     return out
 
 
-def _bisection_round(work: RangeMap, var: VarId, side: str, ok: float, target: float,
+def _bisection_round(work: RangeMap, var: str, side: str, ok: float, target: float,
                      depth: int, check) -> tuple[float, float, RangeMap]:
     """``depth`` steps of the bisection of one bound, speculatively.
 
@@ -202,7 +205,7 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
     env_windows = {k: [(t0, t1) for t0, t1, _ in ws] for k, ws in windows.items()}
     # only variables we are free to choose can be narrowed; the rest must be
     # verified over their full range
-    candidates = sorted({v.name for sf in arch.subfunctions for v in sf.controllables})
+    candidates = sorted({v for sf in arch.subfunctions for v in sf.controllables})
 
     def fits(env: Envelope) -> bool:
         return not _escapes(env, spaces.fps, windows)
@@ -221,7 +224,7 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
         narrowed_fds = fds
     else:
         # collapse candidates to midpoints, then grow each bound back out
-        work = RangeMap((v, Interval(iv.mid, iv.mid, iv.unit) if v.name in candidates else iv)
+        work = RangeMap((v, Interval(iv.mid, iv.mid, iv.unit) if v in candidates else iv)
                         for v, iv in fds.items())
         if not fits(envelope_over_box(arch, work, check_plan, windows=env_windows)):
             raise Infeasible("no feasible design at the controllable midpoints")
@@ -230,14 +233,13 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
         depth = max(d for d in range(1, _BUNDLE_DEPTH + 1)
                     if (2 ** d - 1) * full_check.n_samples <= check_plan.cap)
         for name in candidates:
-            full = fds[VarId(name)]
-            var = VarId(name, full.unit)
+            full = fds[name]
             for side in ("lo", "hi"):
-                ok = getattr(work[var], side)    # known-feasible bound value
+                ok = getattr(work[name], side)   # known-feasible bound value
                 target = getattr(full, side)     # most generous bound value
                 for done in range(0, _BISECT_ITERS, depth):
                     ok, target, work = _bisection_round(
-                        work, var, side, ok, target,
+                        work, name, side, ok, target,
                         min(depth, _BISECT_ITERS - done), check)
                 log.append({"step": "bound-grown", "variable": name,
                             "side": side, "value": ok})
@@ -248,8 +250,8 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
     # attainable performance box, clipped to the allowed space where the
     # padded empirical envelope pokes out
     escapes = _escapes(env, spaces.fps, windows)
-    fps2 = RangeMap((v, Interval(max(env.bounds[v.name][0], allowed.lo),
-                                 min(env.bounds[v.name][1], allowed.hi), allowed.unit))
+    fps2 = RangeMap((v, Interval(max(env.bounds[v][0], allowed.lo),
+                                 min(env.bounds[v][1], allowed.hi), allowed.unit))
                     for v, allowed in spaces.fps.items())
 
     log.append({"step": "performance-envelope",

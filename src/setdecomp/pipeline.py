@@ -64,7 +64,7 @@ def run_pipeline(arch_file, plan: SamplingPlan | None = None, *,
     weights = PreferenceWeights.from_dict(tradeoff.get("weights", {}))
 
     cls = classify(arch)
-    classification = {label: sorted(v.name for v in group)
+    classification = {label: sorted(group)
                       for label, group in cls.groups().items()}
 
     spaces = initial_spaces(arch)

@@ -6,7 +6,9 @@ output ranges.  ``check_refines`` and ``check_composable`` implement the two
 relations that make independently developed sub-requirements safe to compose.
 ``links`` derives, once, every producer->consumer pair of a set of parts
 with its composability verdict; ``compose`` takes its precondition from
-those links and builds the composite contract the laws talk about.
+those links and builds the composite contract the laws talk about.  A
+caller that already holds the links assembles the composite directly.
+Contracts key their ranges by variable name; the unit is on the range.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import NotComposable, ValidationError
-from .intervals import Interval, RangeMap, VarId, names_intersect, rangemap_merge
+from .intervals import Interval, RangeMap, rangemap_merge
 
 __all__ = [
     "TimedOutputSpec", "FunctionalRequirement",
@@ -31,13 +33,13 @@ class TimedOutputSpec:
     """Extra time-windowed bounds on one output variable: the variable must
     stay inside ``interval`` for every t in [t_start, t_end]."""
 
-    variable: VarId
+    variable: str
     windows: tuple[tuple[float, float, Interval], ...]
 
     def __post_init__(self):
         for t0, t1, iv in self.windows:
             if t0 > t1:
-                raise ValueError(f"window [{t0},{t1}] for {self.variable.name} is reversed")
+                raise ValueError(f"window [{t0},{t1}] for {self.variable} is reversed")
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,11 @@ class FunctionalRequirement:
         seen: dict[str, str] = {}
         for role, m in maps.items():
             for v in m:
-                if v.name in seen:
+                if v in seen:
                     raise ValueError(
-                        f"{self.name}: variable '{v.name}' appears in both "
-                        f"{seen[v.name]} and {role}")
-                seen[v.name] = role
+                        f"{self.name}: variable '{v}' appears in both "
+                        f"{seen[v]} and {role}")
+                seen[v] = role
 
 
 @dataclass(frozen=True)
@@ -84,13 +86,20 @@ class RefinementResult:
 @dataclass(frozen=True)
 class ComposabilityResult:
     ok: bool
-    shared: frozenset[VarId] = frozenset()
+    shared: frozenset[str] = frozenset()
     witness_var: str | None = None
     producer_range: Interval | None = None
     consumer_range: Interval | None = None
 
     def __bool__(self):
         return self.ok
+
+
+#: the roles ``check_refines`` compares, in order, each with what the refiner
+#: must do to the refined range: widen it (input-like) or tighten it
+#: (output-like); the last two apply only under ``strict``
+_REFINED_ROLES = (("inputs", "widened"), ("outputs", "tightened"),
+                  ("uncontrollables", "widened"), ("controllables", "tightened"))
 
 
 def check_refines(fr_new: FunctionalRequirement, fr_old: FunctionalRequirement,
@@ -105,33 +114,15 @@ def check_refines(fr_new: FunctionalRequirement, fr_old: FunctionalRequirement,
     must promise a subset); this extension is flagged in reports and can be
     switched off.
     """
-    for v, iv_old in fr_old.inputs.items():
-        if v not in fr_new.inputs:
-            return RefinementResult(False, v.name, "input-missing", None, iv_old)
-        iv_new = fr_new.inputs[v]
-        if not iv_new.contains_interval(iv_old):
-            return RefinementResult(False, v.name, "input-not-widened", iv_new, iv_old)
-    for v, iv_old in fr_old.outputs.items():
-        if v not in fr_new.outputs:
-            return RefinementResult(False, v.name, "output-missing", None, iv_old)
-        iv_new = fr_new.outputs[v]
-        if not iv_old.contains_interval(iv_new):
-            return RefinementResult(False, v.name, "output-not-tightened", iv_new, iv_old)
-    if strict:
-        for v, iv_old in fr_old.uncontrollables.items():
-            if v not in fr_new.uncontrollables:
-                return RefinementResult(False, v.name, "uncontrollable-missing", None, iv_old)
-            iv_new = fr_new.uncontrollables[v]
-            if not iv_new.contains_interval(iv_old):
-                return RefinementResult(False, v.name, "uncontrollable-not-widened",
-                                        iv_new, iv_old)
-        for v, iv_old in fr_old.controllables.items():
-            if v not in fr_new.controllables:
-                return RefinementResult(False, v.name, "controllable-missing", None, iv_old)
-            iv_new = fr_new.controllables[v]
-            if not iv_old.contains_interval(iv_new):
-                return RefinementResult(False, v.name, "controllable-not-tightened",
-                                        iv_new, iv_old)
+    for role, must in _REFINED_ROLES if strict else _REFINED_ROLES[:2]:
+        kind, new = role[:-1], getattr(fr_new, role)
+        for v, iv_old in getattr(fr_old, role).items():
+            if v not in new:
+                return RefinementResult(False, v, f"{kind}-missing", None, iv_old)
+            iv_new = new[v]
+            outer, inner = (iv_new, iv_old) if must == "widened" else (iv_old, iv_new)
+            if not outer.contains_interval(inner):
+                return RefinementResult(False, v, f"{kind}-not-{must}", iv_new, iv_old)
     return RefinementResult(True)
 
 
@@ -139,13 +130,13 @@ def check_composable(fr_j: FunctionalRequirement, fr_k: FunctionalRequirement) -
     """Can ``fr_j`` feed ``fr_k``?  True iff they share at least one
     output->input variable and, for each shared variable, the producer's
     range fits inside the consumer's."""
-    shared = names_intersect(fr_j.outputs.names(), fr_k.inputs.names())
+    shared = fr_j.outputs.names() & fr_k.inputs.names()
     if not shared:
         return ComposabilityResult(False, frozenset())
-    for v in sorted(shared, key=lambda v: v.name):
+    for v in sorted(shared):
         prod, cons = fr_j.outputs[v], fr_k.inputs[v]
         if not cons.contains_interval(prod):
-            return ComposabilityResult(False, shared, v.name, prod, cons)
+            return ComposabilityResult(False, shared, v, prod, cons)
     return ComposabilityResult(True, shared)
 
 
@@ -162,25 +153,21 @@ def links(frs: Iterable[FunctionalRequirement]
     producer: dict[str, int] = {}
     for j, fr in enumerate(frs):
         for v, _ in fr.outputs.items():
-            if v.name in producer:
-                raise NotComposable(frs[producer[v.name]].name, fr.name, v.name,
+            if v in producer:
+                raise NotComposable(frs[producer[v]].name, fr.name, v,
                                     "two producers for one variable")
-            producer[v.name] = j
+            producer[v] = j
     # a contract never holds one variable as both input and output, so a
     # part is never its own producer
-    pairs = sorted({(producer[v.name], k) for k, fr in enumerate(frs)
-                    for v in fr.inputs if v.name in producer})
+    pairs = sorted({(producer[v], k) for k, fr in enumerate(frs)
+                    for v in fr.inputs if v in producer})
     return [(frs[j], frs[k], check_composable(frs[j], frs[k])) for j, k in pairs]
 
 
 def compose(frs: list[FunctionalRequirement] | tuple[FunctionalRequirement, ...],
             name: str = "composite") -> FunctionalRequirement:
     """Build the composite contract of a set of requirements whose
-    producer->consumer links all compose.
-
-    Internal shared variables (produced by one part, consumed by another)
-    are hidden from the interface.  Exposed input ranges come from the
-    consumer side, exposed output ranges from the producer side.
+    producer->consumer links all compose (see :func:`_assemble`).
 
     Preconditions: a single producer per variable, and every consumed
     range contains the range its producer promises; the first violation in
@@ -189,13 +176,19 @@ def compose(frs: list[FunctionalRequirement] | tuple[FunctionalRequirement, ...]
     frs = tuple(frs)
     if not frs:
         raise ValueError("compose() needs at least one requirement")
-
     for fr_j, fr_k, res in links(frs):
         if not res:
             raise NotComposable(fr_j.name, fr_k.name, res.witness_var,
                                 f"{res.producer_range!r} not within {res.consumer_range!r}")
+    return _assemble(frs, name)
 
-    produced = {v.name for fr in frs for v in fr.outputs}
+
+def _assemble(frs: tuple[FunctionalRequirement, ...], name: str) -> FunctionalRequirement:
+    """The composite contract of parts whose :func:`links` are already known
+    to compose.  Internal shared variables (produced by one part, consumed
+    by another) are hidden from the interface.  Exposed input ranges come
+    from the consumer side, exposed output ranges from the producer side."""
+    produced = {v for fr in frs for v in fr.outputs}
     exposed_inputs = rangemap_merge(*(fr.inputs.without(produced) for fr in frs),
                                     context="composite inputs")
     exposed_outputs = RangeMap(item for fr in frs for item in fr.outputs.items())
@@ -212,15 +205,12 @@ def compose(frs: list[FunctionalRequirement] | tuple[FunctionalRequirement, ...]
 # --- JSON (de)serialization -------------------------------------------------
 
 def _map_to_dict(m: RangeMap) -> dict:
-    return {v.name: {"lo": iv.lo, "hi": iv.hi, "unit": v.unit} for v, iv in m.items()}
+    return {v: {"lo": iv.lo, "hi": iv.hi, "unit": iv.unit} for v, iv in m.items()}
 
 
 def _map_from_dict(d: dict) -> RangeMap:
-    entries = []
-    for name, spec in d.items():
-        unit = spec.get("unit", "")
-        entries.append((VarId(name, unit), Interval(spec["lo"], spec["hi"], unit)))
-    return RangeMap(entries)
+    return RangeMap((name, Interval(spec["lo"], spec["hi"], spec.get("unit", "")))
+                    for name, spec in d.items())
 
 
 def fr_to_dict(fr: FunctionalRequirement) -> dict:
@@ -233,7 +223,7 @@ def fr_to_dict(fr: FunctionalRequirement) -> dict:
     }
     if fr.timed_outputs:
         d["timed_outputs"] = [
-            {"variable": ts.variable.name,
+            {"variable": ts.variable,
              "windows": [{"t_start": t0, "t_end": t1,
                           "lo": iv.lo, "hi": iv.hi, "unit": iv.unit}
                          for t0, t1, iv in ts.windows]}
@@ -249,11 +239,11 @@ def fr_from_dict(d: dict) -> FunctionalRequirement:
         outputs = _map_from_dict(d.get("outputs", {}))
         timed = []
         for ts in d.get("timed_outputs", []):
-            var = outputs.var(ts["variable"])
+            unit = outputs[ts["variable"]].unit
             windows = tuple(
-                (w["t_start"], w["t_end"], Interval(w["lo"], w["hi"], w.get("unit", var.unit)))
+                (w["t_start"], w["t_end"], Interval(w["lo"], w["hi"], w.get("unit", unit)))
                 for w in ts["windows"])
-            timed.append(TimedOutputSpec(var, windows))
+            timed.append(TimedOutputSpec(ts["variable"], windows))
         return FunctionalRequirement(
             name=d["name"],
             inputs=_map_from_dict(d.get("inputs", {})),

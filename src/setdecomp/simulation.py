@@ -90,11 +90,11 @@ class Envelope:
 def _design_var_names(arch: Architecture) -> list[str]:
     produced = set()
     for sf in arch.subfunctions:
-        produced.update(v.name for v, _ in sf.outputs.items())
+        produced.update(sf.outputs)
     names: set[str] = set()
     for sf in arch.subfunctions:
         for m in (sf.inputs, sf.controllables, sf.uncontrollables):
-            names.update(v.name for v, _ in m.items())
+            names.update(m)
     return sorted(names - produced)
 
 
@@ -145,7 +145,7 @@ def build_ode(arch: Architecture, point: dict[str, float]) -> OdeSystem:
             del pending[n]
 
     output_names = tuple(sorted(
-        {v.name for sf in arch.subfunctions for v, _ in sf.outputs.items()}))
+        {v for sf in arch.subfunctions for v in sf.outputs}))
 
     # compile one Python function for the whole right-hand side
     mangle = {}
@@ -232,7 +232,7 @@ def design_samples(box: RangeMap, plan: SamplingPlan) -> list[dict[str, float]]:
     """Deterministic sample set for a box: all corners plus an n-per-axis
     grid, deduplicated; beyond the cap, a Halton low-discrepancy set."""
     items = box.items()
-    names = [v.name for v, _ in items]
+    names = [v for v, _ in items]
     lattices = [[(iv.lo, iv.hi) if iv.lo < iv.hi else (iv.lo,) for _, iv in items]]
     if plan.grid > 0:
         lattices.append([(iv.mid,) if iv.lo == iv.hi or plan.grid == 1

@@ -28,9 +28,9 @@ from .architecture import Algebraic, Architecture, SubFunction
 from .errors import (Infeasible, InfeasibleBrackets, PostconditionFailure,
                      ValidationError)
 from .expr import evaluate_interval
-from .intervals import Interval, RangeMap, VarId
+from .intervals import Interval, RangeMap
 from .requirements import (ComposabilityResult, FunctionalRequirement,
-                           check_refines, compose, links)
+                           _assemble, check_refines, links)
 
 __all__ = ["PreferenceWeights", "Bracket", "BarrierProblem", "TradeoffResult",
            "build_brackets", "barrier_value", "barrier_gradient",
@@ -101,7 +101,7 @@ def build_brackets(fps1: RangeMap, fps2: RangeMap) -> dict[str, Bracket]:
     out: dict[str, Bracket] = {}
     for v, outer in fps1.items():
         inner = fps2[v]
-        out[v.name] = Bracket(v.name, outer.unit,
+        out[v] = Bracket(v, outer.unit,
                               outer.lo, inner.lo, inner.hi, outer.hi)
     return out
 
@@ -164,8 +164,7 @@ class BarrierProblem:
         vals = dict(self.pinned)
         for k, (name, side, _, _) in enumerate(self.free):
             vals[(name, side)] = float(x[k])
-        return RangeMap((VarId(name, b.unit),
-                         Interval(vals[(name, "lo")], vals[(name, "hi")], b.unit))
+        return RangeMap((name, Interval(vals[(name, "lo")], vals[(name, "hi")], b.unit))
                         for name, b in self.brackets.items())
 
 
@@ -221,15 +220,14 @@ def _static_subs(arch: Architecture) -> list[SubFunction]:
     where producers precede consumers."""
     subs = [sf for sf in arch.subfunctions
             if isinstance(sf.kind, Algebraic) and not sf.kind.states]
-    produced = {v.name: sf.id for sf in subs for v, _ in sf.outputs.items()}
+    produced = {v: sf.id for sf in subs for v, _ in sf.outputs.items()}
     order: list[SubFunction] = []
     placed: set[str] = set()
     remaining = list(subs)
     while remaining:
         progress = False
         for sf in list(remaining):
-            deps = {produced[v.name] for v, _ in sf.inputs.items()
-                    if v.name in produced}
+            deps = {produced[v] for v, _ in sf.inputs.items() if v in produced}
             if deps <= placed:
                 order.append(sf)
                 placed.add(sf.id)
@@ -247,11 +245,11 @@ def _interval_env(sf: SubFunction, chosen: RangeMap, fds2: RangeMap,
     for role in (sf.inputs, sf.controllables, sf.uncontrollables):
         for v, declared in role.items():
             if v in chosen:
-                env[v.name] = chosen[v]
+                env[v] = chosen[v]
             elif v in fds2:
-                env[v.name] = fds2[v]
+                env[v] = fds2[v]
             else:
-                env[v.name] = declared
+                env[v] = declared
     return env
 
 
@@ -273,8 +271,8 @@ def restore_feasibility(arch: Architecture, chosen: RangeMap, fds2: RangeMap,
     subs = _static_subs(arch)
 
     def pulled(t: float) -> RangeMap:
-        def pull(v: VarId, got: Interval) -> Interval:
-            b = brackets.get(v.name)
+        def pull(v: str, got: Interval) -> Interval:
+            b = brackets.get(v)
             if b is None:
                 return got
             # clamped so that t = 1 lands on the attained range exactly
@@ -293,11 +291,10 @@ def restore_feasibility(arch: Architecture, chosen: RangeMap, fds2: RangeMap,
                 img = evaluate_interval(e, _interval_env(sf, cur, fds2, constants))
                 if img.lo < b.l1 or img.hi > b.u1:
                     return None
-                out_v = VarId(out_name, b.unit)
-                got = cur[out_v]
+                got = cur[out_name]
                 new_lo, new_hi = min(got.lo, img.lo), max(got.hi, img.hi)
                 if (new_lo, new_hi) != (got.lo, got.hi):
-                    cur = cur.with_entry(out_v, Interval(new_lo, new_hi, got.unit))
+                    cur = cur.with_entry(out_name, Interval(new_lo, new_hi, got.unit))
                     widenings.append({"step": "output-widened", "sub": sf.id,
                                       "output": out_name, "lo": new_lo, "hi": new_hi})
         return cur, widenings
@@ -370,9 +367,8 @@ def run_tradeoff(arch: Architecture, fds2: RangeMap, fps1: RangeMap,
         if not res:
             raise PostconditionFailure(
                 "composability", f"{fr_j.name} -> {fr_k.name}: {res.witness_var}")
-        composability.extend((fr_j.name, fr_k.name, v.name, res)
-                             for v in sorted(res.shared, key=lambda v: v.name))
-    composite = compose(frs, name=f"{arch.top.name}-composite")
+        composability.extend((fr_j.name, fr_k.name, v, res) for v in sorted(res.shared))
+    composite = _assemble(frs, f"{arch.top.name}-composite")
     res = check_refines(composite, arch.top, strict=False)
     if not res:
         raise PostconditionFailure(

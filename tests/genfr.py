@@ -6,7 +6,7 @@ well under a second; every test seeds its own generator for repeatability.
 
 import random
 
-from setdecomp.intervals import Interval, RangeMap, VarId
+from setdecomp.intervals import Interval, RangeMap
 from setdecomp.requirements import FunctionalRequirement
 
 UNIVERSE = list("abcdefghij")
@@ -27,7 +27,7 @@ def rand_fr(rng: random.Random, name="fr") -> FunctionalRequirement:
     n_c = rng.randint(0, len(rest))
 
     def mk(group):
-        return RangeMap([(VarId(n), rand_interval(rng)) for n in group])
+        return RangeMap([(n, rand_interval(rng)) for n in group])
 
     return FunctionalRequirement(
         name=name, inputs=mk(names[:n_in]),
@@ -68,9 +68,9 @@ def rand_chain(rng: random.Random, n=3) -> list[FunctionalRequirement]:
     frs = []
     prev_out = None
     for k in range(n):
-        out_var = VarId(f"s{k}")
+        out_var = f"s{k}"
         out_iv = rand_interval(rng)
-        inputs = [(VarId(f"x{k}"), rand_interval(rng))]
+        inputs = [(f"x{k}", rand_interval(rng))]
         if prev_out is not None:
             v, iv = prev_out
             inputs.append((v, _widen(rng, iv)))
@@ -84,20 +84,20 @@ def rand_chain(rng: random.Random, n=3) -> list[FunctionalRequirement]:
 def rand_fan_out(rng: random.Random, consumers=3) -> list[FunctionalRequirement]:
     """One producer of ``s`` and ``consumers`` parts that each read ``s``
     with a random range, so some links hold and some do not."""
-    s = VarId("s")
-    frs = [FunctionalRequirement("prod", inputs=RangeMap([(VarId("x"), rand_interval(rng))]),
+    s = "s"
+    frs = [FunctionalRequirement("prod", inputs=RangeMap([("x", rand_interval(rng))]),
                                  outputs=RangeMap([(s, rand_interval(rng, -10, 10))]))]
     for k in range(consumers):
         frs.append(FunctionalRequirement(
             f"cons{k}", inputs=RangeMap([(s, rand_interval(rng, -20, 20))]),
-            outputs=RangeMap([(VarId(f"y{k}"), rand_interval(rng))])))
+            outputs=RangeMap([(f"y{k}", rand_interval(rng))])))
     return frs
 
 
 # --- oracles: containment checked variable-by-variable, no library calls ----
 
 def _as_dict(m: RangeMap) -> dict:
-    return {v.name: (iv.lo, iv.hi) for v, iv in m.items()}
+    return {v: (iv.lo, iv.hi) for v, iv in m.items()}
 
 
 def oracle_refines(new: FunctionalRequirement, old: FunctionalRequirement,

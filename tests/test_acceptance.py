@@ -179,8 +179,8 @@ def test_cruise_initial_spaces_reproduce_published_intervals(arch):
     start = time.perf_counter()
     spaces = initial_spaces(load_architecture(CRUISE)[0])
     elapsed = time.perf_counter() - start
-    got_fds = {v.name: (iv.lo, iv.hi) for v, iv in spaces.fds.items()}
-    got_fps = {v.name: (iv.lo, iv.hi) for v, iv in spaces.fps.items()}
+    got_fds = {v: (iv.lo, iv.hi) for v, iv in spaces.fds.items()}
+    got_fps = {v: (iv.lo, iv.hi) for v, iv in spaces.fps.items()}
     assert got_fds == FDS1
     assert got_fps == FPS1
     assert elapsed < 1.0
@@ -188,7 +188,7 @@ def test_cruise_initial_spaces_reproduce_published_intervals(arch):
 
 def test_cruise_classification_reproduces_published_sets(arch):
     cls = classify(arch)
-    groups = {k: {v.name for v in s} for k, s in cls.groups().items()}
+    groups = {k: set(s) for k, s in cls.groups().items()}
     assert groups == {
         "x": {"v_0", "v_r"}, "x_tilde": set(),
         "c": set(), "c_tilde": {"omega_m"},
@@ -239,8 +239,8 @@ def test_motor_speed_narrowing_is_verification_closed(arch, spaces, narrowed,
         arch, narrowed.narrowed.fds, SamplingPlan(),
         windows={k: [(t0, t1) for t0, t1, _ in ws] for k, ws in specs.items()})
     for v, iv in spaces.fps.items():
-        lo, hi = env.bounds[v.name]
-        assert iv.lo <= lo and hi <= iv.hi, v.name
+        lo, hi = env.bounds[v]
+        assert iv.lo <= lo and hi <= iv.hi, v
     for name, ws in specs.items():
         for t0, t1, required in ws:
             lo, hi = env.windows[name][(t0, t1)]
@@ -355,7 +355,7 @@ class TestNumericalSoundness:
             assert abs(g[k]) <= 1e-9 * force, f"{name}.{side}"
 
     def test_integrator_shows_fourth_order_step_halving(self, arch, narrowed):
-        point = {v.name: iv.mid for v, iv in narrowed.narrowed.fds.items()}
+        point = {v: iv.mid for v, iv in narrowed.narrowed.fds.items()}
 
         def final_state(h):
             traj = integrate(build_ode(arch, point), horizon=8.0, step=h)

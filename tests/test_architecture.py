@@ -75,8 +75,7 @@ class TestValidation:
 class TestClassification:
     def test_cruise_groups(self, cruise):
         cls = classify(cruise)
-        names = {label: {v.name for v in group}
-                 for label, group in cls.groups().items()}
+        names = cls.groups()
         assert names["x"] == {"v_0", "v_r"}
         assert names["x_tilde"] == set()
         assert names["c"] == set()
@@ -90,24 +89,24 @@ class TestClassification:
 
     def test_groups_are_exclusive_and_exhaustive(self, cruise):
         cls = classify(cruise)
-        seen = [v.name for g in cls.groups().values() for v in g]
+        seen = [v for g in cls.groups().values() for v in g]
         assert len(seen) == len(set(seen))
         assert set(seen) == {"v_0", "v_r", "m", "omega_m", "v", "vdot", "Fr",
                              "F", "Fa", "T", "u", "omega"}
 
     def test_design_and_performance_spaces(self, cruise):
         groups = classify(cruise).groups()
-        design = {v.name for g in ("x", "x_tilde", "c", "c_tilde", "u", "u_tilde")
+        design = {v for g in ("x", "x_tilde", "c", "c_tilde", "u", "u_tilde")
                   for v in groups[g]}
         assert design == {"v_0", "v_r", "m", "omega_m"}
         assert sum(len(groups[g]) for g in ("y1", "y2", "y3", "y4")) == 8
 
     def test_tiny_arch_classifies(self):
         cls = classify(_tiny_arch())
-        assert {v.name for v in cls.x} == {"x"}
+        assert cls.x == {"x"}
         # y is a top output consumed by nothing inside: terminal (y4), not fed back (y3)
-        assert {v.name for v in cls.y4} == {"y"}
-        assert {v.name for v in cls.y3} == set()
+        assert cls.y4 == {"y"}
+        assert cls.y3 == set()
 
 
 class TestJson:

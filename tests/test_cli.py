@@ -5,8 +5,9 @@ import shutil
 
 import pytest
 
+from setdecomp import narrowing
 from setdecomp.cli import main
-from setdecomp.intervals import Interval, RangeMap, VarId
+from setdecomp.intervals import Interval, RangeMap
 from setdecomp.requirements import FunctionalRequirement, save_fr
 
 from genfr import rand_chain
@@ -14,6 +15,12 @@ from genfr import rand_chain
 CRUISE = str(importlib.resources.files("setdecomp") / "data" / "cruise.json")
 
 FAST = ["--step", "0.05", "--horizon", "30", "--grid", "2"]
+
+
+def _port(doc, sub_id, role):
+    """One role's port ranges of one sub-function of an architecture document."""
+    (sf,) = [sf for sf in doc["subfunctions"] if sf["id"] == sub_id]
+    return sf[role]
 
 
 def _fr(name, **roles):
@@ -100,14 +107,38 @@ class TestDecompose:
 
     def test_port_range_conflict_names_the_subfunctions(self, tmp_path, capsys):
         doc = json.loads(open(CRUISE).read())
-        (f5,) = [sf for sf in doc["subfunctions"] if sf["id"] == "f5"]
-        f5["inputs"]["v"] = {"lo": 70.0, "hi": 80.0, "unit": "m/s"}
+        _port(doc, "f5", "inputs")["v"] = {"lo": 70.0, "hi": 80.0, "unit": "m/s"}
         path = tmp_path / "clash.json"
         path.write_text(json.dumps(doc))
         assert main(["decompose", str(path), *FAST]) == 2
         err = capsys.readouterr().err
         assert "empty range for 'v'" in err
         assert "f1.outputs [0,50] m/s" in err and "f5.inputs [70,80] m/s" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: _port(doc, "f5", "inputs")["v"].update(unit="mph"),
+         "unit mismatch for 'v': 'm/s' vs 'mph'"),
+        (lambda doc: _port(doc, "f1", "outputs")["v"].update(unit="mph"),
+         "unit mismatch for 'v': 'mph' vs 'm/s'"),
+        (lambda doc: doc["top"]["inputs"]["v_0"].update(unit="km/h"),
+         "unit mismatch for 'v_0': 'm/s' vs 'km/h'"),
+        (lambda doc: doc["top"]["uncontrollables"].update(
+            m={"lo": 2180.0, "hi": 2430.0, "unit": "lb"}),
+         "unit mismatch for 'm': 'kg' vs 'lb'"),
+    ], ids=["consumer-port", "producer-port", "top-input", "top-uncontrollable"])
+    def test_unit_mismatch_fails_before_simulation(self, edit, message, tmp_path,
+                                                   capsys, monkeypatch):
+        doc = json.loads(open(CRUISE).read())
+        edit(doc)
+        path = tmp_path / "units.json"
+        path.write_text(json.dumps(doc))
+
+        def no_envelope(*args, **kwargs):
+            raise AssertionError("an envelope was simulated")
+
+        monkeypatch.setattr(narrowing, "envelope_over_box", no_envelope)
+        assert main(["decompose", str(path), *FAST]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["decompose", "/nonexistent.json"]) == 2
@@ -192,18 +223,16 @@ class TestCheckLaws:
         rng = random.Random(5)
         parts = rand_chain(rng, n=60)
         # break link fr29 -> fr30: the consumer accepts none of s29's range
-        s29 = VarId("s29")
-        produced = parts[29].outputs[s29]
+        produced = parts[29].outputs["s29"]
         broken = Interval(produced.hi + 1.0, produced.hi + 2.0)
         parts[30] = FunctionalRequirement(
-            "fr30", inputs=RangeMap([(VarId("x30"), parts[30].inputs["x30"]), (s29, broken)]),
+            "fr30", inputs=RangeMap([("x30", parts[30].inputs["x30"]), ("s29", broken)]),
             outputs=parts[30].outputs)
         rng.shuffle(parts)
         expected = []
         for fr_j in parts:
             for fr_k in parts:
-                shared = sorted(set(v.name for v in fr_j.outputs)
-                                & set(v.name for v in fr_k.inputs))
+                shared = sorted(fr_j.outputs.names() & fr_k.inputs.names())
                 if fr_j is fr_k or not shared:
                     continue
                 bad = [n for n in shared
@@ -288,6 +317,14 @@ class TestSimulate:
     def test_unknown_variable(self, capsys):
         assert main(["simulate", CRUISE, "bogus=1"]) == 2
         assert "unknown design variable" in capsys.readouterr().err
+
+    def test_top_input_in_another_unit_is_validation_error(self, tmp_path, capsys):
+        doc = json.loads(open(CRUISE).read())
+        doc["top"]["inputs"]["v_0"]["unit"] = "km/h"
+        path = tmp_path / "units.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--step", "0.5", "--horizon", "1"]) == 2
+        assert "unit mismatch for 'v_0': 'm/s' vs 'km/h'" in capsys.readouterr().err
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "traj.csv"

@@ -1,14 +1,20 @@
 """Source hygiene: every name a package module imports is used or re-exported,
-and every name it exports exists."""
+every name it exports exists, and the README's Python examples import only
+exported names."""
 
 import ast
 import importlib
 import importlib.resources
+import pathlib
+import re
 
 import pytest
 
 SOURCES = sorted(p for p in importlib.resources.files("setdecomp").iterdir()
                  if p.name.endswith(".py"))
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+README_SNIPPETS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                             re.DOTALL | re.MULTILINE)
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -50,3 +56,22 @@ def test_every_export_resolves_once(path):
     repeated = sorted({n for n in exported if exported.count(n) > 1})
     assert not missing, f"{path.name}: __all__ names undefined {', '.join(missing)}"
     assert not repeated, f"{path.name}: __all__ lists twice {', '.join(repeated)}"
+
+
+def test_readme_has_python_examples():
+    assert README_SNIPPETS
+
+
+@pytest.mark.parametrize("snippet", README_SNIPPETS,
+                         ids=[f"block{k}" for k in range(1, len(README_SNIPPETS) + 1)])
+def test_readme_example_imports_exported_names(snippet):
+    # static only: compiling and reading the imports, not running the example
+    tree = ast.parse(snippet)
+    compile(tree, "README.md", "exec")
+    unexported = [f"{node.module}.{alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[0] == "setdecomp"
+                  for alias in node.names
+                  if alias.name not in importlib.import_module(node.module).__all__]
+    assert not unexported, f"README imports unexported {', '.join(unexported)}"

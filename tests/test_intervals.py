@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setdecomp.errors import EmptyRange, NotFound, UnitMismatch
-from setdecomp.intervals import (Interval, RangeMap, VarId,
-                                 interval_intersect, names_intersect,
-                                 names_subset, names_union, rangemap_merge)
+from setdecomp.intervals import Interval, RangeMap, interval_intersect, rangemap_merge
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -23,7 +21,7 @@ def intervals(draw, unit=""):
 @st.composite
 def rangemaps(draw, unit=""):
     names = draw(st.lists(st.sampled_from("abcdefgh"), unique=True, max_size=6))
-    return RangeMap([(VarId(n, unit), draw(intervals(unit))) for n in names])
+    return RangeMap([(n, draw(intervals(unit))) for n in names])
 
 
 units = st.sampled_from(["", "m"])
@@ -35,20 +33,18 @@ def mixed_unit_rangemaps(draw):
     entries = []
     for n in draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=4)):
         unit = draw(units)
-        entries.append((VarId(n, unit), draw(intervals(unit))))
+        entries.append((n, draw(intervals(unit))))
     return RangeMap(entries)
 
 
 def _outcome(call):
-    """A name set or range map as (name, unit[, interval]) rows, or the type
-    and message of the set-algebra error raised instead."""
+    """A range map as (name, unit, interval) rows, or the type and message
+    of the set-algebra error raised instead."""
     try:
         out = call()
     except (EmptyRange, UnitMismatch) as e:
         return type(e), str(e)
-    if isinstance(out, RangeMap):
-        return [(v.name, v.unit, iv) for v, iv in out.items()]
-    return sorted((v.name, v.unit) for v in out)
+    return [(v, iv.unit, iv) for v, iv in out.items()]
 
 
 class TestInterval:
@@ -85,50 +81,10 @@ class TestInterval:
             interval_intersect(Interval(0, 1, "m"), Interval(0, 1, "s"))
 
 
-class TestVarId:
-    def test_identity_is_by_name(self):
-        # units are carried, not compared: one variable, one name
-        assert VarId("v", "m/s") == VarId("v", "mph")
-        assert hash(VarId("v", "m/s")) == hash(VarId("v"))
-        assert VarId("v") != VarId("w")
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            VarId("")
-
-
-class TestNameSets:
-    @given(rangemaps(), rangemaps())
-    def test_union_and_intersect_agree_with_set_semantics(self, a, b):
-        u = {v.name for v in names_union(a.names(), b.names())}
-        i = {v.name for v in names_intersect(a.names(), b.names())}
-        an, bn = {v.name for v in a.names()}, {v.name for v in b.names()}
-        assert u == an | bn
-        assert i == an & bn
-
-    @given(rangemaps(), rangemaps(), rangemaps())
-    def test_subset_transitive(self, a, b, c):
-        ab = names_union(a.names(), b.names())
-        abc = names_union(ab, c.names())
-        assert names_subset(a.names(), ab)
-        assert names_subset(ab, abc)
-        assert names_subset(a.names(), abc)
-
-    @given(st.lists(st.frozensets(st.builds(VarId, st.sampled_from("abcd"), units)),
-                    min_size=1, max_size=5))
-    def test_nary_union_equals_folded_pairs(self, sets):
-        assert (_outcome(lambda: names_union(*sets))
-                == _outcome(lambda: functools.reduce(names_union, sets)))
-
-    def test_union_with_conflicting_units_raises(self):
-        with pytest.raises(UnitMismatch):
-            names_union({VarId("v", "m/s")}, {VarId("v", "mph")})
-
-
 class TestRangeMap:
     def test_of_constructor(self):
         m = RangeMap.of(v=(0, 40, "m/s"), u=(-0.5, 2))
-        assert m[VarId("v")] == Interval(0, 40, "m/s")
+        assert m["v"] == Interval(0, 40, "m/s")
         assert m["u"] == Interval(-0.5, 2)
 
     def test_lookup_missing_raises_notfound(self):
@@ -142,7 +98,11 @@ class TestRangeMap:
 
     def test_items_sorted_by_name(self):
         m = RangeMap.of(z=(0, 1), a=(0, 1), k=(0, 1))
-        assert [v.name for v, _ in m.items()] == ["a", "k", "z"]
+        assert [v for v, _ in m.items()] == ["a", "k", "z"]
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError):
+            RangeMap([("", Interval(0, 1))])
 
 
 class TestMerge:
@@ -201,7 +161,6 @@ class TestRestrict:
     def test_restrict_returns_the_entry(self, m):
         for v, iv in m.items():
             assert m[v] == iv
-            assert m[v.name] == iv
 
     @given(rangemaps(), rangemaps())
     def test_restrict_merge_coherence(self, a, b):
@@ -210,7 +169,7 @@ class TestRestrict:
             merged = rangemap_merge(a, b)
         except EmptyRange:
             return
-        for v in names_intersect(a.names(), b.names()):
+        for v in a.names() & b.names():
             assert merged[v] == interval_intersect(a[v], b[v])
 
     def test_restrict_missing(self):

@@ -7,7 +7,7 @@ from setdecomp.architecture import (Algebraic, Architecture, InternalState,
                                     SubFunction, load_architecture)
 from setdecomp.errors import CoverageViolation, Infeasible
 from setdecomp.expr import BinOp, Num, Var, parse_expr
-from setdecomp.intervals import Interval, RangeMap, VarId
+from setdecomp.intervals import Interval, RangeMap
 from setdecomp.narrowing import initial_spaces, narrow, top_windows
 from setdecomp.requirements import FunctionalRequirement, TimedOutputSpec
 from setdecomp.simulation import SamplingPlan, envelope_over_box
@@ -57,7 +57,7 @@ def _sequential_fds(arch, spaces, plan):
         env = envelope_over_box(arch, box, check_plan,
                                 windows={k: [(t0, t1) for t0, t1, _ in ws]
                                          for k, ws in windows.items()})
-        return (all(iv.lo <= env.bounds[v.name][0] and env.bounds[v.name][1] <= iv.hi
+        return (all(iv.lo <= env.bounds[v][0] and env.bounds[v][1] <= iv.hi
                     for v, iv in spaces.fps.items())
                 and all(iv.lo <= env.windows[k][(t0, t1)][0]
                         and env.windows[k][(t0, t1)][1] <= iv.hi
@@ -66,7 +66,7 @@ def _sequential_fds(arch, spaces, plan):
     work = spaces.fds
     if feasible(work):
         return work
-    (c,) = [v for v, _ in work.items() if v.name == "c"]
+    c = "c"
     work = work.with_entry(c, Interval(work[c].mid, work[c].mid))
     for side in ("lo", "hi"):
         ok, target = getattr(work[c], side), getattr(spaces.fds[c], side)
@@ -122,13 +122,13 @@ def _oracle_spaces(arch):
     for sf in arch.subfunctions:
         for role in (sf.inputs, sf.outputs, sf.controllables, sf.uncontrollables):
             for v, iv in role.items():
-                tighten(v.name, iv)
+                tighten(v, iv)
     for role in (arch.top.inputs, arch.top.uncontrollables):
         for v, iv in role.items():
-            ranges[v.name] = (iv.lo, iv.hi)
+            ranges[v] = (iv.lo, iv.hi)
     for v, iv in arch.top.outputs.items():
-        tighten(v.name, iv)
-    produced = {v.name for sf in arch.subfunctions for v in sf.outputs}
+        tighten(v, iv)
+    produced = {v for sf in arch.subfunctions for v in sf.outputs}
     return ({k: r for k, r in ranges.items() if k not in produced},
             {k: r for k, r in ranges.items() if k in produced})
 
@@ -176,12 +176,12 @@ class TestInitialSpaces:
         arch = build()
         spaces = initial_spaces(arch)
         fds, fps = _oracle_spaces(arch)
-        assert {v.name: (iv.lo, iv.hi) for v, iv in spaces.fds.items()} == fds
-        assert {v.name: (iv.lo, iv.hi) for v, iv in spaces.fps.items()} == fps
+        assert {v: (iv.lo, iv.hi) for v, iv in spaces.fds.items()} == fds
+        assert {v: (iv.lo, iv.hi) for v, iv in spaces.fps.items()} == fps
 
     def test_top_range_wider_than_architecture_is_a_coverage_violation(self):
         arch = _passthrough_arch()
-        wide = arch.top.inputs.with_entry(VarId("x"), Interval(-5, 5))
+        wide = arch.top.inputs.with_entry("x", Interval(-5, 5))
         bad = Architecture(
             top=FunctionalRequirement("top", inputs=wide, outputs=arch.top.outputs),
             subfunctions=arch.subfunctions)
@@ -230,7 +230,7 @@ class TestNarrow:
     def test_padded_window_escape_is_reported_not_clipped(self):
         # y = c over c in [1, 4]: unpadded, y reaches the window bound 4
         # exactly; padded by 10% of its span it reaches 4.3
-        window = TimedOutputSpec(VarId("y"), ((0.0, 1.0, Interval(0.0, 4.0)),))
+        window = TimedOutputSpec("y", ((0.0, 1.0, Interval(0.0, 4.0)),))
         arch = _passthrough_arch(c_range=(1.0, 4.0), top_out=(0.0, 10.0),
                                  timed_outputs=(window,))
         spaces = initial_spaces(arch)
@@ -270,7 +270,7 @@ class TestNarrow:
         for v, iv in res.narrowed.fds.items():
             assert spaces.fds[v].contains_interval(iv)
         for v, iv in res.narrowed.fps.items():
-            assert spaces.fps[v].contains_interval(iv), v.name
+            assert spaces.fps[v].contains_interval(iv), v
 
     def test_provenance_log_is_json_friendly(self, cruise):
         import json

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from setdecomp.errors import NotComposable
-from setdecomp.intervals import Interval, RangeMap, VarId
+from setdecomp.intervals import Interval, RangeMap
 from setdecomp.requirements import (FunctionalRequirement, TimedOutputSpec,
                                     check_composable, check_refines, compose,
                                     fr_from_dict, fr_to_dict, links)
@@ -21,7 +21,7 @@ def test_roles_must_be_disjoint():
 
 def test_reversed_time_window_rejected():
     with pytest.raises(ValueError):
-        TimedOutputSpec(VarId("v"), ((30.0, 20.0, Interval(0, 1)),))
+        TimedOutputSpec("v", ((30.0, 20.0, Interval(0, 1)),))
 
 
 class TestRefinement:
@@ -145,8 +145,8 @@ class TestCompose:
         b = FunctionalRequirement("b", inputs=RangeMap.of(m=(-1, 2)),
                                   outputs=RangeMap.of(y=(0, 1)))
         whole = compose([a, b])
-        in_names = {v.name for v in whole.inputs.names()}
-        out_names = {v.name for v in whole.outputs.names()}
+        in_names = whole.inputs.names()
+        out_names = whole.outputs.names()
         assert in_names == {"x"}
         assert "m" in out_names and "y" in out_names
 
@@ -217,23 +217,23 @@ class TestLinks:
         for _ in range(100):
             a_iv, b_iv = rand_interval(rng), rand_interval(rng)
             prod = FunctionalRequirement(
-                "prod", outputs=RangeMap([(VarId("a"), a_iv), (VarId("b"), b_iv)]))
+                "prod", outputs=RangeMap([("a", a_iv), ("b", b_iv)]))
             cons = FunctionalRequirement(
-                "cons", inputs=RangeMap([(VarId("a"), rand_interval(rng)),
-                                         (VarId("b"), rand_interval(rng))]),
-                outputs=RangeMap([(VarId("c"), rand_interval(rng))]))
+                "cons", inputs=RangeMap([("a", rand_interval(rng)),
+                                         ("b", rand_interval(rng))]),
+                outputs=RangeMap([("c", rand_interval(rng))]))
             parts = [cons, prod] if rng.random() < 0.5 else [prod, cons]
             found = _positions(parts, links(parts))
             assert found == _all_pairs(parts)
             (_, _, res), = found
-            assert {v.name for v in res.shared} == {"a", "b"}
+            assert res.shared == {"a", "b"}
             assert bool(res) == oracle_composable(prod, cons)
 
     def test_random_parts_match_all_pairs_or_name_two_producers(self):
         rng = random.Random(67)
         for _ in range(300):
             parts = [rand_fr(rng, name=f"p{k}") for k in range(rng.randint(1, 4))]
-            outputs = [v.name for fr in parts for v in fr.outputs]
+            outputs = [v for fr in parts for v in fr.outputs]
             if len(outputs) == len(set(outputs)):
                 assert _positions(parts, links(parts)) == _all_pairs(parts)
             else:
@@ -252,6 +252,6 @@ def test_json_round_trip_with_windows():
     fr = FunctionalRequirement(
         "top", inputs=RangeMap.of(x=(0, 1)),
         outputs=RangeMap.of(v=(20, 40, "m/s")),
-        timed_outputs=(TimedOutputSpec(VarId("v", "m/s"),
+        timed_outputs=(TimedOutputSpec("v",
                                        ((20.0, 100.0, Interval(33, 37, "m/s")),)),))
     assert fr_from_dict(fr_to_dict(fr)) == fr

@@ -185,7 +185,7 @@ class TestEnvelope:
         box = RangeMap((v, Interval(iv.mid, iv.mid, iv.unit)) for v, iv in fds.items())
         plan = SamplingPlan(padding=0.0, step=0.01, horizon=10.0)
         env = envelope_over_box(arch, box, plan)
-        traj = integrate(build_ode(arch, {v.name: iv.mid for v, iv in fds.items()}),
+        traj = integrate(build_ode(arch, {v: iv.mid for v, iv in fds.items()}),
                          horizon=plan.horizon, step=plan.step)
         assert env.n_samples == 1
         assert env.bounds == {name: (float(np.min(vals)), float(np.max(vals)))

@@ -8,7 +8,7 @@ from setdecomp.architecture import (Algebraic, Architecture, SubFunction,
                                     load_architecture)
 from setdecomp.errors import Infeasible, InfeasibleBrackets, ValidationError
 from setdecomp.expr import BinOp, Num, Var
-from setdecomp.intervals import Interval, RangeMap, VarId
+from setdecomp.intervals import Interval, RangeMap
 from setdecomp.narrowing import initial_spaces, narrow
 from setdecomp.requirements import FunctionalRequirement, check_refines
 from setdecomp.simulation import SamplingPlan
@@ -159,8 +159,8 @@ class TestCruiseTradeoff:
         arch, spaces, nres, tres = result
         for v, chosen in tres.chosen.items():
             outer, inner = spaces.fps[v], nres.narrowed.fps[v]
-            assert outer.contains_interval(chosen), v.name
-            assert chosen.contains_interval(inner), v.name
+            assert outer.contains_interval(chosen), v
+            assert chosen.contains_interval(inner), v
 
     def test_subrequirements_share_ranges_per_variable(self, result):
         arch, _, _, tres = result
@@ -168,7 +168,7 @@ class TestCruiseTradeoff:
         for fr in tres.subrequirements:
             for m in (fr.inputs, fr.outputs, fr.controllables, fr.uncontrollables):
                 for v, iv in m.items():
-                    assert seen.setdefault(v.name, iv) == iv, v.name
+                    assert seen.setdefault(v, iv) == iv, v
 
     def test_composite_refines_top(self, result):
         arch, _, _, tres = result
@@ -213,7 +213,7 @@ class TestCruiseTradeoff:
                  for c in consumers.get(v, [])}
         assert {link[:3] for link in tres.composability} == links
         for producer, consumer, var, res in tres.composability:
-            assert res.ok and var in {v.name for v in res.shared}, (producer, consumer)
+            assert res.ok and var in res.shared, (producer, consumer)
 
 
 def test_assemble_uses_design_ranges_for_design_vars():
