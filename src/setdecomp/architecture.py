@@ -7,17 +7,21 @@ variable into the ten exclusive groups that define the design space
 (independent variables/parameters) and the performance space (dependent
 variables).  Wiring and classification work on names alone; the units of
 one variable's port ranges are checked where those ranges are merged
-(``narrowing.initial_spaces``).
+(``narrowing.initial_spaces``).  ``Architecture.assignments`` is the one
+dependency order of the algebraic outputs, derived once per architecture;
+the ODE compiler and feasibility restoration both walk it.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import expr as ex
-from .errors import (CoverageViolation, ParseError, ProducerConflict,
-                     ValidationError)
+from .errors import (AlgebraicCycle, CoverageViolation, ParseError,
+                     ProducerConflict, ValidationError)
 from .intervals import RangeMap
 from .requirements import FunctionalRequirement, _map_from_dict, fr_from_dict
 
@@ -87,20 +91,18 @@ class Architecture:
         for sf in self.subfunctions:
             ports = sf.port_names()
             if isinstance(sf.kind, Algebraic):
-                states = {s.name for s in sf.kind.states}
-                for out, e in sf.kind.exprs:
-                    if out not in sf.outputs:
-                        raise ValidationError(
-                            f"{sf.id}: expression for '{out}' which is not an output port")
-                    for name in sorted(ex.free_vars(e)):
-                        if name not in ports and name not in const_names and name not in states:
-                            raise ValidationError(
-                                f"{sf.id}: expression references undeclared '{name}'")
-                for st in sf.kind.states:
-                    for name in sorted(ex.free_vars(st.derivative) | ex.free_vars(st.initial)):
-                        if name not in ports and name not in const_names and name not in states:
-                            raise ValidationError(
-                                f"{sf.id}: state '{st.name}' references undeclared '{name}'")
+                assigned = {out for out, _ in sf.kind.exprs}
+                for out in sorted(assigned ^ sf.outputs.names()):
+                    raise ValidationError(
+                        f"{sf.id}: expression for '{out}' which is not an output port"
+                        if out in assigned else f"{sf.id}: output '{out}' has no expression")
+                known = ports | const_names | {s.name for s in sf.kind.states}
+                refs = [("expression", ex.free_vars(e)) for _, e in sf.kind.exprs] + [
+                    (f"state '{st.name}'", ex.free_vars(st.derivative) | ex.free_vars(st.initial))
+                    for st in sf.kind.states]
+                for what, names in refs:
+                    for name in sorted(names - known):
+                        raise ValidationError(f"{sf.id}: {what} references undeclared '{name}'")
             else:
                 k = sf.kind
                 if k.state not in sf.outputs:
@@ -109,8 +111,36 @@ class Architecture:
                     if name not in ports:
                         raise ValidationError(f"{sf.id}: integrator references undeclared '{name}'")
 
-    def constants_map(self) -> dict[str, float]:
-        return dict(self.constants)
+    @cached_property
+    def assignments(self) -> tuple[tuple[SubFunction, str, ex.Expr], ...]:
+        """Every algebraic output as (sub-function, output, expression), in
+        an order where each expression comes after the outputs it reads:
+        declaration order wherever the dependencies allow.  Derived once per
+        architecture; a cycle raises :class:`AlgebraicCycle` naming every
+        output it leaves unordered."""
+        self.producer_of()  # raises ProducerConflict if violated
+        entries = [(sf, out, e) for sf in self.subfunctions
+                   if isinstance(sf.kind, Algebraic) for out, e in sf.kind.exprs]
+        index = {out: k for k, (_, out, _) in enumerate(entries)}
+        waiting = [0] * len(entries)           # unordered outputs each one reads
+        readers: list[list[int]] = [[] for _ in entries]
+        for k, (_, _, e) in enumerate(entries):
+            for name in ex.free_vars(e):
+                if name in index:
+                    waiting[k] += 1
+                    readers[index[name]].append(k)
+        ready = [k for k, n in enumerate(waiting) if n == 0]
+        order: list[int] = []
+        while ready:
+            k = heapq.heappop(ready)          # the earliest declared ready output
+            order.append(k)
+            for r in readers[k]:
+                waiting[r] -= 1
+                if waiting[r] == 0:
+                    heapq.heappush(ready, r)
+        if len(order) < len(entries):
+            raise AlgebraicCycle(sorted(out for (_, out, _), n in zip(entries, waiting) if n))
+        return tuple(entries[k] for k in order)
 
     def producer_of(self) -> dict[str, str]:
         """Map variable name -> producing sub-function id; raises on conflicts."""

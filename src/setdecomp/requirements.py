@@ -8,7 +8,9 @@ relations that make independently developed sub-requirements safe to compose.
 with its composability verdict; ``compose`` takes its precondition from
 those links and builds the composite contract the laws talk about.  A
 caller that already holds the links assembles the composite directly.
-Contracts key their ranges by variable name; the unit is on the range.
+Contracts key their ranges by variable name; the unit is on the range, and
+both relations raise :class:`UnitMismatch` where a variable's two ranges
+differ in unit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import NotComposable, ValidationError
+from .errors import NotComposable, UnitMismatch, ValidationError
 from .intervals import Interval, RangeMap, rangemap_merge
 
 __all__ = [
@@ -46,7 +48,8 @@ class TimedOutputSpec:
 class FunctionalRequirement:
     """The contract (inputs, uncontrollables, controllables) -> outputs.
 
-    The four key sets must be pairwise disjoint.
+    The four key sets must be pairwise disjoint, and a time window of an
+    output must carry that output's unit (else :class:`UnitMismatch`).
     """
 
     name: str
@@ -69,6 +72,12 @@ class FunctionalRequirement:
                         f"{self.name}: variable '{v}' appears in both "
                         f"{seen[v]} and {role}")
                 seen[v] = role
+        for ts in self.timed_outputs:
+            if ts.variable in self.outputs:
+                unit = self.outputs[ts.variable].unit
+                for _, _, iv in ts.windows:
+                    if iv.unit != unit:
+                        raise UnitMismatch(ts.variable, unit, iv.unit)
 
 
 @dataclass(frozen=True)
@@ -112,7 +121,8 @@ def check_refines(fr_new: FunctionalRequirement, fr_old: FunctionalRequirement,
     additionally applied to uncontrollables (input-like: the refiner must
     tolerate at least as much) and controllables (output-like: the refiner
     must promise a subset); this extension is flagged in reports and can be
-    switched off.
+    switched off.  A variable whose two ranges differ in unit raises
+    :class:`UnitMismatch` (refining unit first).
     """
     for role, must in _REFINED_ROLES if strict else _REFINED_ROLES[:2]:
         kind, new = role[:-1], getattr(fr_new, role)
@@ -120,6 +130,8 @@ def check_refines(fr_new: FunctionalRequirement, fr_old: FunctionalRequirement,
             if v not in new:
                 return RefinementResult(False, v, f"{kind}-missing", None, iv_old)
             iv_new = new[v]
+            if iv_new.unit != iv_old.unit:
+                raise UnitMismatch(v, iv_new.unit, iv_old.unit)
             outer, inner = (iv_new, iv_old) if must == "widened" else (iv_old, iv_new)
             if not outer.contains_interval(inner):
                 return RefinementResult(False, v, f"{kind}-not-{must}", iv_new, iv_old)
@@ -129,12 +141,15 @@ def check_refines(fr_new: FunctionalRequirement, fr_old: FunctionalRequirement,
 def check_composable(fr_j: FunctionalRequirement, fr_k: FunctionalRequirement) -> ComposabilityResult:
     """Can ``fr_j`` feed ``fr_k``?  True iff they share at least one
     output->input variable and, for each shared variable, the producer's
-    range fits inside the consumer's."""
+    range fits inside the consumer's.  A shared variable whose two ranges
+    differ in unit raises :class:`UnitMismatch` (producer unit first)."""
     shared = fr_j.outputs.names() & fr_k.inputs.names()
     if not shared:
         return ComposabilityResult(False, frozenset())
     for v in sorted(shared):
         prod, cons = fr_j.outputs[v], fr_k.inputs[v]
+        if prod.unit != cons.unit:
+            raise UnitMismatch(v, prod.unit, cons.unit)
         if not cons.contains_interval(prod):
             return ComposabilityResult(False, shared, v, prod, cons)
     return ComposabilityResult(True, shared)

@@ -1,8 +1,10 @@
 """Executable ODE view of an architecture and sampled envelopes.
 
 ``build_ode`` assembles the connected sub-functions into a compiled
-right-hand side (states = integrator states, algebraic outputs evaluated in
-topological order).  One classical fixed-step 4th-order Runge-Kutta kernel,
+right-hand side: the states are the integrator and internal states, and
+the algebraic outputs are evaluated in the architecture's one dependency
+order, ``Architecture.assignments``, which feasibility restoration sweeps
+too.  One classical fixed-step 4th-order Runge-Kutta kernel,
 ``_march``, steps it and hands the outputs at every grid time to one of two
 reducers: ``integrate`` keeps the whole trajectory, ``envelope_over_box``
 keeps per-variable extrema over a deterministic bundle of samples drawn from
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .architecture import Architecture, Integrator
-from .errors import AlgebraicCycle, NonFinite, SetDecompError
+from .architecture import Architecture, Integrator, aggregate_names
+from .errors import NonFinite, SetDecompError
 from .intervals import RangeMap
 
 __all__ = ["OdeSystem", "Trajectory", "Envelope", "SamplingPlan",
@@ -87,79 +89,45 @@ class Envelope:
     n_samples: int = 0
 
 
-def _design_var_names(arch: Architecture) -> list[str]:
-    produced = set()
-    for sf in arch.subfunctions:
-        produced.update(sf.outputs)
-    names: set[str] = set()
-    for sf in arch.subfunctions:
-        for m in (sf.inputs, sf.controllables, sf.uncontrollables):
-            names.update(m)
-    return sorted(names - produced)
-
-
 def build_ode(arch: Architecture, point: dict[str, float]) -> OdeSystem:
     """Compile the architecture at a design point (values for every design
     variable: top inputs, free architecture inputs, controllables and
     uncontrollables).  Point values may be scalars or aligned numpy arrays."""
-    constants = arch.constants_map()
-    design = _design_var_names(arch)
+    xs, ys, cs, us = aggregate_names(arch)
+    design = sorted((xs | cs | us) - ys)
     missing = [n for n in design if n not in point]
     if missing:
         raise SetDecompError(f"design point missing values for: {', '.join(missing)}")
+    params = dict(arch.constants)       # what the right-hand side closes over
+    params.update((n, point[n]) for n in design)
 
-    # collect states and algebraic assignments
+    # states in declaration order; the assignments in the architecture's order
     states: list[tuple[str, ex.Expr, object]] = []  # (name, derivative expr, initial value)
-    assigns: dict[str, ex.Expr] = {}
-    env0 = dict(constants)
-    env0.update({n: point[n] for n in design})
-
     for sf in arch.subfunctions:
         if isinstance(sf.kind, Integrator):
             k = sf.kind
-            states.append((k.state, ex.Var(k.derivative_input), point[k.initial_input]
-                           if k.initial_input in point else None))
             if k.initial_input not in point:
                 raise SetDecompError(f"{sf.id}: no value for initial input '{k.initial_input}'")
+            states.append((k.state, ex.Var(k.derivative_input), point[k.initial_input]))
         else:
             for st in sf.kind.states:
-                states.append((st.name, st.derivative, ex.evaluate(st.initial, env0)))
-            for out, e in sf.kind.exprs:
-                assigns[out] = e
-
+                states.append((st.name, st.derivative, ex.evaluate(st.initial, params)))
+    assigns = arch.assignments
     state_names = tuple(n for n, _, _ in states)
-    known = set(constants) | set(design) | set(state_names)
 
-    # topological order of the algebraic assignments
-    order: list[str] = []
-    resolved = set(known)
-    pending = dict(assigns)
-    while pending:
-        ready = sorted(n for n, e in pending.items()
-                       if ex.free_vars(e) <= resolved)
-        if not ready:
-            raise AlgebraicCycle(sorted(pending))
-        for n in ready:
-            order.append(n)
-            resolved.add(n)
-            del pending[n]
-
-    output_names = tuple(sorted(
-        {v for sf in arch.subfunctions for v in sf.outputs}))
+    output_names = tuple(sorted(ys))
 
     # compile one Python function for the whole right-hand side
-    mangle = {}
-    for i, n in enumerate(sorted(known | set(order))):
-        mangle[n] = f"_v{i}"
-    rn = mangle.__getitem__
+    names = sorted({*params, *state_names, *(out for _, out, _ in assigns)})
+    rn = {n: f"_v{i}" for i, n in enumerate(names)}.__getitem__
 
     lines = ["def _make(_P):"]
-    for n in sorted(set(constants) | set(design)):
+    for n in sorted(params):
         lines.append(f"    {rn(n)} = _P[{n!r}]")
     args = ", ".join(rn(n) for n in state_names)
     lines.append(f"    def _rhs({args}):")
-    for n in order:
-        lines.append(f"        {rn(n)} = {ex.to_source(assigns[n], rn)}")
+    for _, n, e in assigns:
+        lines.append(f"        {rn(n)} = {ex.to_source(e, rn)}")
     derivs = ", ".join(ex.to_source(d, rn) for _, d, _ in states) or ""
     outs = ", ".join(rn(n) for n in output_names)
     lines.append(f"        return ({derivs}{',' if len(states) == 1 else ''}), "
@@ -168,8 +136,6 @@ def build_ode(arch: Architecture, point: dict[str, float]) -> OdeSystem:
     src = "\n".join(lines)
     ns: dict = {}
     exec(src, ns)  # noqa: S102 - generated from validated expression trees only
-    params = dict(constants)
-    params.update({n: point[n] for n in design})
     rhs = ns["_make"](params)
 
     initial = tuple(v for _, _, v in states)

@@ -10,11 +10,15 @@ and its consumers (want a tight input obligation, away from [l1, u1]).
 
 The trade-off is scored with a weighted log-barrier, a sum of independent
 one-dimensional terms, so every free bound is set to its term's closed-form
-minimiser.  A final feasibility-restoration pass enforces, per algebraic
-sub-function, that the interval-arithmetic image of the chosen
-input ranges is contained in the chosen output range; integrator-bearing
-sub-functions are excluded (interval arithmetic says nothing useful about
-them) and are covered by the simulated envelope instead.
+minimiser.  A final feasibility-restoration pass enforces, for every output
+of an algebraic sub-function, that the interval-arithmetic image of its
+expression is contained in the chosen output range.  It sweeps the
+architecture's one dependency order, the order ``build_ode`` compiles the
+right-hand side in, and evaluates every image in one environment of
+constants, narrowed design ranges and chosen performance ranges.
+Sub-functions with integrator or internal state are excluded (interval
+arithmetic says nothing useful about them) and are covered by the simulated
+envelope instead.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .architecture import Algebraic, Architecture, SubFunction
+from .architecture import Architecture
 from .errors import (Infeasible, InfeasibleBrackets, PostconditionFailure,
                      ValidationError)
-from .expr import evaluate_interval
+from .expr import evaluate_interval, free_vars
 from .intervals import Interval, RangeMap
 from .requirements import (ComposabilityResult, FunctionalRequirement,
                            _assemble, check_refines, links)
@@ -215,60 +219,33 @@ def solve_tradeoff(problem: BarrierProblem) -> tuple[np.ndarray, int]:
     return x, 0
 
 
-def _static_subs(arch: Architecture) -> list[SubFunction]:
-    """Algebraic sub-functions without internal dynamic state, in an order
-    where producers precede consumers."""
-    subs = [sf for sf in arch.subfunctions
-            if isinstance(sf.kind, Algebraic) and not sf.kind.states]
-    produced = {v: sf.id for sf in subs for v, _ in sf.outputs.items()}
-    order: list[SubFunction] = []
-    placed: set[str] = set()
-    remaining = list(subs)
-    while remaining:
-        progress = False
-        for sf in list(remaining):
-            deps = {produced[v] for v, _ in sf.inputs.items() if v in produced}
-            if deps <= placed:
-                order.append(sf)
-                placed.add(sf.id)
-                remaining.remove(sf)
-                progress = True
-        if not progress:       # cyclic static coupling: keep original order
-            order.extend(remaining)
-            break
-    return order
-
-
-def _interval_env(sf: SubFunction, chosen: RangeMap, fds2: RangeMap,
-                  constants: dict[str, float]) -> dict[str, Interval]:
-    env: dict[str, Interval] = {k: Interval(v, v, "") for k, v in constants.items()}
-    for role in (sf.inputs, sf.controllables, sf.uncontrollables):
-        for v, declared in role.items():
-            if v in chosen:
-                env[v] = chosen[v]
-            elif v in fds2:
-                env[v] = fds2[v]
-            else:
-                env[v] = declared
-    return env
-
-
 def restore_feasibility(arch: Architecture, chosen: RangeMap, fds2: RangeMap,
                         brackets: dict[str, Bracket]) -> tuple[RangeMap, list[dict]]:
     """Make the chosen ranges containment-consistent for every static
-    algebraic sub-function: the interval image of the inputs must fit in the
-    output range.
+    algebraic sub-function (one without internal state): the interval image
+    of each bracketed output's expression must fit in its chosen range.
 
-    A single producer-to-consumer sweep widens each output to cover its
-    interval image; if any image overflows the outer bracket, every chosen
-    performance range is pulled toward its attained (inner) range by one
-    shared interpolation parameter, found by binary search on the smallest
-    pull for which the sweep succeeds.  Per-sub-function pulls do not work
-    here: shrinking a consumer's input re-widens at its producer, and the
-    two can see-saw forever.
+    One sweep walks the architecture's dependency order,
+    ``Architecture.assignments`` (the order the ODE right-hand side is
+    compiled in), so every output is widened to cover its interval image
+    after the outputs it reads.  Images are taken in one environment: the
+    constants as point intervals, then ``fds2``, then the current chosen
+    ranges; a variable in none of them raises :class:`ValidationError`.  If
+    any image overflows the outer bracket, every chosen performance range
+    is pulled toward its attained (inner) range by one shared interpolation
+    parameter, found by binary search on the smallest pull for which the
+    sweep succeeds.  Per-sub-function pulls do not work here: shrinking a
+    consumer's input re-widens at its producer, and the two can see-saw
+    forever.
     """
-    constants = arch.constants_map()
-    subs = _static_subs(arch)
+    entries = [(sf, out, e) for sf, out, e in arch.assignments
+               if not sf.kind.states and out in brackets]
+    base = {k: Interval(v, v, "") for k, v in arch.constants}
+    base.update(fds2.items())
+    for sf, out, e in entries:
+        for name in sorted(free_vars(e) - base.keys() - chosen.names()):
+            raise ValidationError(f"{sf.id}: no range for '{name}' in the expression for "
+                                  f"'{out}' during feasibility restoration")
 
     def pulled(t: float) -> RangeMap:
         def pull(v: str, got: Interval) -> Interval:
@@ -283,21 +260,20 @@ def restore_feasibility(arch: Architecture, chosen: RangeMap, fds2: RangeMap,
 
     def sweep(cur: RangeMap) -> tuple[RangeMap, list[dict]] | None:
         widenings: list[dict] = []
-        for sf in subs:
-            for out_name, e in sf.kind.exprs:
-                b = brackets.get(out_name)
-                if b is None:
-                    continue
-                img = evaluate_interval(e, _interval_env(sf, cur, fds2, constants))
-                if img.lo < b.l1 or img.hi > b.u1:
-                    return None
-                got = cur[out_name]
-                new_lo, new_hi = min(got.lo, img.lo), max(got.hi, img.hi)
-                if (new_lo, new_hi) != (got.lo, got.hi):
-                    cur = cur.with_entry(out_name, Interval(new_lo, new_hi, got.unit))
-                    widenings.append({"step": "output-widened", "sub": sf.id,
-                                      "output": out_name, "lo": new_lo, "hi": new_hi})
-        return cur, widenings
+        env = dict(base)
+        env.update(cur.items())
+        for sf, out, e in entries:
+            b = brackets[out]
+            img = evaluate_interval(e, env)
+            if img.lo < b.l1 or img.hi > b.u1:
+                return None
+            got = env[out]
+            new_lo, new_hi = min(got.lo, img.lo), max(got.hi, img.hi)
+            if (new_lo, new_hi) != (got.lo, got.hi):
+                env[out] = Interval(new_lo, new_hi, got.unit)
+                widenings.append({"step": "output-widened", "sub": sf.id,
+                                  "output": out, "lo": new_lo, "hi": new_hi})
+        return RangeMap((v, env[v]) for v in cur), widenings
 
     done = sweep(chosen)
     if done is not None:

@@ -25,9 +25,8 @@ from setdecomp.requirements import check_composable, check_refines, compose
 from setdecomp.simulation import (SamplingPlan, build_ode, design_samples,
                                   envelope_over_box, integrate)
 from setdecomp.tradeoff import (BarrierProblem, PreferenceWeights,
-                                _interval_env, _static_subs, barrier_gradient,
-                                barrier_value, build_brackets, run_tradeoff,
-                                solve_tradeoff)
+                                barrier_gradient, barrier_value,
+                                build_brackets, run_tradeoff, solve_tradeoff)
 
 from genfr import (oracle_composable, oracle_refines, rand_chain, rand_fr,
                    rand_interval, rand_refinement)
@@ -280,16 +279,16 @@ class TestTradeoffSolution:
             assert b.u2 <= iv.hi <= b.u1, name
 
     def test_interval_images_contained_exactly(self, arch, narrowed, tradeoff):
-        constants = arch.constants_map()
-        for sf in _static_subs(arch):
-            for out_name, e in sf.kind.exprs:
-                if out_name not in tradeoff.chosen:
-                    continue
-                img = evaluate_interval(
-                    e, _interval_env(sf, tradeoff.chosen,
-                                     narrowed.narrowed.fds, constants))
-                got = tradeoff.chosen[out_name]
-                assert got.lo <= img.lo and img.hi <= got.hi, f"{sf.id}/{out_name}"
+        # restoration's environment: constants, narrowed design, chosen ranges
+        env = {k: Interval(v, v) for k, v in arch.constants}
+        env.update(narrowed.narrowed.fds.items())
+        env.update(tradeoff.chosen.items())
+        for sf, out_name, e in arch.assignments:
+            if sf.kind.states or out_name not in tradeoff.chosen:
+                continue
+            img = evaluate_interval(e, env)
+            got = tradeoff.chosen[out_name]
+            assert got.lo <= img.lo and img.hi <= got.hi, f"{sf.id}/{out_name}"
 
     def test_subrequirements_compose_and_refine_the_top(self, arch, tradeoff):
         frs = tradeoff.subrequirements

@@ -4,10 +4,10 @@ import json
 import pytest
 
 from setdecomp.architecture import (Algebraic, Architecture, Integrator,
-                                    SubFunction, classify, load_architecture,
-                                    validate_coverage)
-from setdecomp.errors import (CoverageViolation, ParseError, ProducerConflict,
-                              ValidationError)
+                                    InternalState, SubFunction, classify,
+                                    load_architecture, validate_coverage)
+from setdecomp.errors import (AlgebraicCycle, CoverageViolation, ParseError,
+                              ProducerConflict, ValidationError)
 from setdecomp.expr import BinOp, Num, Var, parse_expr
 from setdecomp.intervals import RangeMap
 from setdecomp.requirements import FunctionalRequirement
@@ -46,6 +46,25 @@ class TestValidation:
         with pytest.raises(ValidationError, match="ghost"):
             Architecture(top=FunctionalRequirement("t"), subfunctions=(f,))
 
+    def test_undeclared_state_variable_rejected(self):
+        f = SubFunction(id="f", kind=Algebraic(exprs=(("y", Var("e")),),
+                                               states=(InternalState("e", Var("ghost"), Num(0.0)),)),
+                        outputs=RangeMap.of(y=(0, 1)))
+        with pytest.raises(ValidationError, match="f: state 'e' references undeclared 'ghost'"):
+            Architecture(top=FunctionalRequirement("t"), subfunctions=(f,))
+
+    def test_expression_for_a_non_output_rejected(self):
+        f = SubFunction(id="f", kind=Algebraic(exprs=(("y", Num(1.0)), ("z", Num(2.0)))),
+                        outputs=RangeMap.of(y=(0, 1)))
+        with pytest.raises(ValidationError, match="f: expression for 'z' which is not an output"):
+            Architecture(top=FunctionalRequirement("t"), subfunctions=(f,))
+
+    def test_output_without_expression_rejected(self):
+        f = SubFunction(id="f", kind=Algebraic(exprs=(("a", Var("x")),)),
+                        inputs=RangeMap.of(x=(0, 1)), outputs=RangeMap.of(a=(0, 1), b=(0, 1)))
+        with pytest.raises(ValidationError, match="f: output 'b' has no expression"):
+            Architecture(top=FunctionalRequirement("t"), subfunctions=(f,))
+
     def test_integrator_state_must_be_an_output(self):
         f = SubFunction(id="f", kind=Integrator("s", "d", "s0"),
                         inputs=RangeMap.of(d=(0, 1), s0=(0, 1)),
@@ -70,6 +89,32 @@ class TestValidation:
         arch = Architecture(top=top, subfunctions=(f,))
         with pytest.raises(CoverageViolation, match="q"):
             validate_coverage(arch)
+
+
+class TestAssignments:
+    def test_cruise_order(self, cruise):
+        # declaration order (f2 vdot, f3 Fr, ...) wherever the reads allow
+        assert [out for _, out, _ in cruise.assignments] == [
+            "Fr", "Fa", "omega", "T", "u", "F", "vdot"]
+
+    def test_derived_once(self, cruise):
+        assert cruise.assignments is cruise.assignments
+
+    def test_own_output_is_read_after_it_is_assigned(self):
+        f = SubFunction(id="f", kind=Algebraic(exprs=(("a", BinOp("*", Num(2.0), Var("b"))),
+                                                      ("b", Var("x")))),
+                        inputs=RangeMap.of(x=(0, 1)), outputs=RangeMap.of(a=(0, 2), b=(0, 1)))
+        arch = Architecture(top=FunctionalRequirement("t"), subfunctions=(f,))
+        assert [out for _, out, _ in arch.assignments] == ["b", "a"]
+
+    def test_cycle_names_every_unordered_output(self):
+        f = SubFunction(id="f", kind=Algebraic(exprs=(("p", Var("q")), ("r", Var("p")))),
+                        inputs=RangeMap.of(q=(0, 1)), outputs=RangeMap.of(p=(0, 1), r=(0, 1)))
+        g = SubFunction(id="g", kind=Algebraic(exprs=(("q", Var("p")),)),
+                        inputs=RangeMap.of(p=(0, 1)), outputs=RangeMap.of(q=(0, 1)))
+        arch = Architecture(top=FunctionalRequirement("t"), subfunctions=(f, g))
+        with pytest.raises(AlgebraicCycle, match="algebraic cycle through: p, q, r"):
+            arch.assignments
 
 
 class TestClassification:

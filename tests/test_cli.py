@@ -125,7 +125,10 @@ class TestDecompose:
         (lambda doc: doc["top"]["uncontrollables"].update(
             m={"lo": 2180.0, "hi": 2430.0, "unit": "lb"}),
          "unit mismatch for 'm': 'kg' vs 'lb'"),
-    ], ids=["consumer-port", "producer-port", "top-input", "top-uncontrollable"])
+        (lambda doc: doc["top"]["timed_outputs"][0]["windows"][0].update(unit="km/h"),
+         "unit mismatch for 'v': 'm/s' vs 'km/h'"),
+    ], ids=["consumer-port", "producer-port", "top-input", "top-uncontrollable",
+            "top-window"])
     def test_unit_mismatch_fails_before_simulation(self, edit, message, tmp_path,
                                                    capsys, monkeypatch):
         doc = json.loads(open(CRUISE).read())
@@ -139,6 +142,20 @@ class TestDecompose:
         monkeypatch.setattr(narrowing, "envelope_over_box", no_envelope)
         assert main(["decompose", str(path), *FAST]) == 2
         assert message in capsys.readouterr().err
+
+    def test_expression_reading_its_own_output_decomposes(self, tmp_path):
+        port = {"lo": -10.0, "hi": 10.0, "unit": ""}
+        doc = {"top": {"name": "own-output",
+                       "inputs": {"x": {"lo": 0.0, "hi": 1.0, "unit": ""}},
+                       "outputs": {"b": port}},
+               "subfunctions": [{"id": "f", "kind": "algebraic",
+                                 "exprs": {"a": ["var", "x"], "b": ["*", 2.0, ["var", "a"]]},
+                                 "inputs": {"x": port}, "outputs": {"a": port, "b": port}}]}
+        arch = tmp_path / "own-output.json"
+        arch.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["decompose", str(arch), "--horizon", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["law_checks"]["refinement"]["ok"] is True
 
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["decompose", "/nonexistent.json"]) == 2
@@ -263,6 +280,23 @@ class TestCheckLaws:
         captured = capsys.readouterr()
         assert rc == 4
         assert "two producers for one variable" in captured.err
+        assert captured.out == ""
+
+    def test_unit_mismatch_between_emitted_parts_is_validation_error(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(["decompose", CRUISE, *FAST, "--out", str(report)]) == 0
+        paths = []
+        for fr in json.loads(report.read_text())["subrequirements"]:
+            if fr["name"] == "f5":
+                fr["inputs"]["v"]["unit"] = "mph"
+            paths.append(tmp_path / f"{fr['name']}.json")
+            paths[-1].write_text(json.dumps(fr))
+        top = tmp_path / "top.json"
+        top.write_text(json.dumps(json.loads(open(CRUISE).read())["top"]))
+        capsys.readouterr()
+        assert main(["check-laws", *map(str, paths), str(top)]) == 2
+        captured = capsys.readouterr()
+        assert "unit mismatch for 'v': 'm/s' vs 'mph'" in captured.err
         assert captured.out == ""
 
     def test_one_file_is_usage_error(self, chain_files, capsys):

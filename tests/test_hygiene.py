@@ -1,10 +1,12 @@
 """Source hygiene: every name a package module imports is used or re-exported,
-every name it exports exists, and the README's Python examples import only
-exported names."""
+every name it exports exists, the README's Python examples import only
+exported names, and every function the benchmark's traced mode wraps
+exists with the arguments it reads."""
 
 import ast
 import importlib
 import importlib.resources
+import inspect
 import pathlib
 import re
 
@@ -12,7 +14,8 @@ import pytest
 
 SOURCES = sorted(p for p in importlib.resources.files("setdecomp").iterdir()
                  if p.name.endswith(".py"))
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 README_SNIPPETS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
                              re.DOTALL | re.MULTILINE)
 
@@ -75,3 +78,42 @@ def test_readme_example_imports_exported_names(snippet):
                   for alias in node.names
                   if alias.name not in importlib.import_module(node.module).__all__]
     assert not unexported, f"README imports unexported {', '.join(unexported)}"
+
+
+def _span_targets() -> list[tuple[str, str, set[str]]]:
+    """(module, function, argument names its note reads) for every entry of
+    ``TARGETS`` in bench/spans.py, read from the source without running it."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)]
+    targets = []
+    for entry in table.elts:
+        module, func, note = entry.elts
+        read: set[str] = set()
+        if isinstance(note, ast.Lambda):
+            args = note.args.args[0].arg
+            for node in ast.walk(note.body):
+                if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                        and node.value.id == args):
+                    read.add(node.slice.value)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Name) and node.func.value.id == args):
+                    read.add(node.args[0].value)
+        targets.append((module.value, func.value, read))
+    return targets
+
+
+SPAN_TARGETS = _span_targets()
+
+
+def test_span_targets_are_found():
+    assert SPAN_TARGETS
+
+
+@pytest.mark.parametrize("module, func, read", SPAN_TARGETS,
+                         ids=[f"{m}.{f}" for m, f, _ in SPAN_TARGETS])
+def test_traced_function_exists_with_the_arguments_read(module, func, read):
+    fn = getattr(importlib.import_module(f"setdecomp.{module}"), func, None)
+    assert callable(fn), f"setdecomp.{module}.{func} is not a function"
+    missing = sorted(read - set(inspect.signature(fn).parameters))
+    assert not missing, f"setdecomp.{module}.{func} has no argument {', '.join(missing)}"

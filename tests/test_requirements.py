@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from setdecomp.errors import NotComposable
+from setdecomp.errors import NotComposable, UnitMismatch
 from setdecomp.intervals import Interval, RangeMap
 from setdecomp.requirements import (FunctionalRequirement, TimedOutputSpec,
                                     check_composable, check_refines, compose,
@@ -22,6 +22,13 @@ def test_roles_must_be_disjoint():
 def test_reversed_time_window_rejected():
     with pytest.raises(ValueError):
         TimedOutputSpec("v", ((30.0, 20.0, Interval(0, 1)),))
+
+
+def test_time_window_in_another_unit_rejected():
+    with pytest.raises(UnitMismatch, match="unit mismatch for 'v': 'm/s' vs 'km/h'"):
+        FunctionalRequirement(
+            "top", outputs=RangeMap.of(v=(20, 40, "m/s")),
+            timed_outputs=(TimedOutputSpec("v", ((20.0, 100.0, Interval(33, 37, "km/h")),)),))
 
 
 class TestRefinement:
@@ -56,6 +63,14 @@ class TestRefinement:
         res = check_refines(new, old, strict=True)
         assert not res and res.clause == "controllable-not-tightened"
 
+    @pytest.mark.parametrize("role", ["inputs", "outputs", "controllables",
+                                      "uncontrollables"])
+    def test_range_in_another_unit_raises(self, role):
+        old = FunctionalRequirement("old", **{role: RangeMap.of(v=(0, 40, "m/s"))})
+        new = FunctionalRequirement("new", **{role: RangeMap.of(v=(0, 40, "mph"))})
+        with pytest.raises(UnitMismatch, match="unit mismatch for 'v': 'mph' vs 'm/s'"):
+            check_refines(new, old)
+
     def test_generated_refinements_pass_and_match_oracle(self):
         rng = random.Random(7)
         for _ in range(300):
@@ -86,6 +101,12 @@ class TestComposability:
                                   outputs=RangeMap.of(z=(0, 1)))
         res = check_composable(a, b)
         assert not res and res.witness_var == "y"
+
+    def test_shared_variable_in_another_unit_raises(self):
+        a = FunctionalRequirement("a", outputs=RangeMap.of(v=(0, 40, "m/s")))
+        b = FunctionalRequirement("b", inputs=RangeMap.of(v=(0, 60, "mph")))
+        with pytest.raises(UnitMismatch, match="unit mismatch for 'v': 'm/s' vs 'mph'"):
+            check_composable(a, b)
 
     def test_property_2_refinement_preserves_composability(self):
         rng = random.Random(23)

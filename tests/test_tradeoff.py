@@ -7,7 +7,7 @@ import pytest
 from setdecomp.architecture import (Algebraic, Architecture, SubFunction,
                                     load_architecture)
 from setdecomp.errors import Infeasible, InfeasibleBrackets, ValidationError
-from setdecomp.expr import BinOp, Num, Var
+from setdecomp.expr import BinOp, Num, Var, evaluate_interval
 from setdecomp.intervals import Interval, RangeMap
 from setdecomp.narrowing import initial_spaces, narrow
 from setdecomp.requirements import FunctionalRequirement, check_refines
@@ -30,6 +30,21 @@ def _chain_arch():
     g = SubFunction(id="g", kind=Algebraic(exprs=(("z", BinOp("*", Num(2.0), Var("y"))),)),
                     inputs=RangeMap.of(y=(-20, 20)), outputs=RangeMap.of(z=(-50, 50)))
     return Architecture(top=top, subfunctions=(f, g))
+
+
+def _loop_arch():
+    """f: a = x, b = c and g: c = 2*a feed each other, but their expressions
+    form no cycle; h: d = b is the top output."""
+    top = FunctionalRequirement("top", inputs=RangeMap.of(x=(0, 1)),
+                                outputs=RangeMap.of(d=(-100, 100)))
+    f = SubFunction(id="f", kind=Algebraic(exprs=(("a", Var("x")), ("b", Var("c")))),
+                    inputs=RangeMap.of(x=(-1, 2), c=(-100, 100)),
+                    outputs=RangeMap.of(a=(-80, 80), b=(-100, 100)))
+    g = SubFunction(id="g", kind=Algebraic(exprs=(("c", BinOp("*", Num(2.0), Var("a"))),)),
+                    inputs=RangeMap.of(a=(-80, 80)), outputs=RangeMap.of(c=(-100, 100)))
+    h = SubFunction(id="h", kind=Algebraic(exprs=(("d", Var("b")),)),
+                    inputs=RangeMap.of(b=(-100, 100)), outputs=RangeMap.of(d=(-100, 100)))
+    return Architecture(top=top, subfunctions=(f, g, h))
 
 
 class TestBrackets:
@@ -131,6 +146,28 @@ class TestRestoration:
         y, z = fixed["y"], fixed["z"]
         assert -7.0 <= 2 * y.lo and 2 * y.hi <= 7.0
         assert z.contains_interval(Interval(2 * y.lo, 2 * y.hi))
+
+    def test_sub_function_loop_is_swept_in_expression_order(self):
+        arch = _loop_arch()
+        brackets = {"a": Bracket("a", "", -80.0, 0.0, 1.0, 80.0),
+                    **{v: Bracket(v, "", -100.0, 0.0, 2.0, 100.0) for v in "bcd"}}
+        chosen = RangeMap.of(a=(-40.0, 40.5), b=(-50.0, 51.0), c=(-50.0, 51.0),
+                             d=(-100.0, 100.0))
+        fds2 = RangeMap.of(x=(0.0, 1.0))
+        fixed, _ = restore_feasibility(arch, chosen, fds2, brackets)
+        env = {v: fixed[v] if v in fixed else fds2[v] for v in "abcdx"}
+        for sf in arch.subfunctions:
+            for out, e in sf.kind.exprs:
+                assert fixed[out].contains_interval(evaluate_interval(e, env)), out
+        # c = 2*a is widened first, then b = c follows it
+        assert fixed["b"] == fixed["c"] == Interval(-80.0, 81.0)
+
+    def test_variable_without_a_range_is_validation_error(self):
+        brackets = {"y": Bracket("y", "", -20.0, -0.5, 0.5, 20.0),
+                    "z": Bracket("z", "", -50.0, -6.0, 6.0, 50.0)}
+        chosen = RangeMap.of(y=(-0.5, 0.5), z=(-6.0, 6.0))
+        with pytest.raises(ValidationError, match="f: no range for 'x'"):
+            restore_feasibility(_chain_arch(), chosen, RangeMap(), brackets)
 
     def test_impossible_overflow_raises(self):
         arch = _chain_arch()
