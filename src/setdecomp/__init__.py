@@ -7,9 +7,8 @@ feasible spaces, simulation-based narrowing, and a barrier trade-off for the
 final ranges.
 """
 
-from .architecture import (Algebraic, Architecture, Classification, Integrator,
-                           InternalState, SubFunction, classify,
-                           load_architecture, validate_coverage)
+from .architecture import (Architecture, Classification, State, SubFunction,
+                           classify, load_architecture, validate_coverage)
 from .errors import SetDecompError
 from .intervals import Interval, RangeMap, interval_intersect, rangemap_merge
 from .narrowing import FeasibleSpaces, NarrowingResult, initial_spaces, narrow
@@ -22,11 +21,11 @@ from .tradeoff import PreferenceWeights, TradeoffResult, run_tradeoff
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebraic", "Architecture", "Classification",
-    "Envelope", "FeasibleSpaces", "FunctionalRequirement", "Integrator",
-    "InternalState", "Interval", "NarrowingResult", "PipelineReport",
+    "Architecture", "Classification",
+    "Envelope", "FeasibleSpaces", "FunctionalRequirement",
+    "Interval", "NarrowingResult", "PipelineReport",
     "PreferenceWeights", "RangeMap", "SamplingPlan",
-    "SetDecompError", "SubFunction", "TimedOutputSpec", "TradeoffResult",
+    "SetDecompError", "State", "SubFunction", "TimedOutputSpec", "TradeoffResult",
     "Trajectory", "build_ode", "check_composable", "check_refines",
     "classify", "compose", "envelope_over_box", "initial_spaces",
     "integrate", "interval_intersect", "links", "load_architecture", "narrow",

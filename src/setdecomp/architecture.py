@@ -1,15 +1,19 @@
 """Functional architectures: connected sub-functions, coverage, classification.
 
-An architecture is a set of sub-functions wired implicitly by variable
-name (one producer per variable, fan-out allowed) together with the
-top-level requirement it is meant to implement.  ``classify`` sorts every
-variable into the ten exclusive groups that define the design space
-(independent variables/parameters) and the performance space (dependent
-variables).  Wiring and classification work on names alone; the units of
-one variable's port ranges are checked where those ranges are merged
-(``narrowing.initial_spaces``).  ``Architecture.assignments`` is the one
-dependency order of the algebraic outputs, derived once per architecture;
-the ODE compiler and feasibility restoration both walk it.
+An architecture is a set of sub-functions wired implicitly by variable name
+(one producer per variable, fan-out allowed) together with the top-level
+requirement it is meant to implement.  Each output of a sub-function is an
+expression or a state of the same name (an integrator); its other states
+are hidden.  The wiring is checked once, at construction: one role and one
+producer per variable, one definition per output, states that shadow
+nothing.  ``classify`` sorts every variable into the ten exclusive groups
+that define the design space (independent variables/parameters) and the
+performance space (dependent variables).  Wiring and classification work on
+names alone; the units of one variable's port ranges are checked where
+those ranges are merged (``narrowing.initial_spaces``).
+``Architecture.assignments`` is the one dependency order of the expression
+outputs, derived once per architecture; the ODE compiler and feasibility
+restoration both walk it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .intervals import RangeMap
 from .requirements import FunctionalRequirement, _map_from_dict, fr_from_dict
 
 __all__ = [
-    "InternalState", "Algebraic", "Integrator", "SubFunction",
+    "State", "SubFunction",
     "Architecture", "Classification",
     "aggregate_names", "validate_coverage", "classify",
     "load_architecture", "architecture_from_dict",
@@ -34,9 +38,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class InternalState:
-    """A hidden integrator state inside a sub-function (used to model the
-    integral term of a PI controller without exposing it as a port)."""
+class State:
+    """d(name)/dt = derivative, name(0) = initial.  A state named like an
+    output port of its own sub-function is that output (an integrator); any
+    other state is hidden (such as the integral term of a PI controller)."""
 
     name: str
     derivative: ex.Expr
@@ -44,28 +49,10 @@ class InternalState:
 
 
 @dataclass(frozen=True)
-class Algebraic:
-    """Static sub-function: each output is an expression over ports,
-    constants and (optionally) hidden internal states."""
-
-    exprs: tuple[tuple[str, ex.Expr], ...]  # (output name, expression)
-    states: tuple[InternalState, ...] = ()
-
-
-@dataclass(frozen=True)
-class Integrator:
-    """Pure integrator: output = state, d(state)/dt = derivative input,
-    state(0) = initial input."""
-
-    state: str
-    derivative_input: str
-    initial_input: str
-
-
-@dataclass(frozen=True)
 class SubFunction:
     id: str
-    kind: Algebraic | Integrator
+    exprs: tuple[tuple[str, ex.Expr], ...] = ()  # (output name, expression)
+    states: tuple[State, ...] = ()
     inputs: RangeMap = field(default_factory=RangeMap)
     outputs: RangeMap = field(default_factory=RangeMap)
     controllables: RangeMap = field(default_factory=RangeMap)
@@ -74,6 +61,10 @@ class SubFunction:
     def port_names(self) -> frozenset[str]:
         return (self.inputs.names() | self.outputs.names()
                 | self.controllables.names() | self.uncontrollables.names())
+
+
+#: a sub-function's port roles, as attribute names
+_ROLES = ("inputs", "outputs", "controllables", "uncontrollables")
 
 
 @dataclass(frozen=True)
@@ -86,41 +77,63 @@ class Architecture:
         ids = [sf.id for sf in self.subfunctions]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate sub-function ids")
-        # referenced names must be ports, constants, or declared internal state
+        declared_in = self._check_roles()
         const_names = {k for k, _ in self.constants}
+        design = declared_in.keys() - self.producer_of().keys()
+        taken = {k: "a constant" for k in const_names}  # names no state may take
         for sf in self.subfunctions:
-            ports = sf.port_names()
-            if isinstance(sf.kind, Algebraic):
-                assigned = {out for out, _ in sf.kind.exprs}
-                for out in sorted(assigned ^ sf.outputs.names()):
-                    raise ValidationError(
-                        f"{sf.id}: expression for '{out}' which is not an output port"
-                        if out in assigned else f"{sf.id}: output '{out}' has no expression")
-                known = ports | const_names | {s.name for s in sf.kind.states}
-                refs = [("expression", ex.free_vars(e)) for _, e in sf.kind.exprs] + [
-                    (f"state '{st.name}'", ex.free_vars(st.derivative) | ex.free_vars(st.initial))
-                    for st in sf.kind.states]
-                for what, names in refs:
-                    for name in sorted(names - known):
-                        raise ValidationError(f"{sf.id}: {what} references undeclared '{name}'")
-            else:
-                k = sf.kind
-                if k.state not in sf.outputs:
-                    raise ValidationError(f"{sf.id}: integrator state '{k.state}' is not an output")
-                for name in (k.derivative_input, k.initial_input):
-                    if name not in ports:
-                        raise ValidationError(f"{sf.id}: integrator references undeclared '{name}'")
+            outputs = sf.outputs.names()
+            defined = [out for out, _ in sf.exprs] + [s.name for s in sf.states if s.name in outputs]
+            for out in sorted(set(defined) - outputs):
+                raise ValidationError(f"{sf.id}: expression for '{out}' which is not an output port")
+            for out in sorted(outputs):
+                if (n := defined.count(out)) != 1:
+                    raise ValidationError(f"{sf.id}: output '{out}' has {n or 'no'} "
+                                          "expressions or states, not one")
+            known = sf.port_names() | const_names | {st.name for st in sf.states}
+            refs = [("expression", ex.free_vars(e)) for _, e in sf.exprs] + [
+                (f"state '{st.name}'", ex.free_vars(st.derivative) | ex.free_vars(st.initial))
+                for st in sf.states]
+            for what, names in refs:
+                for name in sorted(names - known):
+                    raise ValidationError(f"{sf.id}: {what} references undeclared '{name}'")
+            for st in sf.states:  # an argument of the compiled right-hand side
+                clash = taken.get(st.name) or (st.name in declared_in and st.name not in outputs
+                                               and f"a port of {declared_in[st.name]}")
+                if clash:
+                    raise ValidationError(f"{sf.id}: state '{st.name}' collides with {clash}")
+                taken[st.name] = f"a state of {sf.id}"
+                for name in sorted(ex.free_vars(st.initial) - const_names - design):
+                    raise ValidationError(f"{sf.id}: initial value of state '{st.name}' reads "
+                                          f"'{name}', neither a constant nor a design variable")
+
+    def _check_roles(self) -> dict[str, str]:
+        """Check that each variable has one role and one producer, except a
+        link: an output read as another sub-function's input.  Returns where
+        each variable is first declared."""
+        seen: dict[str, list[tuple[str, object, str]]] = {}  # variable -> (role, holder, label)
+        for holder, label in [(sf, sf.id) for sf in self.subfunctions] + [(self.top, "top")]:
+            for role in _ROLES:
+                for v in getattr(holder, role).names():
+                    for role0, holder0, label0 in seen.setdefault(v, []):
+                        if role == role0 == "outputs" and holder is not self.top:
+                            raise ProducerConflict(v, (label0, label))
+                        link = (holder0 is not holder and {role0, role} == {"inputs", "outputs"}
+                                and not (holder is self.top and role == "inputs"))
+                        if role0 != role and not link:
+                            raise ValidationError(f"variable '{v}' is {role0[:-1]} in {label0} "
+                                                  f"and {role[:-1]} in {label}")
+                    seen[v].append((role, holder, label))
+        return {v: decls[0][2] for v, decls in seen.items()}
 
     @cached_property
     def assignments(self) -> tuple[tuple[SubFunction, str, ex.Expr], ...]:
-        """Every algebraic output as (sub-function, output, expression), in
+        """Every expression output as (sub-function, output, expression), in
         an order where each expression comes after the outputs it reads:
         declaration order wherever the dependencies allow.  Derived once per
         architecture; a cycle raises :class:`AlgebraicCycle` naming every
         output it leaves unordered."""
-        self.producer_of()  # raises ProducerConflict if violated
-        entries = [(sf, out, e) for sf in self.subfunctions
-                   if isinstance(sf.kind, Algebraic) for out, e in sf.kind.exprs]
+        entries = [(sf, out, e) for sf in self.subfunctions for out, e in sf.exprs]
         index = {out: k for k, (_, out, _) in enumerate(entries)}
         waiting = [0] * len(entries)           # unordered outputs each one reads
         readers: list[list[int]] = [[] for _ in entries]
@@ -143,14 +156,9 @@ class Architecture:
         return tuple(entries[k] for k in order)
 
     def producer_of(self) -> dict[str, str]:
-        """Map variable name -> producing sub-function id; raises on conflicts."""
-        out: dict[str, str] = {}
-        for sf in self.subfunctions:
-            for v, _ in sf.outputs.items():
-                if v in out:
-                    raise ProducerConflict(v, (out[v], sf.id))
-                out[v] = sf.id
-        return out
+        """Map variable name -> producing sub-function id (one per variable,
+        checked at construction)."""
+        return {v: sf.id for sf in self.subfunctions for v in sf.outputs.names()}
 
     def consumers_of(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {}
@@ -189,7 +197,7 @@ def aggregate_names(arch: Architecture) -> tuple[frozenset[str], frozenset[str],
     """Union the per-sub-function port name sets into
     ({x'}, {y'}, {c'}, {u'})."""
     return tuple(frozenset().union(*(getattr(sf, role).names() for sf in arch.subfunctions))
-                 for role in ("inputs", "outputs", "controllables", "uncontrollables"))
+                 for role in _ROLES)
 
 
 def validate_coverage(arch: Architecture) -> None:
@@ -208,10 +216,10 @@ def validate_coverage(arch: Architecture) -> None:
 
 def classify(arch: Architecture) -> Classification:
     """Split all variables of the architecture and its top requirement into
-    the ten exclusive groups.  Requires coverage to hold and a single
-    producer per variable."""
+    the ten exclusive groups.  Requires coverage to hold; construction has
+    already given every variable one role and one producer, which keeps the
+    groups exclusive."""
     validate_coverage(arch)
-    arch.producer_of()  # raises ProducerConflict if violated
 
     xs, ys, cs, us = aggregate_names(arch)
     top_x = arch.top.inputs.names()
@@ -225,9 +233,7 @@ def classify(arch: Architecture) -> Classification:
                          y1=ys - top_y - xs, y2=(ys & xs) - top_y,
                          y3=top_y & xs, y4=top_y - xs)
 
-    # exclusive + exhaustive, asserted by construction
     all_names = [v for g in cls.groups().values() for v in g]
-    assert len(all_names) == len(set(all_names)), "classification groups overlap"
     universe = xs | ys | cs | us | top_x | top_y | top_c | top_u
     assert set(all_names) == universe, "classification does not cover all variables"
     return cls
@@ -236,20 +242,23 @@ def classify(arch: Architecture) -> Classification:
 # --- JSON loading -------------------------------------------------------------
 
 def _subfunction_from_dict(d: dict) -> SubFunction:
+    """An ``"algebraic"`` document lists expressions and states; an
+    ``"integrator"`` one is a single state exposed as its output."""
     kind_tag = d.get("kind")
     if kind_tag == "integrator":
-        kind = Integrator(state=d["state"], derivative_input=d["derivative_input"],
-                          initial_input=d["initial_input"])
+        if d["state"] not in d.get("outputs", {}):
+            raise ValidationError(f"{d['id']}: integrator state '{d['state']}' is not an output")
+        exprs = ()
+        states = (State(d["state"], ex.Var(d["derivative_input"]), ex.Var(d["initial_input"])),)
     elif kind_tag == "algebraic":
         exprs = tuple(sorted(((out, ex.parse_expr(e)) for out, e in d["exprs"].items())))
-        states = tuple(InternalState(s["name"], ex.parse_expr(s["derivative"]),
-                                     ex.parse_expr(s.get("initial", 0.0)))
+        states = tuple(State(s["name"], ex.parse_expr(s["derivative"]),
+                             ex.parse_expr(s.get("initial", 0.0)))
                        for s in d.get("states", []))
-        kind = Algebraic(exprs=exprs, states=states)
     else:
         raise ValidationError(f"sub-function '{d.get('id', '?')}': unknown kind {kind_tag!r}")
     return SubFunction(
-        id=d["id"], kind=kind,
+        id=d["id"], exprs=exprs, states=states,
         inputs=_map_from_dict(d.get("inputs", {})),
         outputs=_map_from_dict(d.get("outputs", {})),
         controllables=_map_from_dict(d.get("controllables", {})),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .architecture import Architecture, validate_coverage
+from .architecture import _ROLES, Architecture, validate_coverage
 from .errors import CoverageViolation, EmptyRange, Infeasible, NonFinite, UnitMismatch
 from .intervals import Interval, RangeMap, rangemap_merge
 from .simulation import Envelope, SamplingPlan, envelope_over_box
@@ -32,8 +32,6 @@ from .simulation import Envelope, SamplingPlan, envelope_over_box
 __all__ = ["FeasibleSpaces", "NarrowingResult", "EnvelopeEscape",
            "initial_spaces", "narrow", "top_windows"]
 
-#: a sub-function's port roles, as attribute names
-_ROLES = ("inputs", "outputs", "controllables", "uncontrollables")
 #: bisection iterations spent on each interval bound while narrowing
 _BISECT_ITERS = 12
 #: bisection levels whose probes are simulated together in one bundle

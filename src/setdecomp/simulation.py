@@ -1,16 +1,17 @@
 """Executable ODE view of an architecture and sampled envelopes.
 
 ``build_ode`` assembles the connected sub-functions into a compiled
-right-hand side: the states are the integrator and internal states, and
-the algebraic outputs are evaluated in the architecture's one dependency
-order, ``Architecture.assignments``, which feasibility restoration sweeps
-too.  One classical fixed-step 4th-order Runge-Kutta kernel,
-``_march``, steps it and hands the outputs at every grid time to one of two
-reducers: ``integrate`` keeps the whole trajectory, ``envelope_over_box``
-keeps per-variable extrema over a deterministic bundle of samples drawn from
-a design-space box (all corners plus an n-per-axis grid).  The outward
-padding makes the envelope an empirical one, *not* a sound
-over-approximation, and every consumer of it says so.
+right-hand side: the states are every sub-function's states, exposed as
+outputs or hidden, and the expression outputs are evaluated in the
+architecture's one dependency order, ``Architecture.assignments``, which
+feasibility restoration sweeps too.  One classical fixed-step 4th-order
+Runge-Kutta kernel, ``_march``, steps it and hands the outputs at every
+grid time to one of two reducers: ``integrate`` keeps the whole
+trajectory, ``envelope_over_box`` keeps per-variable extrema over a
+deterministic bundle of samples drawn from a design-space box (all corners
+plus an n-per-axis grid).  The outward padding makes the envelope an
+empirical one, *not* a sound over-approximation, and every consumer of it
+says so.
 
 Both reducers follow one non-finite rule: states are float64, so overflow
 and division by zero give inf or NaN (never an exception or a numpy
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .architecture import Architecture, Integrator, aggregate_names
+from .architecture import Architecture, aggregate_names
 from .errors import NonFinite, SetDecompError
 from .intervals import RangeMap
 
@@ -102,16 +103,8 @@ def build_ode(arch: Architecture, point: dict[str, float]) -> OdeSystem:
     params.update((n, point[n]) for n in design)
 
     # states in declaration order; the assignments in the architecture's order
-    states: list[tuple[str, ex.Expr, object]] = []  # (name, derivative expr, initial value)
-    for sf in arch.subfunctions:
-        if isinstance(sf.kind, Integrator):
-            k = sf.kind
-            if k.initial_input not in point:
-                raise SetDecompError(f"{sf.id}: no value for initial input '{k.initial_input}'")
-            states.append((k.state, ex.Var(k.derivative_input), point[k.initial_input]))
-        else:
-            for st in sf.kind.states:
-                states.append((st.name, st.derivative, ex.evaluate(st.initial, params)))
+    states = [(st.name, st.derivative, ex.evaluate(st.initial, params))
+              for sf in arch.subfunctions for st in sf.states]
     assigns = arch.assignments
     state_names = tuple(n for n, _, _ in states)
 

@@ -11,14 +11,14 @@ and its consumers (want a tight input obligation, away from [l1, u1]).
 The trade-off is scored with a weighted log-barrier, a sum of independent
 one-dimensional terms, so every free bound is set to its term's closed-form
 minimiser.  A final feasibility-restoration pass enforces, for every output
-of an algebraic sub-function, that the interval-arithmetic image of its
-expression is contained in the chosen output range.  It sweeps the
+of a sub-function without states, that the interval-arithmetic image of
+its expression is contained in the chosen output range.  It sweeps the
 architecture's one dependency order, the order ``build_ode`` compiles the
 right-hand side in, and evaluates every image in one environment of
 constants, narrowed design ranges and chosen performance ranges.
-Sub-functions with integrator or internal state are excluded (interval
-arithmetic says nothing useful about them) and are covered by the simulated
-envelope instead.
+Sub-functions with states, exposed as outputs or hidden, are excluded
+(interval arithmetic says nothing useful about them) and are covered by the
+simulated envelope instead.
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ def solve_tradeoff(problem: BarrierProblem) -> tuple[np.ndarray, int]:
 def restore_feasibility(arch: Architecture, chosen: RangeMap, fds2: RangeMap,
                         brackets: dict[str, Bracket]) -> tuple[RangeMap, list[dict]]:
     """Make the chosen ranges containment-consistent for every static
-    algebraic sub-function (one without internal state): the interval image
-    of each bracketed output's expression must fit in its chosen range.
+    sub-function (one without states): the interval image of each bracketed
+    output's expression must fit in its chosen range.
 
     One sweep walks the architecture's dependency order,
     ``Architecture.assignments`` (the order the ODE right-hand side is
@@ -239,7 +239,7 @@ def restore_feasibility(arch: Architecture, chosen: RangeMap, fds2: RangeMap,
     forever.
     """
     entries = [(sf, out, e) for sf, out, e in arch.assignments
-               if not sf.kind.states and out in brackets]
+               if not sf.states and out in brackets]
     base = {k: Interval(v, v, "") for k, v in arch.constants}
     base.update(fds2.items())
     for sf, out, e in entries:

@@ -284,7 +284,7 @@ class TestTradeoffSolution:
         env.update(narrowed.narrowed.fds.items())
         env.update(tradeoff.chosen.items())
         for sf, out_name, e in arch.assignments:
-            if sf.kind.states or out_name not in tradeoff.chosen:
+            if sf.states or out_name not in tradeoff.chosen:
                 continue
             img = evaluate_interval(e, env)
             got = tradeoff.chosen[out_name]

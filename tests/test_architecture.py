@@ -3,8 +3,7 @@ import json
 
 import pytest
 
-from setdecomp.architecture import (Algebraic, Architecture, Integrator,
-                                    InternalState, SubFunction, classify,
+from setdecomp.architecture import (Architecture, State, SubFunction, classify,
                                     load_architecture, validate_coverage)
 from setdecomp.errors import (AlgebraicCycle, CoverageViolation, ParseError,
                               ProducerConflict, ValidationError)
@@ -26,65 +25,81 @@ def _tiny_arch(top_inputs=None):
     top = FunctionalRequirement("top",
                                 inputs=top_inputs or RangeMap.of(x=(0, 1)),
                                 outputs=RangeMap.of(y=(0, 10)))
-    f = SubFunction(id="f", kind=Algebraic(exprs=(("y", Var("x")),)),
+    f = SubFunction(id="f", exprs=(("y", Var("x")),),
                     inputs=RangeMap.of(x=(-1, 2)), outputs=RangeMap.of(y=(-5, 20)))
     return Architecture(top=top, subfunctions=(f,))
 
 
 class TestValidation:
     def test_duplicate_ids_rejected(self):
-        f = SubFunction(id="f", kind=Algebraic(exprs=(("y", Var("x")),)),
+        f = SubFunction(id="f", exprs=(("y", Var("x")),),
                         inputs=RangeMap.of(x=(0, 1)), outputs=RangeMap.of(y=(0, 1)))
-        g = SubFunction(id="f", kind=Algebraic(exprs=(("z", Var("y")),)),
+        g = SubFunction(id="f", exprs=(("z", Var("y")),),
                         inputs=RangeMap.of(y=(0, 1)), outputs=RangeMap.of(z=(0, 1)))
         with pytest.raises(ValidationError):
             Architecture(top=FunctionalRequirement("t"), subfunctions=(f, g))
 
     def test_undeclared_expression_variable_rejected(self):
-        f = SubFunction(id="f", kind=Algebraic(exprs=(("y", Var("ghost")),)),
+        f = SubFunction(id="f", exprs=(("y", Var("ghost")),),
                         outputs=RangeMap.of(y=(0, 1)))
         with pytest.raises(ValidationError, match="ghost"):
             Architecture(top=FunctionalRequirement("t"), subfunctions=(f,))
 
     def test_undeclared_state_variable_rejected(self):
-        f = SubFunction(id="f", kind=Algebraic(exprs=(("y", Var("e")),),
-                                               states=(InternalState("e", Var("ghost"), Num(0.0)),)),
+        f = SubFunction(id="f", exprs=(("y", Var("e")),),
+                        states=(State("e", Var("ghost"), Num(0.0)),),
                         outputs=RangeMap.of(y=(0, 1)))
         with pytest.raises(ValidationError, match="f: state 'e' references undeclared 'ghost'"):
             Architecture(top=FunctionalRequirement("t"), subfunctions=(f,))
 
     def test_expression_for_a_non_output_rejected(self):
-        f = SubFunction(id="f", kind=Algebraic(exprs=(("y", Num(1.0)), ("z", Num(2.0)))),
+        f = SubFunction(id="f", exprs=(("y", Num(1.0)), ("z", Num(2.0))),
                         outputs=RangeMap.of(y=(0, 1)))
         with pytest.raises(ValidationError, match="f: expression for 'z' which is not an output"):
             Architecture(top=FunctionalRequirement("t"), subfunctions=(f,))
 
     def test_output_without_expression_rejected(self):
-        f = SubFunction(id="f", kind=Algebraic(exprs=(("a", Var("x")),)),
+        f = SubFunction(id="f", exprs=(("a", Var("x")),),
                         inputs=RangeMap.of(x=(0, 1)), outputs=RangeMap.of(a=(0, 1), b=(0, 1)))
         with pytest.raises(ValidationError, match="f: output 'b' has no expression"):
             Architecture(top=FunctionalRequirement("t"), subfunctions=(f,))
 
     def test_integrator_state_must_be_an_output(self):
-        f = SubFunction(id="f", kind=Integrator("s", "d", "s0"),
+        f = SubFunction(id="f", states=(State("s", Var("d"), Var("s0")),),
                         inputs=RangeMap.of(d=(0, 1), s0=(0, 1)),
                         outputs=RangeMap.of(y=(0, 1)))
         with pytest.raises(ValidationError):
             Architecture(top=FunctionalRequirement("t"), subfunctions=(f,))
 
     def test_producer_conflict(self):
-        f = SubFunction(id="f", kind=Algebraic(exprs=(("y", Num(1.0)),)),
+        f = SubFunction(id="f", exprs=(("y", Num(1.0)),),
                         outputs=RangeMap.of(y=(0, 1)))
-        g = SubFunction(id="g", kind=Algebraic(exprs=(("y", Num(2.0)),)),
+        g = SubFunction(id="g", exprs=(("y", Num(2.0)),),
                         outputs=RangeMap.of(y=(0, 1)))
-        arch = Architecture(top=FunctionalRequirement("t"), subfunctions=(f, g))
-        with pytest.raises(ProducerConflict):
-            arch.producer_of()
+        with pytest.raises(ProducerConflict, match="variable 'y' produced by multiple "
+                                                   "sub-functions: f, g"):
+            Architecture(top=FunctionalRequirement("t"), subfunctions=(f, g))
+
+    @pytest.mark.parametrize("sub, arch, message", [
+        (dict(exprs=(("y", Var("e")),), states=(State("e", Num(1.0), Num(0.0)),)),
+         dict(constants=(("e", 1.0),)), "f: state 'e' collides with a constant"),
+        (dict(exprs=(("y", Var("x")),), states=(State("y", Var("x"), Num(0.0)),)),
+         {}, "f: output 'y' has 2 expressions or states, not one"),
+        (dict(exprs=(("y", Var("x")),)),
+         dict(top=FunctionalRequirement("t", inputs=RangeMap.of(y=(0, 1)))),
+         "variable 'y' is output in f and input in top"),
+    ], ids=["state-named-like-a-constant", "output-with-expression-and-state",
+            "top-input-produced-inside"])
+    def test_wiring_rule_rejected_at_construction(self, sub, arch, message):
+        f = SubFunction(id="f", inputs=RangeMap.of(x=(0, 1)), outputs=RangeMap.of(y=(0, 1)),
+                        **sub)
+        with pytest.raises(ValidationError, match=message):
+            Architecture(**{"top": FunctionalRequirement("t"), "subfunctions": (f,), **arch})
 
     def test_coverage_violation_names_the_variable(self):
         top = FunctionalRequirement("top", inputs=RangeMap.of(q=(0, 1)),
                                     outputs=RangeMap.of(y=(0, 1)))
-        f = SubFunction(id="f", kind=Algebraic(exprs=(("y", Var("x")),)),
+        f = SubFunction(id="f", exprs=(("y", Var("x")),),
                         inputs=RangeMap.of(x=(0, 1)), outputs=RangeMap.of(y=(0, 1)))
         arch = Architecture(top=top, subfunctions=(f,))
         with pytest.raises(CoverageViolation, match="q"):
@@ -101,16 +116,16 @@ class TestAssignments:
         assert cruise.assignments is cruise.assignments
 
     def test_own_output_is_read_after_it_is_assigned(self):
-        f = SubFunction(id="f", kind=Algebraic(exprs=(("a", BinOp("*", Num(2.0), Var("b"))),
-                                                      ("b", Var("x")))),
+        f = SubFunction(id="f", exprs=(("a", BinOp("*", Num(2.0), Var("b"))),
+                                       ("b", Var("x"))),
                         inputs=RangeMap.of(x=(0, 1)), outputs=RangeMap.of(a=(0, 2), b=(0, 1)))
         arch = Architecture(top=FunctionalRequirement("t"), subfunctions=(f,))
         assert [out for _, out, _ in arch.assignments] == ["b", "a"]
 
     def test_cycle_names_every_unordered_output(self):
-        f = SubFunction(id="f", kind=Algebraic(exprs=(("p", Var("q")), ("r", Var("p")))),
+        f = SubFunction(id="f", exprs=(("p", Var("q")), ("r", Var("p"))),
                         inputs=RangeMap.of(q=(0, 1)), outputs=RangeMap.of(p=(0, 1), r=(0, 1)))
-        g = SubFunction(id="g", kind=Algebraic(exprs=(("q", Var("p")),)),
+        g = SubFunction(id="g", exprs=(("q", Var("p")),),
                         inputs=RangeMap.of(p=(0, 1)), outputs=RangeMap.of(q=(0, 1)))
         arch = Architecture(top=FunctionalRequirement("t"), subfunctions=(f, g))
         with pytest.raises(AlgebraicCycle, match="algebraic cycle through: p, q, r"):
@@ -175,6 +190,14 @@ class TestJson:
         with pytest.raises(ValidationError):
             load_architecture(f)
 
+    def test_integrator_state_must_be_an_output_port(self, tmp_path):
+        doc = json.loads(open(CRUISE).read())
+        doc["subfunctions"][0]["state"] = "w"
+        f = tmp_path / "integrator.json"
+        f.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="f1: integrator state 'w' is not an output"):
+            load_architecture(f)
+
     def test_expression_parsing(self):
         e = parse_expr(["+", ["var", "a"], 2])
         assert e == BinOp("+", Var("a"), Num(2.0))
@@ -186,8 +209,11 @@ class TestJson:
 
 def test_cruise_has_eight_subfunctions(cruise):
     assert [sf.id for sf in cruise.subfunctions] == [f"f{i}" for i in range(1, 9)]
-    kinds = {sf.id: type(sf.kind).__name__ for sf in cruise.subfunctions}
-    assert kinds["f1"] == "Integrator"
-    assert kinds["f8"] == "Algebraic"
-    f8 = next(sf for sf in cruise.subfunctions if sf.id == "f8")
-    assert [s.name for s in f8.kind.states] == ["e8"]
+    f1, f8 = cruise.subfunctions[0], cruise.subfunctions[7]
+    # f1 is an integrator: a state exposed as its output v, no expression
+    assert f1.exprs == ()
+    assert f1.states == (State("v", Var("vdot"), Var("v_0")),)
+    assert f1.outputs.names() == {"v"}
+    # f8's integral state e8 is hidden
+    assert [out for out, _ in f8.exprs] == ["u"]
+    assert [s.name for s in f8.states] == ["e8"]

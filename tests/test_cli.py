@@ -17,15 +17,36 @@ CRUISE = str(importlib.resources.files("setdecomp") / "data" / "cruise.json")
 FAST = ["--step", "0.05", "--horizon", "30", "--grid", "2"]
 
 
+def _sub(doc, sub_id):
+    """One sub-function of an architecture document."""
+    (sf,) = [sf for sf in doc["subfunctions"] if sf["id"] == sub_id]
+    return sf
+
+
 def _port(doc, sub_id, role):
     """One role's port ranges of one sub-function of an architecture document."""
-    (sf,) = [sf for sf in doc["subfunctions"] if sf["id"] == sub_id]
-    return sf[role]
+    return _sub(doc, sub_id)[role]
+
+
+def _rename_e8(doc, name):
+    """Rename f8's hidden integral state, and its read in f8's expression."""
+    f8 = _sub(doc, "f8")
+    f8["states"][0]["name"] = name
+    f8["exprs"]["u"] = json.loads(json.dumps(f8["exprs"]["u"]).replace('"e8"', json.dumps(name)))
 
 
 def _fr(name, **roles):
     maps = {role: RangeMap.of(**entries) for role, entries in roles.items()}
     return FunctionalRequirement(name, **maps)
+
+
+@pytest.fixture
+def no_envelope(monkeypatch):
+    """Fail the test if narrowing simulates any envelope."""
+    def fail(*args, **kwargs):
+        raise AssertionError("an envelope was simulated")
+
+    monkeypatch.setattr(narrowing, "envelope_over_box", fail)
 
 
 @pytest.fixture
@@ -130,16 +151,34 @@ class TestDecompose:
     ], ids=["consumer-port", "producer-port", "top-input", "top-uncontrollable",
             "top-window"])
     def test_unit_mismatch_fails_before_simulation(self, edit, message, tmp_path,
-                                                   capsys, monkeypatch):
+                                                   capsys, no_envelope):
         doc = json.loads(open(CRUISE).read())
         edit(doc)
         path = tmp_path / "units.json"
         path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), *FAST]) == 2
+        assert message in capsys.readouterr().err
 
-        def no_envelope(*args, **kwargs):
-            raise AssertionError("an envelope was simulated")
-
-        monkeypatch.setattr(narrowing, "envelope_over_box", no_envelope)
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: _sub(doc, "f8")["states"][0].update(initial=["var", "v"]),
+         "f8: initial value of state 'e8' reads 'v', neither a constant nor a design variable"),
+        (lambda doc: _rename_e8(doc, "v"), "f8: state 'v' collides with a state of f1"),
+        (lambda doc: _rename_e8(doc, "m"), "f8: state 'm' collides with a port of f2"),
+        (lambda doc: _sub(doc, "f8").update(
+            controllables={"m": {"lo": 990.0, "hi": 1100.0, "unit": "kg"}}),
+         "variable 'm' is uncontrollable in f2 and controllable in f8"),
+        (lambda doc: _sub(doc, "f3").update(
+            inputs={"Fr": {"lo": 70.0, "hi": 120.0, "unit": "N"}}),
+         "variable 'Fr' is input in f3 and output in f3"),
+    ], ids=["state-initial-reads-an-output", "state-named-like-an-integrator",
+            "state-shadows-a-design-variable", "controllable-and-uncontrollable",
+            "input-and-output-of-one-sub-function"])
+    def test_bad_wiring_fails_before_simulation(self, edit, message, tmp_path, capsys,
+                                                no_envelope):
+        doc = json.loads(open(CRUISE).read())
+        edit(doc)
+        path = tmp_path / "wiring.json"
+        path.write_text(json.dumps(doc))
         assert main(["decompose", str(path), *FAST]) == 2
         assert message in capsys.readouterr().err
 
@@ -378,3 +417,26 @@ class TestSimulate:
         path.write_text(json.dumps(doc))
         assert main(["simulate", str(path), "--horizon", "2", *flags]) == 3
         assert f"infeasible: non-finite value for '{var}'" in capsys.readouterr().err
+
+
+def test_integrator_document_equals_its_algebraic_form(tmp_path):
+    """f1 written as an "algebraic" document with no expressions and the
+    state v exposed as its output runs exactly as the "integrator" one."""
+    doc = json.loads(open(CRUISE).read())
+    f1 = _sub(doc, "f1")
+    for key in ("state", "derivative_input", "initial_input"):
+        del f1[key]
+    f1.update(kind="algebraic", exprs={},
+              states=[{"name": "v", "derivative": ["var", "vdot"], "initial": ["var", "v_0"]}])
+    algebraic = tmp_path / "algebraic.json"
+    algebraic.write_text(json.dumps(doc))
+    runs = {}
+    for name, arch in (("integrator", CRUISE), ("algebraic", str(algebraic))):
+        report, csv = tmp_path / f"{name}-report.json", tmp_path / f"{name}.csv"
+        assert main(["decompose", arch, *FAST, "--out", str(report)]) == 0
+        assert main(["simulate", arch, "--step", "0.05", "--horizon", "30",
+                     "--out", str(csv)]) == 0
+        runs[name] = json.loads(report.read_text()), csv.read_bytes()
+    for report, _ in runs.values():
+        del report["architecture"]     # the input path
+    assert runs["integrator"] == runs["algebraic"]

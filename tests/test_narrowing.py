@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from setdecomp.architecture import (Algebraic, Architecture, InternalState,
-                                    SubFunction, load_architecture)
+from setdecomp.architecture import Architecture, State, SubFunction, load_architecture
 from setdecomp.errors import CoverageViolation, Infeasible
 from setdecomp.expr import BinOp, Num, Var, parse_expr
 from setdecomp.intervals import Interval, RangeMap
@@ -30,8 +29,7 @@ def _passthrough_arch(c_range=(0.0, 10.0), top_out=(0.0, 5.0), timed_outputs=())
                                 timed_outputs=timed_outputs)
     f = SubFunction(
         id="f",
-        kind=Algebraic(exprs=(("y", BinOp("+", Var("c"),
-                                          BinOp("*", Num(0.0), Var("x")))),)),
+        exprs=(("y", BinOp("+", Var("c"), BinOp("*", Num(0.0), Var("x")))),),
         inputs=RangeMap.of(x=(-1, 2)), outputs=RangeMap.of(y=(-100, 100)),
         controllables=RangeMap.of(c=c_range))
     return Architecture(top=top, subfunctions=(f,))
@@ -41,7 +39,7 @@ def _probe_arch(extra):
     """_passthrough_arch plus one more output of c, ``extra``."""
     base = _passthrough_arch(c_range=(0.0, 10.0), top_out=(0.0, 5.0))
     (f,) = base.subfunctions
-    g = SubFunction(id="g", kind=Algebraic(exprs=(("z", extra),)),
+    g = SubFunction(id="g", exprs=(("z", extra),),
                     outputs=RangeMap.of(z=(-100, 100)),
                     controllables=RangeMap.of(c=(0.0, 10.0)))
     return Architecture(top=base.top, subfunctions=(f, g))
@@ -96,15 +94,14 @@ def _chain_arch(n=200, seed=1):
         step = ["+", ["*", 0.5, ["var", f"s{k - 1}"]], 1.0]
         controllables, states = RangeMap(), ()
         if k % 10 == 0:
-            states = (InternalState(f"z{k}", parse_expr(["-", step, ["var", f"z{k}"]]),
-                                    Num(0.0)),)
+            states = (State(f"z{k}", parse_expr(["-", step, ["var", f"z{k}"]]), Num(0.0)),)
             step = ["var", f"z{k}"]
         elif k % (n // 10) == 5:
             lo = rng.uniform(0.0, 0.2)
             controllables = RangeMap.of(**{f"c{k}": (lo, lo + rng.uniform(0.2, 0.5))})
             step = ["+", step, ["var", f"c{k}"]]
         subs.append(SubFunction(
-            id=f"L{k:03d}", kind=Algebraic(exprs=((f"s{k}", parse_expr(step)),), states=states),
+            id=f"L{k:03d}", exprs=((f"s{k}", parse_expr(step)),), states=states,
             inputs=port(f"s{k - 1}"), outputs=port(f"s{k}"), controllables=controllables))
     top = FunctionalRequirement(f"chain-{n}", inputs=RangeMap.of(s0=(0.0, 1.0)),
                                 outputs=RangeMap.of(**{f"s{n}": (-5.0, 15.0)}))

@@ -5,9 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from setdecomp.architecture import (Algebraic, Architecture, Integrator,
-                                    InternalState, SubFunction,
-                                    load_architecture)
+from setdecomp.architecture import Architecture, State, SubFunction, load_architecture
 from setdecomp.errors import AlgebraicCycle, NonFinite
 from setdecomp.expr import BinOp, Num, Var
 from setdecomp.intervals import Interval, RangeMap
@@ -23,10 +21,10 @@ def _decay_arch():
     """dy/dt = -y, y(0) = y0; closed form y(t) = y0 * exp(-t)."""
     top = FunctionalRequirement("decay", inputs=RangeMap.of(y0=(0.5, 2)),
                                 outputs=RangeMap.of(y=(0, 2)))
-    integ = SubFunction(id="int", kind=Integrator("y", "dy", "y0"),
+    integ = SubFunction(id="int", states=(State("y", Var("dy"), Var("y0")),),
                         inputs=RangeMap.of(y0=(0.5, 2), dy=(-2, 0)),
                         outputs=RangeMap.of(y=(0, 2)))
-    neg = SubFunction(id="neg", kind=Algebraic(exprs=(("dy", BinOp("*", Num(-1.0), Var("y"))),)),
+    neg = SubFunction(id="neg", exprs=(("dy", BinOp("*", Num(-1.0), Var("y"))),),
                       inputs=RangeMap.of(y=(0, 2)), outputs=RangeMap.of(dy=(-2, 0)))
     return Architecture(top=top, subfunctions=(integ, neg))
 
@@ -34,10 +32,10 @@ def _decay_arch():
 def _constant_arch(rate=0.5):
     top = FunctionalRequirement("ramp", inputs=RangeMap.of(y0=(0, 1)),
                                 outputs=RangeMap.of(y=(0, 100)))
-    integ = SubFunction(id="int", kind=Integrator("y", "dy", "y0"),
+    integ = SubFunction(id="int", states=(State("y", Var("dy"), Var("y0")),),
                         inputs=RangeMap.of(y0=(0, 1), dy=(0, 1)),
                         outputs=RangeMap.of(y=(0, 100)))
-    const = SubFunction(id="c", kind=Algebraic(exprs=(("dy", Num(rate)),)),
+    const = SubFunction(id="c", exprs=(("dy", Num(rate)),),
                         outputs=RangeMap.of(dy=(0, 1)))
     return Architecture(top=top, subfunctions=(integ, const))
 
@@ -46,10 +44,10 @@ def _square_arch():
     """dy/dt = y^2, which from y(0) = 1 blows up at t = 1."""
     top = FunctionalRequirement("blow", inputs=RangeMap.of(y0=(1, 1)),
                                 outputs=RangeMap.of(y=(0, 1e30)))
-    integ = SubFunction(id="int", kind=Integrator("y", "dy", "y0"),
+    integ = SubFunction(id="int", states=(State("y", Var("dy"), Var("y0")),),
                         inputs=RangeMap.of(y0=(1, 1), dy=(0, 1e30)),
                         outputs=RangeMap.of(y=(0, 1e30)))
-    sq = SubFunction(id="sq", kind=Algebraic(exprs=(("dy", BinOp("*", Var("y"), Var("y"))),)),
+    sq = SubFunction(id="sq", exprs=(("dy", BinOp("*", Var("y"), Var("y"))),),
                      inputs=RangeMap.of(y=(0, 1e30)), outputs=RangeMap.of(dy=(0, 1e30)))
     return Architecture(top=top, subfunctions=(integ, sq))
 
@@ -77,10 +75,10 @@ class TestIntegrate:
         # cruise plant with all forces disconnected: v must not drift
         top = FunctionalRequirement("coast", inputs=RangeMap.of(v_0=(10, 30)),
                                     outputs=RangeMap.of(v=(0, 50)))
-        integ = SubFunction(id="f1", kind=Integrator("v", "vdot", "v_0"),
+        integ = SubFunction(id="f1", states=(State("v", Var("vdot"), Var("v_0")),),
                             inputs=RangeMap.of(v_0=(10, 30), vdot=(-1, 1)),
                             outputs=RangeMap.of(v=(0, 50)))
-        zero = SubFunction(id="f2", kind=Algebraic(exprs=(("vdot", Num(0.0)),)),
+        zero = SubFunction(id="f2", exprs=(("vdot", Num(0.0)),),
                            outputs=RangeMap.of(vdot=(-1, 1)))
         arch = Architecture(top=top, subfunctions=(integ, zero))
         traj = integrate(build_ode(arch, {"v_0": 17.5}), horizon=50.0, step=0.05)
@@ -109,9 +107,9 @@ class TestIntegrate:
                       horizon=2.0, step=0.001)
 
     def test_algebraic_cycle_detected(self):
-        a = SubFunction(id="a", kind=Algebraic(exprs=(("p", Var("q")),)),
+        a = SubFunction(id="a", exprs=(("p", Var("q")),),
                         inputs=RangeMap.of(q=(0, 1)), outputs=RangeMap.of(p=(0, 1)))
-        b = SubFunction(id="b", kind=Algebraic(exprs=(("q", Var("p")),)),
+        b = SubFunction(id="b", exprs=(("q", Var("p")),),
                         inputs=RangeMap.of(p=(0, 1)), outputs=RangeMap.of(q=(0, 1)))
         arch = Architecture(top=FunctionalRequirement("t"), subfunctions=(a, b))
         with pytest.raises(AlgebraicCycle):
@@ -122,8 +120,8 @@ class TestIntegrate:
         top = FunctionalRequirement("t", inputs=RangeMap.of(k=(0, 1)),
                                     outputs=RangeMap.of(w=(0, 100)))
         f = SubFunction(id="f",
-                        kind=Algebraic(exprs=(("w", Var("e")),),
-                                       states=(InternalState("e", Num(1.0), Num(0.0)),)),
+                        exprs=(("w", Var("e")),),
+                        states=(State("e", Num(1.0), Num(0.0)),),
                         inputs=RangeMap.of(k=(0, 1)), outputs=RangeMap.of(w=(0, 100)))
         arch = Architecture(top=top, subfunctions=(f,))
         traj = integrate(build_ode(arch, {"k": 0.0}), horizon=5.0, step=0.1)
@@ -228,10 +226,10 @@ class TestEnvelope:
         # dy/dt = y^2 from y0 = 2 blows up near t = 0.5; y0 = 0 stays at 0
         top = FunctionalRequirement("blow", inputs=RangeMap.of(y0=(0, 2)),
                                     outputs=RangeMap.of(y=(-1e9, 1e9)))
-        integ = SubFunction(id="int", kind=Integrator("y", "dy", "y0"),
+        integ = SubFunction(id="int", states=(State("y", Var("dy"), Var("y0")),),
                             inputs=RangeMap.of(y0=(0, 2), dy=(-1e9, 1e9)),
                             outputs=RangeMap.of(y=(-1e9, 1e9)))
-        sq = SubFunction(id="sq", kind=Algebraic(exprs=(("dy", BinOp("*", Var("y"), Var("y"))),)),
+        sq = SubFunction(id="sq", exprs=(("dy", BinOp("*", Var("y"), Var("y"))),),
                          inputs=RangeMap.of(y=(-1e9, 1e9)), outputs=RangeMap.of(dy=(-1e9, 1e9)))
         arch = Architecture(top=top, subfunctions=(integ, sq))
         plan = SamplingPlan(grid=1, padding=0.0, step=0.01, horizon=5.0)

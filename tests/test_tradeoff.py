@@ -4,8 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from setdecomp.architecture import (Algebraic, Architecture, SubFunction,
-                                    load_architecture)
+from setdecomp.architecture import Architecture, SubFunction, load_architecture
 from setdecomp.errors import Infeasible, InfeasibleBrackets, ValidationError
 from setdecomp.expr import BinOp, Num, Var, evaluate_interval
 from setdecomp.intervals import Interval, RangeMap
@@ -25,9 +24,9 @@ def _chain_arch():
     """f produces y (consumed by g), g produces z (top output)."""
     top = FunctionalRequirement("top", inputs=RangeMap.of(x=(0, 1)),
                                 outputs=RangeMap.of(z=(-50, 50)))
-    f = SubFunction(id="f", kind=Algebraic(exprs=(("y", Var("x")),)),
+    f = SubFunction(id="f", exprs=(("y", Var("x")),),
                     inputs=RangeMap.of(x=(-1, 2)), outputs=RangeMap.of(y=(-20, 20)))
-    g = SubFunction(id="g", kind=Algebraic(exprs=(("z", BinOp("*", Num(2.0), Var("y"))),)),
+    g = SubFunction(id="g", exprs=(("z", BinOp("*", Num(2.0), Var("y"))),),
                     inputs=RangeMap.of(y=(-20, 20)), outputs=RangeMap.of(z=(-50, 50)))
     return Architecture(top=top, subfunctions=(f, g))
 
@@ -37,12 +36,12 @@ def _loop_arch():
     form no cycle; h: d = b is the top output."""
     top = FunctionalRequirement("top", inputs=RangeMap.of(x=(0, 1)),
                                 outputs=RangeMap.of(d=(-100, 100)))
-    f = SubFunction(id="f", kind=Algebraic(exprs=(("a", Var("x")), ("b", Var("c")))),
+    f = SubFunction(id="f", exprs=(("a", Var("x")), ("b", Var("c"))),
                     inputs=RangeMap.of(x=(-1, 2), c=(-100, 100)),
                     outputs=RangeMap.of(a=(-80, 80), b=(-100, 100)))
-    g = SubFunction(id="g", kind=Algebraic(exprs=(("c", BinOp("*", Num(2.0), Var("a"))),)),
+    g = SubFunction(id="g", exprs=(("c", BinOp("*", Num(2.0), Var("a"))),),
                     inputs=RangeMap.of(a=(-80, 80)), outputs=RangeMap.of(c=(-100, 100)))
-    h = SubFunction(id="h", kind=Algebraic(exprs=(("d", Var("b")),)),
+    h = SubFunction(id="h", exprs=(("d", Var("b")),),
                     inputs=RangeMap.of(b=(-100, 100)), outputs=RangeMap.of(d=(-100, 100)))
     return Architecture(top=top, subfunctions=(f, g, h))
 
@@ -157,7 +156,7 @@ class TestRestoration:
         fixed, _ = restore_feasibility(arch, chosen, fds2, brackets)
         env = {v: fixed[v] if v in fixed else fds2[v] for v in "abcdx"}
         for sf in arch.subfunctions:
-            for out, e in sf.kind.exprs:
+            for out, e in sf.exprs:
                 assert fixed[out].contains_interval(evaluate_interval(e, env)), out
         # c = 2*a is widened first, then b = c follows it
         assert fixed["b"] == fixed["c"] == Interval(-80.0, 81.0)
