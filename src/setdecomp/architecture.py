@@ -5,10 +5,10 @@ An architecture is a set of sub-functions wired implicitly by variable name
 requirement it is meant to implement.  Each output of a sub-function is an
 expression or a state of the same name (an integrator); its other states
 are hidden.  The wiring is checked once, at construction: one role and one
-producer per variable, one definition per output, states that shadow
-nothing.  ``classify`` sorts every variable into the ten exclusive groups
-that define the design space (independent variables/parameters) and the
-performance space (dependent variables).  Wiring and classification work on
+producer per variable, one definition per output, states and constants
+that shadow nothing.  ``classify`` sorts every variable into the ten
+exclusive groups that define the design space (independent
+variables/parameters) and the performance space (dependent variables).  Wiring and classification work on
 names alone; the units of one variable's port ranges are checked where
 those ranges are merged (``narrowing.initial_spaces``).
 ``Architecture.assignments`` is the one dependency order of the expression
@@ -79,6 +79,8 @@ class Architecture:
             raise ValidationError("duplicate sub-function ids")
         declared_in = self._check_roles()
         const_names = {k for k, _ in self.constants}
+        for name in sorted(const_names & declared_in.keys()):  # the port would overwrite it
+            raise ValidationError(f"constant '{name}' collides with a port of {declared_in[name]}")
         design = declared_in.keys() - self.producer_of().keys()
         taken = {k: "a constant" for k in const_names}  # names no state may take
         for sf in self.subfunctions:

@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(d)
     d.add_argument("--grid", type=int, default=3,
                    help="envelope grid points per design axis (default 3)")
-    d.add_argument("--padding", type=float, default=0.02,
-                   help="envelope padding as a fraction of span (default 0.02)")
     d.add_argument("--strict-refinement", action="store_true",
                    help="also require controllable/uncontrollable refinement")
     d.add_argument("--compare", metavar="FILE",
@@ -85,8 +83,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_decompose(args) -> int:
-    plan = SamplingPlan(grid=args.grid, padding=args.padding, step=args.step,
-                        horizon=args.horizon)
+    plan = SamplingPlan(grid=args.grid, step=args.step, horizon=args.horizon)
     report = run_pipeline(args.architecture, plan,
                           strict_refinement=args.strict_refinement,
                           golden_file=args.compare)

@@ -12,12 +12,12 @@ Two stages:
 2. ``narrow`` shrinks the controllable design ranges until the simulated
    envelope over the whole design box has no escapes from the FPS
    (``_escapes``; the top requirement's time-windowed outputs included),
-   then re-simulates the narrowed box to get the attainable performance
-   envelope.  Its escapes are logged: bound escapes are clipped back into
-   the FPS, window escapes only reported, because the attained space holds
-   no windows.  Both steps use the sampled-corner envelope from
-   :mod:`.simulation`, so the narrowed spaces are empirical, not formally
-   verified.
+   then re-simulates the narrowed box at the full plan.  That envelope is
+   judged by the same ``_escapes`` verdict: an escape raises
+   :class:`PostconditionFailure`, and otherwise its raw extrema are the
+   attained performance space.  Both steps use the sampled-corner envelope
+   from :mod:`.simulation`, so the narrowed spaces are empirical, not
+   formally verified.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .architecture import _ROLES, Architecture, validate_coverage
-from .errors import CoverageViolation, EmptyRange, Infeasible, NonFinite, UnitMismatch
+from .errors import (CoverageViolation, EmptyRange, Infeasible, NonFinite,
+                     PostconditionFailure, UnitMismatch, ValidationError)
 from .intervals import Interval, RangeMap, rangemap_merge
 from .simulation import Envelope, SamplingPlan, envelope_over_box
 
@@ -49,8 +50,8 @@ class FeasibleSpaces:
 @dataclass(frozen=True)
 class EnvelopeEscape:
     """A simulated performance bound outside its allowed value: a bound of
-    the FPS (clipped back to ``allowed``) or, with ``window`` set, a
-    time-windowed bound of the top requirement (reported only)."""
+    the FPS or, with ``window`` set, a time-windowed bound of the top
+    requirement."""
 
     variable: str
     side: str           # "lo" | "hi"
@@ -58,19 +59,16 @@ class EnvelopeEscape:
     allowed: float
     window: tuple[float, float] | None = None
 
-    def to_log(self) -> dict:
-        entry = {"variable": self.variable, "side": self.side,
-                 "simulated": self.simulated}
-        if self.window is None:
-            return {**entry, "clipped_to": self.allowed}
-        return {**entry, "allowed": self.allowed, "window": list(self.window)}
+    def __str__(self) -> str:
+        where = "" if self.window is None else " over t in [{:g}, {:g}]".format(*self.window)
+        relation = "<" if self.side == "lo" else ">"
+        return (f"{self.variable} {self.side}{where}: simulated {self.simulated!r} "
+                f"{relation} allowed {self.allowed!r}")
 
 
 @dataclass(frozen=True)
 class NarrowingResult:
-    narrowed: FeasibleSpaces         # FDS after shrink, FPS re-simulated
-    envelope: Envelope               # raw (unclipped) envelope over the narrowed box
-    escapes: tuple[EnvelopeEscape, ...]
+    narrowed: FeasibleSpaces         # FDS after shrink, FPS the attained envelope
     log: tuple[dict, ...]            # step-by-step provenance, JSON-friendly
 
 
@@ -147,6 +145,21 @@ def _escapes(env: Envelope, fps: RangeMap,
     return out
 
 
+def _check_windows_sampled(windows: dict[str, list[tuple[float, float, Interval]]],
+                           plans: tuple[SamplingPlan, ...]) -> None:
+    """Every time window must hold a grid time ``k * step``, k = 0 ..
+    round(horizon / step), of every plan: those are the times the RK4 march
+    visits, so a window without one would pass unjudged."""
+    for name in sorted(windows):
+        for t0, t1, _ in windows[name]:
+            for plan in plans:
+                times = (k * plan.step for k in range(int(round(plan.horizon / plan.step)) + 1))
+                if not any(t0 <= t <= t1 for t in times):
+                    raise ValidationError(
+                        f"time window [{t0:g}, {t1:g}] of '{name}' holds no grid time "
+                        f"of the plan (horizon {plan.horizon:g}, step {plan.step:g})")
+
+
 def _bisection_round(work: RangeMap, var: str, side: str, ok: float, target: float,
                      depth: int, check) -> tuple[float, float, RangeMap]:
     """``depth`` steps of the bisection of one bound, speculatively.
@@ -188,6 +201,10 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
     """Shrink the controllable ranges of ``spaces.fds`` until the simulated
     envelope over the whole box fits inside ``spaces.fps``.
 
+    The narrowed box's envelope at the full ``plan`` is judged like every
+    probe: an escape raises :class:`PostconditionFailure`, else its raw
+    extrema are the attained performance space.
+
     Deterministic: if the full box already fits, it is returned unchanged.
     Otherwise every controllable interval collapses to its midpoint and each
     bound is grown back outward by bisection (lower bound first, variables in
@@ -200,6 +217,7 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
     plan = plan or SamplingPlan()
     check_plan = plan.reduced()
     windows = top_windows(arch)
+    _check_windows_sampled(windows, (plan, check_plan))
     env_windows = {k: [(t0, t1) for t0, t1, _ in ws] for k, ws in windows.items()}
     # only variables we are free to choose can be narrowed; the rest must be
     # verified over their full range
@@ -244,16 +262,11 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
         narrowed_fds = work
 
     env = envelope_over_box(arch, narrowed_fds, plan, windows=env_windows)
-
-    # attainable performance box, clipped to the allowed space where the
-    # padded empirical envelope pokes out
     escapes = _escapes(env, spaces.fps, windows)
-    fps2 = RangeMap((v, Interval(max(env.bounds[v][0], allowed.lo),
-                                 min(env.bounds[v][1], allowed.hi), allowed.unit))
+    if escapes:
+        raise PostconditionFailure("envelope", "; ".join(map(str, escapes)))
+    fps2 = RangeMap((v, Interval(*env.bounds[v], allowed.unit))
                     for v, allowed in spaces.fps.items())
-
-    log.append({"step": "performance-envelope",
-                "samples": env.n_samples,
-                "escapes": [e.to_log() for e in escapes]})
+    log.append({"step": "performance-envelope", "samples": env.n_samples})
     return NarrowingResult(narrowed=FeasibleSpaces(fds=narrowed_fds, fps=fps2),
-                           envelope=env, escapes=tuple(escapes), log=tuple(log))
+                           log=tuple(log))

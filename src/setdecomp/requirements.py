@@ -41,7 +41,7 @@ class TimedOutputSpec:
     def __post_init__(self):
         for t0, t1, iv in self.windows:
             if t0 > t1:
-                raise ValueError(f"window [{t0},{t1}] for {self.variable} is reversed")
+                raise ValidationError(f"window [{t0},{t1}] for {self.variable} is reversed")
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class FunctionalRequirement:
         for role, m in maps.items():
             for v in m:
                 if v in seen:
-                    raise ValueError(
+                    raise ValidationError(
                         f"{self.name}: variable '{v}' appears in both "
                         f"{seen[v]} and {role}")
                 seen[v] = role

@@ -9,9 +9,9 @@ Runge-Kutta kernel, ``_march``, steps it and hands the outputs at every
 grid time to one of two reducers: ``integrate`` keeps the whole
 trajectory, ``envelope_over_box`` keeps per-variable extrema over a
 deterministic bundle of samples drawn from a design-space box (all corners
-plus an n-per-axis grid).  The outward padding makes the envelope an
-empirical one, *not* a sound over-approximation, and every consumer of it
-says so.
+plus an n-per-axis grid).  The envelope is the raw simulated extrema at the
+grid times: an empirical inner estimate, *not* a sound over-approximation,
+and every consumer of it says so.
 
 Both reducers follow one non-finite rule: states are float64, so overflow
 and division by zero give inf or NaN (never an exception or a numpy
@@ -48,20 +48,18 @@ class SamplingPlan:
     corners plus an n-per-axis grid."""
 
     grid: int = 3              # grid points per axis (0 disables the grid)
-    padding: float = 0.02      # outward inflation per bound, fraction of span
     step: float = 0.01         # integration step [s]
     horizon: float = 100.0     # integration horizon [s]
     cap: int = 10_000          # hard cap on bundle size
 
     def __post_init__(self):
-        if not (self.step > 0 and self.horizon > 0 and self.grid >= 0 and self.padding >= 0):
-            raise ValueError("SamplingPlan needs step > 0, horizon > 0, grid >= 0 "
-                             "and padding >= 0")
+        if not (self.step > 0 and self.horizon > 0 and self.grid >= 0):
+            raise ValueError("SamplingPlan needs step > 0, horizon > 0 and grid >= 0")
 
     def reduced(self) -> "SamplingPlan":
         """Cheaper plan for inner narrowing loops: corners + center only,
-        coarser step, no padding."""
-        return SamplingPlan(grid=1, padding=0.0, step=max(self.step, 0.05),
+        coarser step."""
+        return SamplingPlan(grid=1, step=max(self.step, 0.05),
                             horizon=self.horizon, cap=self.cap)
 
 
@@ -246,8 +244,8 @@ def envelope_over_box(arch: Architecture, box: RangeMap | Sequence[RangeMap],
                       plan: SamplingPlan,
                       windows: dict[str, list[tuple[float, float]]] | None = None
                       ) -> Envelope | list[Envelope | NonFinite]:
-    """Simulate every sample of the box and take per-variable extrema, then
-    inflate each bound outward by ``plan.padding`` of the observed span.
+    """Simulate every sample of the box and take per-variable extrema at the
+    grid times.
 
     ``windows`` optionally requests extra extrema of given variables over
     time windows [t0, t1].
@@ -263,25 +261,12 @@ def envelope_over_box(arch: Architecture, box: RangeMap | Sequence[RangeMap],
     sample_sets = [design_samples(b, plan) for b in ([box] if single else box)]
     if not sample_sets or not all(sample_sets):
         raise ValueError("empty design box")
-    results = [r if isinstance(r, NonFinite) else _padded(r, plan.padding)
-               for r in _envelope_bundle(arch, sample_sets, plan, windows)]
+    results = _envelope_bundle(arch, sample_sets, plan, windows)
     if not single:
         return results
     if isinstance(results[0], NonFinite):
         raise results[0]
     return results[0]
-
-
-def _padded(env: Envelope, padding: float) -> Envelope:
-    if padding <= 0:
-        return env
-
-    def pad(lo: float, hi: float) -> tuple[float, float]:
-        return lo - padding * (hi - lo), hi + padding * (hi - lo)
-
-    return Envelope({k: pad(*b) for k, b in env.bounds.items()},
-                    {k: {w: pad(*b) for w, b in ws.items()} for k, ws in env.windows.items()},
-                    env.n_samples)
 
 
 def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]]],
@@ -291,7 +276,7 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
     """The extrema reducer: all sample sets marched at once, with extrema
     reduced per set.
 
-    Every set is padded to a common length ``m`` by repeating its own last
+    Every set is filled to a common length ``m`` by repeating its own last
     sample, which leaves its extrema unchanged, so each step reduces every
     output over a (sets × m) view into one (outputs × sets) table and folds
     that table into the running extrema.  A set whose outputs turn
@@ -300,8 +285,8 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
     """
     P = len(sample_sets)
     m = max(len(s) for s in sample_sets)
-    padded = [s + [s[-1]] * (m - len(s)) for s in sample_sets]
-    point = {k: np.array([s[k] for seg in padded for s in seg])
+    filled = [s + [s[-1]] * (m - len(s)) for s in sample_sets]
+    point = {k: np.array([s[k] for seg in filled for s in seg])
              for k in sample_sets[0][0]}
     sys = build_ode(arch, point)
     state = [np.asarray(v, dtype=float) + np.zeros(P * m) for v in sys.initial_state]

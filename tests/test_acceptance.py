@@ -8,6 +8,7 @@ integrator, and run-to-run determinism.
 """
 
 import importlib.resources
+import json
 import math
 import random
 import time
@@ -15,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from setdecomp.architecture import classify, load_architecture
+from setdecomp.architecture import architecture_from_dict, classify, load_architecture
 from setdecomp.expr import evaluate_interval
 from setdecomp.intervals import (Interval, RangeMap, interval_intersect,
                                  rangemap_merge)
@@ -51,6 +52,9 @@ REFERENCE_FINAL = {"v": (21.8, 38.4), "vdot": (-1.1, 3.0),
                    "Fr": (88.2, 107.8), "F": (-159.1, 3024.0),
                    "Fa": (237.6, 827.6), "omega": (109.8, 406.1),
                    "T": (150.0, 200.1), "u": (-0.1, 1.511)}
+#: cruise-narrow: the windowed speed bound (t in [20, 100] s) lowered from
+#: 37 m/s, so that the full omega_m box fails its check and narrowing bisects
+NARROW_WINDOW_HI = 36.55
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +75,17 @@ def spaces(arch):
 @pytest.fixture(scope="module")
 def narrowed(arch, spaces):
     return narrow(arch, spaces, SamplingPlan())
+
+
+@pytest.fixture(scope="module")
+def cruise_narrow():
+    """(architecture, initial spaces, narrowing result) of cruise-narrow."""
+    with open(CRUISE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["top"]["timed_outputs"][0]["windows"][0]["hi"] = NARROW_WINDOW_HI
+    arch = architecture_from_dict(doc)
+    spaces = initial_spaces(arch)
+    return arch, spaces, narrow(arch, spaces, SamplingPlan())
 
 
 @pytest.fixture(scope="module")
@@ -226,29 +241,31 @@ def test_envelope_on_reference_design_space_within_tolerance(arch):
         assert got_hi <= hi + slack, f"{name}: {got_hi} > {hi + slack}"
 
 
-def test_motor_speed_narrowing_is_verification_closed(arch, spaces, narrowed,
+def test_motor_speed_narrowing_is_verification_closed(arch, spaces, narrowed, cruise_narrow,
                                                       record_property, capsys):
-    got = narrowed.narrowed.fds["omega_m"]
-    assert 350.0 <= got.lo and got.hi <= 480.0
-    # verification closure: simulating over the narrowed design space must
-    # keep every output inside the initial performance space, including the
-    # time-windowed part of the top requirement
-    specs = top_windows(arch)
-    env = envelope_over_box(
-        arch, narrowed.narrowed.fds, SamplingPlan(),
-        windows={k: [(t0, t1) for t0, t1, _ in ws] for k, ws in specs.items()})
-    for v, iv in spaces.fps.items():
-        lo, hi = env.bounds[v]
-        assert iv.lo <= lo and hi <= iv.hi, v
-    for name, ws in specs.items():
-        for t0, t1, required in ws:
-            lo, hi = env.windows[name][(t0, t1)]
-            assert required.lo <= lo and hi <= required.hi, (name, t0, t1)
     ref_lo, ref_hi = REFERENCE_OMEGA_M
-    record_property("omega_m", (got.lo, got.hi))
-    record_property("omega_m_delta_vs_reference", (got.lo - ref_lo, got.hi - ref_hi))
-    print(f"omega_m narrowed to [{got.lo}, {got.hi}]; reference "
-          f"[{ref_lo}, {ref_hi}]; deltas ({got.lo - ref_lo:+g}, {got.hi - ref_hi:+g})")
+    for label, (arch_, spaces_, narrowed_) in (("cruise", (arch, spaces, narrowed)),
+                                               ("cruise-narrow", cruise_narrow)):
+        got = narrowed_.narrowed.fds["omega_m"]
+        assert 350.0 <= got.lo and got.hi <= 480.0, label
+        # verification closure: simulating over the narrowed design space
+        # must keep every output inside the initial performance space,
+        # including the time-windowed part of the top requirement
+        specs = top_windows(arch_)
+        env = envelope_over_box(
+            arch_, narrowed_.narrowed.fds, SamplingPlan(),
+            windows={k: [(t0, t1) for t0, t1, _ in ws] for k, ws in specs.items()})
+        for v, iv in spaces_.fps.items():
+            lo, hi = env.bounds[v]
+            assert iv.lo <= lo and hi <= iv.hi, (label, v)
+        for name, ws in specs.items():
+            for t0, t1, required in ws:
+                lo, hi = env.windows[name][(t0, t1)]
+                assert required.lo <= lo and hi <= required.hi, (label, name, t0, t1)
+        record_property(f"{label}_omega_m", (got.lo, got.hi))
+        record_property(f"{label}_omega_m_delta_vs_reference", (got.lo - ref_lo, got.hi - ref_hi))
+        print(f"{label}: omega_m narrowed to [{got.lo}, {got.hi}]; reference "
+              f"[{ref_lo}, {ref_hi}]; deltas ({got.lo - ref_lo:+g}, {got.hi - ref_hi:+g})")
 
 
 class TestTradeoffSolution:

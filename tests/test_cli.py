@@ -102,6 +102,11 @@ class TestDecompose:
             main(["decompose", CRUISE, "--max-iters", "5"])
         assert exc.value.code == 2
 
+    def test_padding_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", CRUISE, "--padding", "0.02"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("weight", [-0.5, float("nan")], ids=["negative", "nan"])
     def test_bad_tradeoff_weight_is_validation_error(self, weight, tmp_path, capsys):
         doc = json.loads(open(CRUISE).read())
@@ -119,9 +124,8 @@ class TestDecompose:
         assert main(["decompose", str(path), *FAST]) == 2
         assert "'tradeoff' section" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--step", "0"], ["--horizon", "0"],
-                                       ["--grid", "-1"], ["--padding", "-0.1"]],
-                             ids=["step", "horizon", "grid", "padding"])
+    @pytest.mark.parametrize("flags", [["--step", "0"], ["--horizon", "0"], ["--grid", "-1"]],
+                             ids=["step", "horizon", "grid"])
     def test_bad_sampling_plan_is_validation_error(self, flags, capsys):
         assert main(["decompose", CRUISE, *flags]) == 2
         assert "SamplingPlan" in capsys.readouterr().err
@@ -181,6 +185,48 @@ class TestDecompose:
         path.write_text(json.dumps(doc))
         assert main(["decompose", str(path), *FAST]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["vdot", "u"])
+    def test_constant_named_like_a_port_fails_before_simulation(self, name, tmp_path, capsys,
+                                                                no_envelope):
+        doc = json.loads(open(CRUISE).read())
+        doc["constants"][name] = 1.0
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), *FAST]) == 2
+        assert f"constant '{name}' collides with a port of" in capsys.readouterr().err
+
+    def test_window_the_plan_never_reaches_fails_before_simulation(self, tmp_path, capsys,
+                                                                   no_envelope):
+        # cruise-narrow: the v window [20, 100] lowered to 36.55 m/s
+        doc = json.loads(open(CRUISE).read())
+        doc["top"]["timed_outputs"][0]["windows"][0]["hi"] = 36.55
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), "--horizon", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "time window [20, 100] of 'v' holds no grid time" in err
+        assert "horizon 10, step 0.01" in err
+
+    def test_published_envelope_escape_exits_four(self, tmp_path, capsys):
+        # y' = a*a*(1 - b*b) is 0 at every probe sample (the corners and the
+        # centre of a, b in [-1, 1]); the published grid reaches y = 1 > 0.5
+        port = {"lo": -1.0, "hi": 1.0, "unit": ""}
+        rate = ["*", ["*", ["var", "a"], ["var", "a"]],
+                ["-", 1.0, ["*", ["var", "b"], ["var", "b"]]]]
+        doc = {"top": {"name": "escape", "inputs": {"a": port, "b": port},
+                       "outputs": {"y": {"lo": -1.0, "hi": 0.5, "unit": ""}}},
+               "subfunctions": [{"id": "f", "kind": "algebraic", "exprs": {},
+                                 "states": [{"name": "y", "derivative": rate}],
+                                 "inputs": {"a": port, "b": port},
+                                 "outputs": {"y": {"lo": -10.0, "hi": 10.0, "unit": ""}}}]}
+        path = tmp_path / "escape.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), "--horizon", "1"]) == 4
+        captured = capsys.readouterr()
+        assert "postcondition 'envelope' violated: y hi: simulated 1.0" in captured.err
+        assert "> allowed 0.5" in captured.err
+        assert captured.out == ""
 
     def test_expression_reading_its_own_output_decomposes(self, tmp_path):
         port = {"lo": -10.0, "hi": 10.0, "unit": ""}

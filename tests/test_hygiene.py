@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports is used or re-exported,
 every name it exports exists, the README's Python examples import only
-exported names, and every function the benchmark's traced mode wraps
-exists with the arguments it reads."""
+exported names, the README's flag list is the CLI's, and every function the
+benchmark's traced mode wraps exists with the arguments it reads."""
 
+import argparse
 import ast
 import importlib
 import importlib.resources
@@ -11,6 +12,8 @@ import pathlib
 import re
 
 import pytest
+
+from setdecomp.cli import build_parser
 
 SOURCES = sorted(p for p in importlib.resources.files("setdecomp").iterdir()
                  if p.name.endswith(".py"))
@@ -78,6 +81,18 @@ def test_readme_example_imports_exported_names(snippet):
                   for alias in node.names
                   if alias.name not in importlib.import_module(node.module).__all__]
     assert not unexported, f"README imports unexported {', '.join(unexported)}"
+
+
+def test_readme_flags_are_the_cli_options():
+    (flags,) = re.findall(r"^Flags:(.*?)\.\s", README.read_text(encoding="utf-8"),
+                          re.DOTALL | re.MULTILINE)
+    documented = re.findall(r"`(--[\w-]+)", flags)
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {option for parser in commands.choices.values() for action in parser._actions
+               if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings}
+    assert sorted(documented) == sorted(options)
 
 
 def _span_targets() -> list[tuple[str, str, set[str]]]:

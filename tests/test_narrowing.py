@@ -4,7 +4,8 @@ import random
 import pytest
 
 from setdecomp.architecture import Architecture, State, SubFunction, load_architecture
-from setdecomp.errors import CoverageViolation, Infeasible
+from setdecomp.errors import (CoverageViolation, Infeasible, PostconditionFailure,
+                              ValidationError)
 from setdecomp.expr import BinOp, Num, Var, parse_expr
 from setdecomp.intervals import Interval, RangeMap
 from setdecomp.narrowing import initial_spaces, narrow, top_windows
@@ -13,7 +14,7 @@ from setdecomp.simulation import SamplingPlan, envelope_over_box
 
 CRUISE = str(importlib.resources.files("setdecomp") / "data" / "cruise.json")
 
-FAST_PLAN = SamplingPlan(grid=2, padding=0.02, step=0.05, horizon=20.0)
+FAST_PLAN = SamplingPlan(grid=2, step=0.05, horizon=20.0)
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +192,7 @@ class TestNarrow:
         arch = _passthrough_arch(c_range=(0.0, 10.0), top_out=(0.0, 5.0))
         spaces = initial_spaces(arch)
         assert spaces.fps["y"] == Interval(0, 5)
-        res = narrow(arch, spaces, SamplingPlan(grid=2, padding=0.0,
-                                                step=0.5, horizon=1.0))
+        res = narrow(arch, spaces, SamplingPlan(grid=2, step=0.5, horizon=1.0))
         c2 = res.narrowed.fds["c"]
         assert c2.lo == pytest.approx(0.0, abs=0.01)
         assert c2.hi == pytest.approx(5.0, abs=1e-9)
@@ -201,8 +201,7 @@ class TestNarrow:
     def test_feasible_box_is_left_alone(self):
         arch = _passthrough_arch(c_range=(1.0, 4.0), top_out=(0.0, 5.0))
         spaces = initial_spaces(arch)
-        res = narrow(arch, spaces, SamplingPlan(grid=2, padding=0.0,
-                                                step=0.5, horizon=1.0))
+        res = narrow(arch, spaces, SamplingPlan(grid=2, step=0.5, horizon=1.0))
         assert res.narrowed.fds == spaces.fds
         assert any(e.get("step") == "full-box-feasible" for e in res.log)
 
@@ -210,38 +209,43 @@ class TestNarrow:
         arch = _passthrough_arch(c_range=(20.0, 30.0), top_out=(0.0, 5.0))
         spaces = initial_spaces(arch)
         with pytest.raises(Infeasible):
-            narrow(arch, spaces, SamplingPlan(grid=2, padding=0.0,
-                                              step=0.5, horizon=1.0))
+            narrow(arch, spaces, SamplingPlan(grid=2, step=0.5, horizon=1.0))
 
-    def test_padding_escape_is_clipped_and_logged(self):
-        arch = _passthrough_arch(c_range=(0.0, 5.0), top_out=(0.0, 5.0))
-        spaces = initial_spaces(arch)
-        res = narrow(arch, spaces, SamplingPlan(grid=2, padding=0.1,
-                                                step=0.5, horizon=1.0))
-        assert res.escapes, "padded envelope must poke out of an exactly-tight space"
-        assert spaces.fps["y"].contains_interval(res.narrowed.fps["y"])
-        # raw envelope kept alongside the clipped space
-        lo, hi = res.envelope.bounds["y"]
-        assert lo < 0.0 < 5.0 < hi
-
-    def test_padded_window_escape_is_reported_not_clipped(self):
-        # y = c over c in [1, 4]: unpadded, y reaches the window bound 4
-        # exactly; padded by 10% of its span it reaches 4.3
+    def test_attained_space_is_the_raw_envelope(self):
+        # y = c over c in [1, 4] reaches the window bound 4 exactly
         window = TimedOutputSpec("y", ((0.0, 1.0, Interval(0.0, 4.0)),))
-        arch = _passthrough_arch(c_range=(1.0, 4.0), top_out=(0.0, 10.0),
+        arch = _passthrough_arch(c_range=(1.0, 4.0), top_out=(0.0, 4.0),
                                  timed_outputs=(window,))
         spaces = initial_spaces(arch)
-        res = narrow(arch, spaces, SamplingPlan(grid=2, padding=0.1,
-                                                step=0.5, horizon=1.0))
-        # the unpadded probe fits, so the box is left alone
-        assert res.narrowed.fds == spaces.fds
-        (escape,) = res.escapes
-        assert escape.simulated == pytest.approx(4.3)
-        assert res.log[-1]["escapes"] == [
-            {"variable": "y", "side": "hi", "simulated": escape.simulated,
-             "allowed": 4.0, "window": [0.0, 1.0]}]
-        # the attained space holds no windows: y is not clipped to 4
-        assert res.narrowed.fps["y"].hi == escape.simulated
+        plan = SamplingPlan(grid=2, step=0.5, horizon=1.0)
+        res = narrow(arch, spaces, plan)
+        env = envelope_over_box(arch, res.narrowed.fds, plan)
+        assert {v: (iv.lo, iv.hi) for v, iv in res.narrowed.fps.items()} == env.bounds
+        assert res.narrowed.fps["y"] == Interval(1.0, 4.0)
+        assert res.log[-1] == {"step": "performance-envelope", "samples": 4}
+
+    def test_published_envelope_escape_fails_where_the_probes_pass(self):
+        # the probes sample the corners and centre of a, b in [-1, 1], where
+        # y' = a*a*(1 - b*b) is 0; the published grid also holds (+-1, 0),
+        # where y reaches 1 at t = 1
+        top = FunctionalRequirement("top", inputs=RangeMap.of(a=(-1, 1), b=(-1, 1)),
+                                    outputs=RangeMap.of(y=(-1, 0.5)))
+        rate = BinOp("*", BinOp("*", Var("a"), Var("a")),
+                     BinOp("-", Num(1.0), BinOp("*", Var("b"), Var("b"))))
+        f = SubFunction(id="f", states=(State("y", rate, Num(0.0)),),
+                        inputs=RangeMap.of(a=(-1, 1), b=(-1, 1)),
+                        outputs=RangeMap.of(y=(-10, 10)))
+        arch = Architecture(top=top, subfunctions=(f,))
+        with pytest.raises(PostconditionFailure, match=r"'envelope'.*y hi: simulated "
+                           r"1\.0\d* > allowed 0\.5") as exc:
+            narrow(arch, initial_spaces(arch), SamplingPlan(grid=3, step=0.25, horizon=1.0))
+        assert exc.value.law == "envelope"
+
+    def test_window_the_plan_never_reaches_is_rejected(self):
+        window = TimedOutputSpec("y", ((2.0, 3.0, Interval(0.0, 4.0)),))
+        arch = _passthrough_arch(timed_outputs=(window,))
+        with pytest.raises(ValidationError, match=r"window \[2, 3\] of 'y'.*horizon 1, step 0\.5"):
+            narrow(arch, initial_spaces(arch), SamplingPlan(grid=2, step=0.5, horizon=1.0))
 
     @pytest.mark.parametrize("extra", [
         # c = 8.75 is probed only if the first hi trial, 7.5, passes; it
@@ -256,7 +260,7 @@ class TestNarrow:
     def test_bundled_probes_give_the_sequential_result(self, extra):
         arch = _probe_arch(extra)
         spaces = initial_spaces(arch)
-        plan = SamplingPlan(grid=2, padding=0.0, step=0.5, horizon=1.0)
+        plan = SamplingPlan(grid=2, step=0.5, horizon=1.0)
         res = narrow(arch, spaces, plan)
         assert res.narrowed.fds == _sequential_fds(arch, spaces, plan)
         assert res.narrowed.fds["c"].hi == 5.0

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from setdecomp.errors import NotComposable, UnitMismatch
+from setdecomp.errors import NotComposable, UnitMismatch, ValidationError
 from setdecomp.intervals import Interval, RangeMap
 from setdecomp.requirements import (FunctionalRequirement, TimedOutputSpec,
                                     check_composable, check_refines, compose,
@@ -14,13 +14,13 @@ from genfr import (oracle_composable, oracle_refines, rand_chain, rand_fan_out,
 
 
 def test_roles_must_be_disjoint():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="variable 'v' appears in both inputs and outputs"):
         FunctionalRequirement("bad", inputs=RangeMap.of(v=(0, 1)),
                               outputs=RangeMap.of(v=(0, 1)))
 
 
 def test_reversed_time_window_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match=r"window \[30.0,20.0\] for v is reversed"):
         TimedOutputSpec("v", ((30.0, 20.0, Interval(0, 1)),))
 
 

@@ -172,7 +172,7 @@ class TestSampling:
 class TestEnvelope:
     def test_envelope_covers_closed_form_extremes(self):
         env = envelope_over_box(_decay_arch(), RangeMap.of(y0=(0.5, 2.0)),
-                                SamplingPlan(grid=3, padding=0.0, step=0.01, horizon=2.0))
+                                SamplingPlan(grid=3, step=0.01, horizon=2.0))
         lo, hi = env.bounds["y"]
         assert hi == pytest.approx(2.0, rel=1e-9)          # initial upper corner
         assert lo == pytest.approx(0.5 * math.exp(-2.0), rel=1e-4)
@@ -181,7 +181,7 @@ class TestEnvelope:
         arch, _ = load_architecture(CRUISE)
         fds = initial_spaces(arch).fds
         box = RangeMap((v, Interval(iv.mid, iv.mid, iv.unit)) for v, iv in fds.items())
-        plan = SamplingPlan(padding=0.0, step=0.01, horizon=10.0)
+        plan = SamplingPlan(step=0.01, horizon=10.0)
         env = envelope_over_box(arch, box, plan)
         traj = integrate(build_ode(arch, {v: iv.mid for v, iv in fds.items()}),
                          horizon=plan.horizon, step=plan.step)
@@ -193,29 +193,19 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             envelope_over_box(_decay_arch(), RangeMap.of(y0=(0.5, 2.0)), SamplingPlan(step=0))
 
-    def test_padding_inflates_outward(self):
-        box = RangeMap.of(y0=(0.5, 2.0))
-        raw = envelope_over_box(_decay_arch(), box,
-                                SamplingPlan(grid=2, padding=0.0, step=0.01, horizon=1.0))
-        pad = envelope_over_box(_decay_arch(), box,
-                                SamplingPlan(grid=2, padding=0.05, step=0.01, horizon=1.0))
-        for name in raw.bounds:
-            assert pad.bounds[name][0] <= raw.bounds[name][0]
-            assert pad.bounds[name][1] >= raw.bounds[name][1]
-
     def test_window_extrema(self):
         env = envelope_over_box(_constant_arch(1.0), RangeMap.of(y0=(0.0, 1.0)),
-                                SamplingPlan(grid=2, padding=0.0, step=0.01, horizon=10.0),
+                                SamplingPlan(grid=2, step=0.01, horizon=10.0),
                                 windows={"y": [(5.0, 10.0)]})
         lo, hi = env.windows["y"][(5.0, 10.0)]
         assert lo == pytest.approx(5.0, abs=1e-9)   # y0=0 at t=5
         assert hi == pytest.approx(11.0, abs=1e-9)  # y0=1 at t=10
 
     def test_boxes_bundled_match_boxes_alone(self):
-        # sets of 3 and 1 samples share a bundle padded to 3 per box
+        # sets of 3 and 1 samples share a bundle filled to 3 per box
         boxes = [RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(1.5, 1.5)),
                  RangeMap.of(y0=(0.75, 1.0))]
-        plan = SamplingPlan(grid=3, padding=0.02, step=0.01, horizon=1.0)
+        plan = SamplingPlan(grid=3, step=0.01, horizon=1.0)
         windows = {"y": [(0.25, 0.5)]}
         bundled = envelope_over_box(_decay_arch(), boxes, plan, windows)
         alone = [envelope_over_box(_decay_arch(), b, plan, windows) for b in boxes]
@@ -232,7 +222,7 @@ class TestEnvelope:
         sq = SubFunction(id="sq", exprs=(("dy", BinOp("*", Var("y"), Var("y"))),),
                          inputs=RangeMap.of(y=(-1e9, 1e9)), outputs=RangeMap.of(dy=(-1e9, 1e9)))
         arch = Architecture(top=top, subfunctions=(integ, sq))
-        plan = SamplingPlan(grid=1, padding=0.0, step=0.01, horizon=5.0)
+        plan = SamplingPlan(grid=1, step=0.01, horizon=5.0)
         bad, good = RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(0.0, 0.0))
         results = envelope_over_box(arch, [bad, good], plan)
         with pytest.raises(NonFinite) as alone:

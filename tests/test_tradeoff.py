@@ -183,7 +183,7 @@ def result():
     arch, raw = load_architecture(CRUISE)
     weights = PreferenceWeights.from_dict(raw["tradeoff"]["weights"])
     spaces = initial_spaces(arch)
-    plan = SamplingPlan(grid=2, padding=0.02, step=0.02, horizon=100.0)
+    plan = SamplingPlan(grid=2, step=0.02, horizon=100.0)
     nres = narrow(arch, spaces, plan)
     tres = run_tradeoff(arch, nres.narrowed.fds, spaces.fps,
                         nres.narrowed.fps, weights)
