@@ -1,11 +1,10 @@
 """Small arithmetic expression trees for sub-function dynamics.
 
 Expressions support constants, variable references, +, -, *, /, unary
-negation and integer powers.  Three evaluators are provided:
+negation and integer powers.  Two evaluators are provided (the simulator
+compiles the trees itself, see ``simulation.build_ode``):
 
 * ``evaluate``  -- pointwise (floats or numpy arrays),
-* ``to_source`` -- render to a Python expression string for the compiled
-  right-hand-side used by the simulator,
 * ``evaluate_interval`` -- the natural interval extension, used by the
   trade-off containment constraints.
 
@@ -23,8 +22,7 @@ from .errors import DomainError, ParseError
 from .intervals import Interval
 
 __all__ = ["Expr", "Num", "Var", "BinOp", "Neg", "Pow",
-           "parse_expr", "evaluate", "evaluate_interval",
-           "to_source", "free_vars"]
+           "parse_expr", "evaluate", "evaluate_interval", "free_vars"]
 
 
 @dataclass(frozen=True)
@@ -123,22 +121,6 @@ def evaluate(e: Expr, env) -> float:
         return -evaluate(e.arg, env)
     if isinstance(e, Pow):
         return evaluate(e.base, env) ** e.exponent
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def to_source(e: Expr, rename) -> str:
-    """Render to Python source; ``rename`` maps a variable name to the
-    identifier it is bound to in the generated function."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return rename(e.name)
-    if isinstance(e, BinOp):
-        return f"({to_source(e.left, rename)} {e.op} {to_source(e.right, rename)})"
-    if isinstance(e, Neg):
-        return f"(-{to_source(e.arg, rename)})"
-    if isinstance(e, Pow):
-        return f"({to_source(e.base, rename)} ** {e.exponent})"
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -1,31 +1,47 @@
 """Executable ODE view of an architecture and sampled envelopes.
 
-``build_ode`` assembles the connected sub-functions into a compiled
-right-hand side: the states are every sub-function's states, exposed as
-outputs or hidden, and the expression outputs are evaluated in the
-architecture's one dependency order, ``Architecture.assignments``, which
-feasibility restoration sweeps too.  One classical fixed-step 4th-order
-Runge-Kutta kernel, ``_march``, steps it and hands the outputs at every
-grid time to one of two reducers: ``integrate`` keeps the whole
-trajectory, ``envelope_over_box`` keeps per-variable extrema over a
-deterministic bundle of samples drawn from a design-space box (all corners
-plus an n-per-axis grid).  The envelope is the raw simulated extrema at the
+``build_ode`` compiles the connected sub-functions into Python functions
+(``codegen.compile_rhs``): the states are every sub-function's states,
+exposed as outputs or hidden, and the expression outputs are evaluated in
+the architecture's one dependency order, ``Architecture.assignments``,
+which feasibility restoration sweeps too.  The compiler partially
+evaluates at the design point: every output and maximal subtree that the
+parameters (constants and design point) alone determine is computed once,
+and a subtree that occurs more than once is computed once per call.  The
+same operations run on the same operands in the same order, so every value
+is bit-identical to evaluating the expressions as written.
+
+One classical fixed-step 4th-order Runge-Kutta kernel, ``_march``, steps
+the system.  At each grid time the grid-point evaluation, reused as the
+first RK stage, writes the outputs straight into a row of a preallocated
+(K, outputs, lanes) buffer; once K rows are full it hands them to one of
+two reducers: ``integrate`` keeps every row, ``envelope_over_box`` keeps
+per-variable extrema over a deterministic bundle of samples drawn from a
+design-space box (all corners plus an n-per-axis grid), reduced once per
+chunk over the samples and then over the times.  K is as many rows as
+``CHUNK_BYTES`` holds.  The envelope is the raw simulated extrema at the
 grid times: an empirical inner estimate, *not* a sound over-approximation,
 and every consumer of it says so.
 
 Both reducers follow one non-finite rule: states are float64, so overflow
 and division by zero give inf or NaN (never an exception or a numpy
-warning), and a :class:`NonFinite` error names the first output, in name
-order, at the first grid time where it is not finite.
+warning; what Python floats would raise on is evaluated in float64), and a
+:class:`NonFinite` error names the first output, in name order, at the
+first grid time where it is not finite.  The march stops at the end of the
+chunk that settles the error.
 
-All samples of a bundle are integrated simultaneously as numpy vectors, so
-the cost is dominated by the number of time steps, not the number of samples.
-That is why ``envelope_over_box`` also takes several boxes at once (the
-probes of one narrowing round) and reduces the bundle per box.
+All samples of a bundle are integrated simultaneously as numpy vectors, one
+lane each, so a step costs a fixed number of numpy calls: four evaluations
+of the right-hand side (the parameter-only parts excluded) and the RK4
+update, plus the reduction spread over the K grid times of a chunk.  The
+number of time steps, not the number of samples, dominates the cost.  That
+is why ``envelope_over_box`` also takes several boxes at once (the probes of
+one narrowing round) and reduces the bundle per box.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Sequence
@@ -33,13 +49,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr as ex
 from .architecture import Architecture, aggregate_names
-from .errors import NonFinite, SetDecompError
+from .codegen import compile_rhs
+from .errors import NonFinite, SetDecompError, ValidationError
 from .intervals import RangeMap
 
 __all__ = ["OdeSystem", "Trajectory", "Envelope", "SamplingPlan",
            "build_ode", "integrate", "envelope_over_box", "design_samples"]
+
+#: byte cap on the buffer of grid-time outputs that one reduction reads:
+#: small enough to stay in cache and to leave peak memory where it was
+CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -54,7 +74,7 @@ class SamplingPlan:
 
     def __post_init__(self):
         if not (self.step > 0 and self.horizon > 0 and self.grid >= 0):
-            raise ValueError("SamplingPlan needs step > 0, horizon > 0 and grid >= 0")
+            raise ValidationError("SamplingPlan needs step > 0, horizon > 0 and grid >= 0")
 
     def reduced(self) -> "SamplingPlan":
         """Cheaper plan for inner narrowing loops: corners + center only,
@@ -68,8 +88,9 @@ class OdeSystem:
     """Compiled dynamic system for one architecture at one design point."""
 
     output_names: tuple[str, ...]       # all sub-function outputs (the y' set)
-    initial_state: tuple        # floats or ndarrays, one per rhs argument
-    rhs: object                 # rhs(*states) -> (derivs tuple, outputs tuple)
+    initial_state: tuple        # floats or ndarrays, one per state
+    rhs: object                 # rhs(row or None, *states) -> derivatives; fills a row
+    shape: tuple[int, ...]      # lanes: () for one design point, (n,) for n of them
 
 
 @dataclass(frozen=True)
@@ -99,63 +120,48 @@ def build_ode(arch: Architecture, point: dict[str, float]) -> OdeSystem:
         raise SetDecompError(f"design point missing values for: {', '.join(missing)}")
     params = dict(arch.constants)       # what the right-hand side closes over
     params.update((n, point[n]) for n in design)
-
-    # states in declaration order; the assignments in the architecture's order
-    states = [(st.name, st.derivative, ex.evaluate(st.initial, params))
-              for sf in arch.subfunctions for st in sf.states]
-    assigns = arch.assignments
-    state_names = tuple(n for n, _, _ in states)
-
     output_names = tuple(sorted(ys))
+    shape = np.broadcast_shapes(*(np.shape(point[n]) for n in design))
 
-    # compile one Python function for the whole right-hand side
-    names = sorted({*params, *state_names, *(out for _, out, _ in assigns)})
-    rn = {n: f"_v{i}" for i, n in enumerate(names)}.__getitem__
-
-    lines = ["def _make(_P):"]
-    for n in sorted(params):
-        lines.append(f"    {rn(n)} = _P[{n!r}]")
-    args = ", ".join(rn(n) for n in state_names)
-    lines.append(f"    def _rhs({args}):")
-    for _, n, e in assigns:
-        lines.append(f"        {rn(n)} = {ex.to_source(e, rn)}")
-    derivs = ", ".join(ex.to_source(d, rn) for _, d, _ in states) or ""
-    outs = ", ".join(rn(n) for n in output_names)
-    lines.append(f"        return ({derivs}{',' if len(states) == 1 else ''}), "
-                 f"({outs}{',' if len(output_names) == 1 else ''})")
-    lines.append("    return _rhs")
-    src = "\n".join(lines)
-    ns: dict = {}
-    exec(src, ns)  # noqa: S102 - generated from validated expression trees only
-    rhs = ns["_make"](params)
-
-    initial = tuple(v for _, _, v in states)
-    return OdeSystem(output_names=output_names, initial_state=initial, rhs=rhs)
+    rhs, initial = compile_rhs(arch, params, output_names, inplace=bool(shape))
+    return OdeSystem(output_names=output_names, initial_state=initial, rhs=rhs, shape=shape)
 
 
-def _march(rhs, state: list, horizon: float, step: float, visit) -> None:
+def _march(sys: OdeSystem, horizon: float, step: float, reduce) -> None:
     """Fixed-step RK4 over [0, horizon], the one stepping loop.
 
-    At every grid time ``t`` it calls ``visit(t, outputs)`` with the outputs
-    evaluated at the grid point (not at RK stages) and stops early when
-    ``visit`` returns True.  The grid-point evaluation is reused as ``k1``.
-    Non-finite values propagate silently; each reducer reports them as
-    :class:`NonFinite`.
+    At every grid time the grid-point evaluation, reused as ``k1``, writes
+    the outputs into the next row of a (K, outputs, *lanes) buffer; the RK
+    stages pass no row and write nothing.  Once K rows are full, or at the
+    last grid time, ``reduce(times, rows)`` gets those rows and stops the
+    march by returning True.  K is as many rows as ``CHUNK_BYTES`` holds.  Non-finite values
+    propagate silently; each reducer reports them as :class:`NonFinite`.
     """
-    if step <= 0 or horizon < 0:
-        raise ValueError("step must be positive and horizon not negative")
+    if not (step > 0 and horizon >= 0):
+        raise ValidationError("step must be positive and horizon not negative")
     n = int(round(horizon / step))
     h = step
+    row_bytes = 8 * max(1, len(sys.output_names)) * math.prod(sys.shape)
+    chunk = min(n + 1, max(1, CHUNK_BYTES // row_bytes))
+    buf = np.empty((chunk, len(sys.output_names), *sys.shape))
+    rows = list(buf)
+    rhs = sys.rhs
+    # float64 states make overflow and division by zero inf/NaN instead of
+    # Python float exceptions; a bundle's states fill every lane
+    state = [np.asarray(v, dtype=float) + np.zeros(sys.shape) if sys.shape
+             else np.asarray(v, dtype=float) for v in sys.initial_state]
+    times: list[float] = []
     with np.errstate(all="ignore"):
         for k in range(n + 1):
-            k1, outs = rhs(*state)
-            if visit(k * step, outs) or k == n:
-                return
-            # stage outputs are dropped at once, not kept alive into the next
-            # grid-point evaluation
-            k2 = rhs(*(s + 0.5 * h * d for s, d in zip(state, k1)))[0]
-            k3 = rhs(*(s + 0.5 * h * d for s, d in zip(state, k2)))[0]
-            k4 = rhs(*(s + h * d for s, d in zip(state, k3)))[0]
+            k1 = rhs(rows[len(times)], *state)
+            times.append(k * step)
+            if len(times) == len(rows) or k == n:
+                if reduce(times, buf[:len(times)]) or k == n:
+                    return
+                times = []
+            k2 = rhs(None, *(s + 0.5 * h * d for s, d in zip(state, k1)))
+            k3 = rhs(None, *(s + 0.5 * h * d for s, d in zip(state, k2)))
+            k4 = rhs(None, *(s + h * d for s, d in zip(state, k3)))
             state = [s + (h / 6.0) * (a + 2 * b + 2 * c + d)
                      for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
@@ -163,26 +169,25 @@ def _march(rhs, state: list, horizon: float, step: float, visit) -> None:
 def integrate(sys: OdeSystem, horizon: float, step: float) -> Trajectory:
     """Fixed-step RK4 over [0, horizon]; records every y' variable at every
     grid time.  Raises :class:`NonFinite` for the first output, in name
-    order, at the first grid time where any of its values is not finite."""
+    order, at the first grid time where any of its values is not finite; the
+    march stops at the end of that time's chunk."""
     times: list[float] = []
-    rows: list[tuple] = []
+    chunks: list[np.ndarray] = []
 
-    def record(t, outs):
-        times.append(t)
-        rows.append(outs)
+    def keep(ts, rows) -> bool:
+        times.extend(ts)
+        chunks.append(rows.copy())          # the buffer is reused
+        return not np.isfinite(rows).all()
 
-    # float64 states make overflow and division by zero inf/NaN, as in the
-    # envelope, instead of Python float exceptions
-    _march(sys.rhs, [np.asarray(v, dtype=float) for v in sys.initial_state],
-           horizon, step, record)
+    _march(sys, horizon, step, keep)
     names = sys.output_names
-    values = {name: np.asarray(col) for name, col in zip(names, zip(*rows))}
-    bad = np.array([~np.isfinite(values[name]).reshape(len(times), -1).all(axis=1)
-                    for name in names]).reshape(len(names), len(times))
+    rows = np.concatenate(chunks)           # (times, outputs, *lanes)
+    bad = ~np.isfinite(rows).all(axis=tuple(range(2, rows.ndim)))
     if bad.any():
-        k = int(np.argmax(bad.any(axis=0)))
-        raise NonFinite(names[int(np.argmax(bad[:, k]))], times[k])
-    return Trajectory(times=np.array(times), values=values)
+        k = int(np.argmax(bad.any(axis=1)))
+        raise NonFinite(names[int(np.argmax(bad[k]))], times[k])
+    return Trajectory(times=np.array(times),
+                      values={name: rows[:, j] for j, name in enumerate(names)})
 
 
 def design_samples(box: RangeMap, plan: SamplingPlan) -> list[dict[str, float]]:
@@ -277,11 +282,12 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
     reduced per set.
 
     Every set is filled to a common length ``m`` by repeating its own last
-    sample, which leaves its extrema unchanged, so each step reduces every
-    output over a (sets × m) view into one (outputs × sets) table and folds
-    that table into the running extrema.  A set whose outputs turn
-    non-finite gets the :class:`NonFinite` error it would raise alone; the
-    march stops early once every set has one.
+    sample, which leaves its extrema unchanged, so each chunk of grid times
+    reduces to a (times, outputs, sets) table over the samples, and that
+    table to (outputs, sets) over the times, which is folded into the
+    running extrema.  A set whose outputs turn non-finite gets the
+    :class:`NonFinite` error it would raise alone; the march stops early once
+    every set has one.
     """
     P = len(sample_sets)
     m = max(len(s) for s in sample_sets)
@@ -289,46 +295,38 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
     point = {k: np.array([s[k] for seg in filled for s in seg])
              for k in sample_sets[0][0]}
     sys = build_ode(arch, point)
-    state = [np.asarray(v, dtype=float) + np.zeros(P * m) for v in sys.initial_state]
 
     names = sys.output_names
-    table = np.empty((2, len(names), P))        # this step's [min, max]
-    tlo, thi = table
+    index = {name: j for j, name in enumerate(names)}
     rlo = np.full((len(names), P), math.inf)    # running extrema
     rhi = np.full((len(names), P), -math.inf)
-    rows = list(zip(tlo, thi))
-    row_of = dict(zip(names, rows))
     wins = {name: {tuple(w): (np.full(P, math.inf), np.full(P, -math.inf)) for w in ws}
             for name, ws in (windows or {}).items()}
-    win_rows = [(t0, t1, *row_of[name], *ext) for name, ws in wins.items() if name in row_of
+    win_rows = [(index[name], t0, t1, *ext) for name, ws in wins.items() if name in index
                 for (t0, t1), ext in ws.items()]
     errors: list[NonFinite | None] = [None] * P
 
-    def extrema(t, outs) -> bool:
-        for (lo_row, hi_row), val in zip(rows, outs):
-            if isinstance(val, np.ndarray):
-                seg = val.reshape(P, m)
-                np.minimum.reduce(seg, 1, None, lo_row)
-                np.maximum.reduce(seg, 1, None, hi_row)
-            else:
-                lo_row[:] = val
-                hi_row[:] = val
-        # NaN and inf survive min and max, so one test covers the step
-        if not np.isfinite(table).all():
-            _record_nonfinite(errors, table, outs, names, sample_sets, m, t)
+    def extrema(times, rows) -> bool:
+        seg = rows.reshape(len(times), len(names), P, m)
+        lo, hi = np.minimum.reduce(seg, axis=3), np.maximum.reduce(seg, axis=3)
+        clo, chi = _earliest(np.minimum, lo), _earliest(np.maximum, hi)
+        # NaN and inf survive min and max, so one test covers the chunk
+        finite = np.isfinite(clo) & np.isfinite(chi)
+        if not finite.all():
+            _record_nonfinite(errors, ~finite, times, lo, hi, rows, names, sample_sets, m)
             if all(e is not None for e in errors):
                 return True
-        # on ties the second argument wins, which keeps the first extremum
-        # seen, down to the sign of a zero
-        np.minimum(tlo, rlo, out=rlo)
-        np.maximum(thi, rhi, out=rhi)
-        for t0, t1, lo_row, hi_row, wlo, whi in win_rows:
-            if t0 <= t <= t1:
-                np.minimum(lo_row, wlo, out=wlo)
-                np.maximum(hi_row, whi, out=whi)
+        # on ties the second argument wins, which keeps the earlier extremum
+        np.minimum(clo, rlo, out=rlo)
+        np.maximum(chi, rhi, out=rhi)
+        for j, t0, t1, wlo, whi in win_rows:
+            a, b = bisect.bisect_left(times, t0), bisect.bisect_right(times, t1)
+            if a < b:
+                np.minimum(_earliest(np.minimum, lo[a:b, j]), wlo, out=wlo)
+                np.maximum(_earliest(np.maximum, hi[a:b, j]), whi, out=whi)
         return False
 
-    _march(sys.rhs, state, plan.horizon, plan.step, extrema)
+    _march(sys, plan.horizon, plan.step, extrema)
 
     results: list = []
     for p, samples in enumerate(sample_sets):
@@ -343,16 +341,31 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
     return results
 
 
-def _record_nonfinite(errors: list, table: np.ndarray, outs, names, sample_sets,
-                      m: int, t: float) -> None:
-    """Give every set that first turned non-finite at time ``t`` the error a
-    bundle of its samples alone raises: the first output in order, at the
+def _earliest(extremum, x: np.ndarray) -> np.ndarray:
+    """``extremum`` (``np.minimum`` or ``np.maximum``) of ``x`` over its time
+    axis 0.  Equal extrema differ only in the sign of a zero; the earliest
+    time's wins, as in a running fold."""
+    r = extremum.reduce(x, axis=0)
+    zero = r == 0
+    if zero.any():
+        first = np.take_along_axis(x, (x == 0).argmax(axis=0)[np.newaxis], axis=0)[0]
+        r[zero] = first[zero]
+    return r
+
+
+def _record_nonfinite(errors: list, bad: np.ndarray, times, lo, hi, rows, names,
+                      sample_sets, m: int) -> None:
+    """Give every set that first turns non-finite in this chunk (``bad``:
+    outputs × sets, over the whole chunk) the error a bundle of its samples
+    alone raises: at the first such time, the first output in order, at the
     first such sample."""
-    bad = ~np.isfinite(table).all(axis=0)       # (outputs, sets)
-    for p in np.flatnonzero(bad.any(axis=0)):
-        if errors[p] is not None:
-            continue
-        i = int(np.argmax(bad[:, p]))
-        vals = np.broadcast_to(outs[i], (len(sample_sets) * m,))[p * m:(p + 1) * m]
-        idx = int(np.argmax(~np.isfinite(vals)))
-        errors[p] = NonFinite(f"{names[i]} (sample {sample_sets[p][idx]})", t)
+    fresh = {int(p) for p in np.flatnonzero(bad.any(axis=0)) if errors[p] is None}
+    for k, t in enumerate(times):
+        if not fresh:
+            return
+        now = ~(np.isfinite(lo[k]) & np.isfinite(hi[k]))        # (outputs, sets)
+        for p in fresh & set(np.flatnonzero(now.any(axis=0)).tolist()):
+            i = int(np.argmax(now[:, p]))
+            idx = int(np.argmax(~np.isfinite(rows[k, i, p * m:(p + 1) * m])))
+            errors[p] = NonFinite(f"{names[i]} (sample {sample_sets[p][idx]})", t)
+            fresh.discard(p)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 import json
 import random
@@ -5,7 +6,7 @@ import shutil
 
 import pytest
 
-from setdecomp import narrowing
+from setdecomp import cli, narrowing, simulation
 from setdecomp.cli import main
 from setdecomp.intervals import Interval, RangeMap
 from setdecomp.requirements import FunctionalRequirement, save_fr
@@ -463,6 +464,47 @@ class TestSimulate:
         path.write_text(json.dumps(doc))
         assert main(["simulate", str(path), "--horizon", "2", *flags]) == 3
         assert f"infeasible: non-finite value for '{var}'" in capsys.readouterr().err
+
+    def test_diverging_trajectory_stops_in_the_chunk_of_its_error(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # y' = y^2 from y(0) = 1 turns non-finite near t = 1, grid index ~100
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(_ramp_doc(["pow", ["var", "y"], 2], "dy", None, 1.0)))
+        calls = []
+
+        def build_ode(arch, point):
+            sys_ = simulation.build_ode(arch, point)
+
+            def rhs(row, *state):
+                if row is not None:
+                    calls.append(None)
+                return sys_.rhs(row, *state)
+            return dataclasses.replace(sys_, rhs=rhs)
+
+        monkeypatch.setattr(cli, "build_ode", build_ode)
+        assert main(["simulate", str(path), "--horizon", "100"]) == 3
+        err = capsys.readouterr().err
+        assert "infeasible: non-finite value for 'dy'" in err
+        first_bad = round(float(err.rsplit("t=", 1)[1]) / 0.01)
+        rows = simulation.CHUNK_BYTES // (8 * 2)        # grid times per chunk: y and dy
+        assert first_bad < len(calls) <= first_bad + rows < 10_001
+
+    def test_parameter_only_division_by_zero_is_infeasible(self, tmp_path, capsys):
+        # the rolling resistance divides by C_r - 0.01 = 0: Python floats
+        # would raise, so it is evaluated in float64, once, before the march
+        doc = json.loads(open(CRUISE).read())
+        _sub(doc, "f3")["exprs"]["Fr"] = ["/", ["*", ["var", "m"], ["var", "g"]],
+                                          ["-", ["var", "C_r"], 0.01]]
+        path = tmp_path / "fr.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--step", "0.5", "--horizon", "2"]) == 3
+        assert "infeasible: non-finite value for 'Fr' at t=0" in capsys.readouterr().err
+        assert main(["decompose", str(path), *FAST]) == 3
+        assert "infeasible: non-finite value for 'Fr (sample" in capsys.readouterr().err
+
+    def test_zero_step_is_validation_error(self, capsys):
+        assert main(["simulate", CRUISE, "--step", "0"]) == 2
+        assert "step must be positive" in capsys.readouterr().err
 
 
 def test_integrator_document_equals_its_algebraic_form(tmp_path):

@@ -1,13 +1,19 @@
+import dataclasses
 import importlib.resources
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from setdecomp import expr as ex
+from setdecomp import simulation
 
 from setdecomp.architecture import Architecture, State, SubFunction, load_architecture
-from setdecomp.errors import AlgebraicCycle, NonFinite
-from setdecomp.expr import BinOp, Num, Var
+from setdecomp.errors import AlgebraicCycle, NonFinite, ValidationError
+from setdecomp.expr import BinOp, Neg, Num, Pow, Var
 from setdecomp.intervals import Interval, RangeMap
 from setdecomp.narrowing import initial_spaces
 from setdecomp.requirements import FunctionalRequirement
@@ -106,6 +112,11 @@ class TestIntegrate:
             integrate(build_ode(_square_arch(), {"y0": np.array([1.0, 0.5])}),
                       horizon=2.0, step=0.001)
 
+    @pytest.mark.parametrize("step, horizon", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1.0)])
+    def test_bad_step_or_horizon_is_validation_error(self, step, horizon):
+        with pytest.raises(ValidationError):
+            integrate(build_ode(_decay_arch(), {"y0": 1.0}), horizon=horizon, step=step)
+
     def test_algebraic_cycle_detected(self):
         a = SubFunction(id="a", exprs=(("p", Var("q")),),
                         inputs=RangeMap.of(q=(0, 1)), outputs=RangeMap.of(p=(0, 1)))
@@ -189,8 +200,13 @@ class TestEnvelope:
         assert env.bounds == {name: (float(np.min(vals)), float(np.max(vals)))
                               for name, vals in traj.values.items()}
 
+    def test_sampling_plan_is_validated(self):
+        for bad in ({"step": 0.0}, {"step": -0.01}, {"horizon": 0.0}, {"grid": -1}):
+            with pytest.raises(ValidationError):
+                SamplingPlan(**bad)
+
     def test_zero_step_is_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             envelope_over_box(_decay_arch(), RangeMap.of(y0=(0.5, 2.0)), SamplingPlan(step=0))
 
     def test_window_extrema(self):
@@ -231,3 +247,246 @@ class TestEnvelope:
         assert str(results[0]) == str(alone.value)
         assert results[1] == envelope_over_box(arch, good, plan)
         assert results[1].bounds["y"] == (0.0, 0.0)
+
+
+def _counting(sys_, calls: list):
+    """``sys_`` that appends to ``calls`` at every grid-point evaluation."""
+    def rhs(row, *state):
+        if row is not None:
+            calls.append(None)
+        return sys_.rhs(row, *state)
+    return dataclasses.replace(sys_, rhs=rhs)
+
+
+def _counted(monkeypatch, module) -> list:
+    """Count the grid-point evaluations of every system ``module`` builds."""
+    calls: list = []
+    monkeypatch.setattr(module, "build_ode", lambda arch, point: _counting(build_ode(arch, point),
+                                                                           calls))
+    return calls
+
+
+def _chunk_rows(monkeypatch, rows: int, outputs: int, lanes: int) -> None:
+    """Set the buffer cap so that a chunk holds ``rows`` grid times."""
+    monkeypatch.setattr(simulation, "CHUNK_BYTES", rows * 8 * outputs * lanes)
+
+
+def _blowup_arch():
+    """dy/dt = y^2 over y0 in [0, 2]: y0 > 0 blows up at t = 1/y0; y0 = 0
+    stays at 0."""
+    top = FunctionalRequirement("blow", inputs=RangeMap.of(y0=(0, 2)),
+                                outputs=RangeMap.of(y=(-1e9, 1e9)))
+    integ = SubFunction(id="int", states=(State("y", Var("dy"), Var("y0")),),
+                        inputs=RangeMap.of(y0=(0, 2), dy=(-1e9, 1e9)),
+                        outputs=RangeMap.of(y=(-1e9, 1e9)))
+    sq = SubFunction(id="sq", exprs=(("dy", BinOp("*", Var("y"), Var("y"))),),
+                     inputs=RangeMap.of(y=(-1e9, 1e9)), outputs=RangeMap.of(dy=(-1e9, 1e9)))
+    return Architecture(top=top, subfunctions=(integ, sq))
+
+
+def _signed_zero_arch():
+    """y' = -1 from y0 = 0.5 and z = 0.0 * y, which is +0.0 while y >= 0 and
+    -0.0 once y < 0."""
+    top = FunctionalRequirement("zero", inputs=RangeMap.of(y0=(0.5, 0.5)),
+                                outputs=RangeMap.of(z=(-1, 1)))
+    integ = SubFunction(id="int", states=(State("y", Var("dy"), Var("y0")),),
+                        inputs=RangeMap.of(y0=(0.5, 0.5), dy=(-1, 1)),
+                        outputs=RangeMap.of(y=(-1, 1)))
+    rate = SubFunction(id="rate", exprs=(("dy", Num(-1.0)),), outputs=RangeMap.of(dy=(-1, 1)))
+    out = SubFunction(id="out", exprs=(("z", BinOp("*", Num(0.0), Var("y"))),),
+                      inputs=RangeMap.of(y=(-1, 1)), outputs=RangeMap.of(z=(-1, 1)))
+    return Architecture(top=top, subfunctions=(integ, rate, out))
+
+
+class TestChunks:
+    """The reducers see the grid times K buffer rows at a time; no K may
+    change a result."""
+
+    # 21 grid times; with K = 7 the first window spans the chunk boundary
+    # after t = 0.3 and the second lies inside the second chunk
+    PLAN = SamplingPlan(grid=3, step=0.05, horizon=1.0)
+    WINDOWS = {"y": [(0.25, 0.5), (0.4, 0.6), (0.33, 0.33), (0.0, 0.0), (1.0, 1.0)]}
+    BOXES = [RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(1.5, 1.5))]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_envelopes_do_not_depend_on_the_chunk_length(self, rows, monkeypatch):
+        default = envelope_over_box(_decay_arch(), self.BOXES, self.PLAN, self.WINDOWS)
+        _chunk_rows(monkeypatch, rows, outputs=2, lanes=2 * 3)
+        assert envelope_over_box(_decay_arch(), self.BOXES, self.PLAN, self.WINDOWS) == default
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_bundled_error_inside_a_chunk(self, rows, monkeypatch):
+        plan = SamplingPlan(grid=1, step=0.01, horizon=5.0)
+        boxes = [RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(0.0, 0.0))]
+        default = envelope_over_box(_blowup_arch(), boxes, plan)
+        assert isinstance(default[0], NonFinite)
+        _chunk_rows(monkeypatch, rows, outputs=2, lanes=2 * 3)
+        got = envelope_over_box(_blowup_arch(), boxes, plan)
+        assert str(got[0]) == str(default[0]) and got[1] == default[1]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_march_stops_in_the_chunk_of_the_last_error(self, rows, monkeypatch):
+        plan = SamplingPlan(grid=1, step=0.01, horizon=5.0)
+        box = RangeMap.of(y0=(1.0, 2.0))
+        with pytest.raises(NonFinite) as default:
+            envelope_over_box(_blowup_arch(), box, plan)
+        _chunk_rows(monkeypatch, rows, outputs=2, lanes=3)
+        calls = _counted(monkeypatch, simulation)
+        with pytest.raises(NonFinite) as chunked:
+            envelope_over_box(_blowup_arch(), box, plan)
+        assert str(chunked.value) == str(default.value)
+        first_bad = round(chunked.value.t / plan.step)
+        assert first_bad < len(calls) <= first_bad + rows
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3, 7])
+    def test_equal_extrema_keep_the_earliest_sign_of_zero(self, rows, monkeypatch):
+        if rows:
+            _chunk_rows(monkeypatch, rows, outputs=3, lanes=1)
+        env = envelope_over_box(_signed_zero_arch(), RangeMap.of(y0=(0.5, 0.5)),
+                                SamplingPlan(grid=1, step=0.01, horizon=1.0),
+                                windows={"z": [(0.2, 0.8)]})
+        values = [*env.bounds["z"], *env.windows["z"][(0.2, 0.8)]]
+        assert values == [0.0] * 4
+        assert [math.copysign(1.0, v) for v in values] == [1.0] * 4
+        assert env.bounds["y"][0] < 0.0     # so z did reach -0.0
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_integrate_stops_in_the_chunk_of_its_error(self, rows, monkeypatch):
+        with pytest.raises(NonFinite) as whole:
+            integrate(build_ode(_square_arch(), {"y0": 1.0}), horizon=100.0, step=0.01)
+        _chunk_rows(monkeypatch, rows, outputs=2, lanes=1)
+        calls: list = []
+        with pytest.raises(NonFinite) as chunked:
+            integrate(_counting(build_ode(_square_arch(), {"y0": 1.0}), calls),
+                      horizon=100.0, step=0.01)
+        assert (chunked.value.var, chunked.value.t) == (whole.value.var, whole.value.t)
+        first_bad = round(chunked.value.t / 0.01)
+        assert first_bad < len(calls) <= first_bad + rows
+
+    def test_trajectory_does_not_depend_on_the_chunk_length(self, monkeypatch):
+        arch, _ = load_architecture(CRUISE)
+        point = {v: iv.mid for v, iv in initial_spaces(arch).fds.items()}
+        whole = integrate(build_ode(arch, point), horizon=2.0, step=0.01)
+        _chunk_rows(monkeypatch, 7, outputs=8, lanes=1)
+        chunked = integrate(build_ode(arch, point), horizon=2.0, step=0.01)
+        assert np.array_equal(chunked.times, whole.times)
+        for name, values in whole.values.items():
+            assert chunked.values[name].tobytes() == values.tobytes(), name
+
+
+# --- the compiled right-hand side against the expression evaluator ---------
+
+_VALUES = [0.0, -0.0, 1.0, -2.5, 0.5, 3.0, 1e-300, 1e300]
+
+
+def _trees(leaf):
+    return st.recursive(leaf, lambda sub: st.one_of(
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Pow, sub, st.sampled_from([-1, 0, 1, 2, 3]))), max_leaves=6)
+
+
+def _leaves(names):
+    return st.one_of(st.sampled_from(_VALUES).map(Num), st.sampled_from(names).map(Var))
+
+
+def _map_leaves(e, leaf):
+    """``e`` with every literal and variable ``x`` replaced by ``leaf(x)``."""
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _map_leaves(e.left, leaf), _map_leaves(e.right, leaf))
+    if isinstance(e, Neg):
+        return Neg(_map_leaves(e.arg, leaf))
+    if isinstance(e, Pow):
+        return Pow(_map_leaves(e.base, leaf), e.exponent)
+    return leaf(e)
+
+
+# "@0" and "@1" stand for a shared parameter-only subtree and one over y
+_SHARED = st.tuples(_trees(_leaves(["a", "b", "c"])), _trees(_leaves(["y", "a", "c"])))
+_EXPRS = st.tuples(*(_trees(_leaves(["@0", "@1", *names])) for names in
+                     (["y", "a", "b", "c"], ["y", "w", "a", "b", "c"],
+                      ["y", "w", "q", "a", "b", "c"])))
+
+
+@st.composite
+def _systems(draw):
+    """Expressions for outputs w and q and for the derivative of the state y
+    that share a parameter-only subtree and a subtree over y."""
+    shared = dict(zip(("@0", "@1"), draw(_SHARED)))
+    return tuple(_map_leaves(e, lambda x: shared.get(getattr(x, "name", None), x))
+                 for e in draw(_EXPRS))
+
+
+def _same_bits(got, want) -> bool:
+    """Equal values and signs, with NaN in the same places."""
+    got, want = np.broadcast_arrays(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan]))
+
+
+class TestCompiledRightHandSide:
+    def test_literals_that_compare_equal_are_not_shared(self):
+        # 0.0 == -0.0, but y * 0.0 and y * -0.0 differ in sign: neither the
+        # parameter-only subtrees nor the repeated ones may merge them
+        wide = (-1e308, 1e308)
+        f = SubFunction(id="f", exprs=(("w", BinOp("*", Var("y"), Num(0.0))),
+                                       ("q", BinOp("*", Var("y"), Num(-0.0))),
+                                       ("p", BinOp("+", BinOp("*", Var("a"), Num(0.0)),
+                                                   BinOp("*", Var("a"), Num(-0.0))))),
+                        states=(State("y", BinOp("*", Var("y"), Num(-0.0)), Var("a")),),
+                        inputs=RangeMap.of(a=wide), outputs=RangeMap.of(y=wide, w=wide, q=wide,
+                                                                        p=wide))
+        arch = Architecture(top=FunctionalRequirement("t", inputs=RangeMap.of(a=wide)),
+                            subfunctions=(f,))
+        for a in (1.0, np.array([1.0, 2.0])):
+            sys_ = build_ode(arch, {"a": a})
+            row = np.full((4, *np.shape(a)), np.nan)
+            (dy,) = sys_.rhs(row, np.asarray(a, dtype=float))
+            signs = {name: np.copysign(1.0, row[j]) for j, name in enumerate(sys_.output_names)}
+            assert np.all(signs["w"] == 1.0) and np.all(signs["q"] == -1.0)
+            assert np.all(signs["p"] == 1.0)        # 0.0 + -0.0
+            assert np.all(np.copysign(1.0, dy) == -1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=_systems(), values=st.lists(st.sampled_from(_VALUES), min_size=12, max_size=12),
+           lanes=st.sampled_from([0, 3]), y_type=st.sampled_from(["0-d", "scalar"]))
+    def test_compiled_values_equal_the_evaluator_bit_for_bit(self, system, values, lanes, y_type):
+        w, q, dy = system
+        wide = (-1e308, 1e308)
+        f = SubFunction(id="f", exprs=(("w", w), ("q", q)), states=(State("y", dy, Var("a")),),
+                        inputs=RangeMap.of(a=wide, b=wide),
+                        outputs=RangeMap.of(y=wide, w=wide, q=wide))
+        top = FunctionalRequirement("t", inputs=RangeMap.of(a=wide, b=wide),
+                                    outputs=RangeMap.of(y=wide))
+        arch = Architecture(top=top, subfunctions=(f,), constants=(("c", values[0]),))
+        if lanes:       # a bundle: every value an array
+            a, b, y = (np.array(values[k:k + lanes]) for k in (1, 4, 7))
+        else:           # one point: y is 0-d at t = 0 and a numpy scalar after
+            a, b = values[1], values[2]
+            y = np.asarray(values[3]) if y_type == "0-d" else np.float64(values[3])
+
+        def reference(params, leaf=lambda x: x):
+            env = dict(params, y=y)
+            env["w"] = ex.evaluate(_map_leaves(w, leaf), env)
+            env["q"] = ex.evaluate(_map_leaves(q, leaf), env)
+            return ex.evaluate(_map_leaves(dy, leaf), env), env
+
+        params = {"a": a, "b": b, "c": values[0]}
+        with np.errstate(all="ignore"):
+            sys_ = build_ode(arch, {"a": a, "b": b})
+            try:
+                want, env = reference(params)
+            except ArithmeticError:     # where Python floats raise, float64 is used
+                want, env = reference({k: np.float64(v) if np.ndim(v) == 0 else v
+                                       for k, v in params.items()},
+                                      leaf=lambda x: Num(np.float64(x.value))
+                                      if isinstance(x, Num) else x)
+            row = np.full((3, *np.shape(a)), np.nan)
+            (stage,), (grid,) = sys_.rhs(None, y), sys_.rhs(row, y)
+        assert sys_.output_names == ("q", "w", "y")
+        for got in (stage, grid):
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert _same_bits(got, want)
+        for j, name in enumerate(sys_.output_names):
+            assert _same_bits(row[j], env[name]), name
