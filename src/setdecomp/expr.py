@@ -15,6 +15,7 @@ shorthand for ``["num", x]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -61,14 +62,14 @@ _BINOPS = {"+", "-", "*", "/"}
 def parse_expr(node) -> Expr:
     """Parse the prefix-array JSON form into an expression tree."""
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return Num(float(node))
+        return _literal(node, node)
     if not isinstance(node, list) or not node:
         raise ParseError(f"bad expression node: {node!r}")
     head = node[0]
     if head == "num":
         if len(node) != 2 or not isinstance(node[1], (int, float)):
             raise ParseError(f"bad num node: {node!r}")
-        return Num(float(node[1]))
+        return _literal(node[1], node)
     if head == "var":
         if len(node) != 2 or not isinstance(node[1], str):
             raise ParseError(f"bad var node: {node!r}")
@@ -86,6 +87,18 @@ def parse_expr(node) -> Expr:
             raise ParseError(f"pow needs an integer exponent: {node!r}")
         return Pow(parse_expr(node[1]), node[2])
     raise ParseError(f"unknown expression head: {head!r}")
+
+
+def _literal(value, node) -> Num:
+    """``value`` as a literal, which must be finite: Python's ``json``
+    reads Infinity and NaN, and an integer may be beyond float range."""
+    try:
+        x = float(value)
+    except OverflowError:       # an integer beyond float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ParseError(f"non-finite literal: {node!r}")
+    return Num(x)
 
 
 def free_vars(e: Expr) -> frozenset[str]:

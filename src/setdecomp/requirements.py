@@ -190,7 +190,7 @@ def compose(frs: list[FunctionalRequirement] | tuple[FunctionalRequirement, ...]
     """
     frs = tuple(frs)
     if not frs:
-        raise ValueError("compose() needs at least one requirement")
+        raise ValidationError("compose() needs at least one requirement")
     for fr_j, fr_k, res in links(frs):
         if not res:
             raise NotComposable(fr_j.name, fr_k.name, res.witness_var,

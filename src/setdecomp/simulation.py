@@ -37,6 +37,15 @@ update, plus the reduction spread over the K grid times of a chunk.  The
 number of time steps, not the number of samples, dominates the cost.  That
 is why ``envelope_over_box`` also takes several boxes at once (the probes of
 one narrowing round) and reduces the bundle per box.
+
+A bundle's march allocates its arrays once and then nothing per step but
+the results of ``**``: the states are one (states, lanes) matrix, ``k1`` to
+``k4`` and the stage input are preallocated matrices of that shape, and
+the right-hand side computes every operation with ``out=`` into a stage
+matrix, a buffer row or one of its scratch slots.  Its memory is the
+buffer, six state matrices and slots × lanes floats, the slot count being
+what the liveness of the compiled operations needs (20 on the benchmark's
+200-link chain).  One design point keeps its states as numpy scalars.
 """
 
 from __future__ import annotations
@@ -89,7 +98,7 @@ class OdeSystem:
 
     output_names: tuple[str, ...]       # all sub-function outputs (the y' set)
     initial_state: tuple        # floats or ndarrays, one per state
-    rhs: object                 # rhs(row or None, *states) -> derivatives; fills a row
+    rhs: object                 # rhs(row or None, *states, d) -> derivatives; fills a row
     shape: tuple[int, ...]      # lanes: () for one design point, (n,) for n of them
 
 
@@ -132,10 +141,18 @@ def _march(sys: OdeSystem, horizon: float, step: float, reduce) -> None:
 
     At every grid time the grid-point evaluation, reused as ``k1``, writes
     the outputs into the next row of a (K, outputs, *lanes) buffer; the RK
-    stages pass no row and write nothing.  Once K rows are full, or at the
-    last grid time, ``reduce(times, rows)`` gets those rows and stops the
-    march by returning True.  K is as many rows as ``CHUNK_BYTES`` holds.  Non-finite values
-    propagate silently; each reducer reports them as :class:`NonFinite`.
+    stages pass no row.  Once K rows are full, or at the last grid time,
+    ``reduce(times, rows)`` gets those rows and stops the march by
+    returning True.  K is as many rows as ``CHUNK_BYTES`` holds.  Non-finite
+    values propagate silently; each reducer reports them as
+    :class:`NonFinite`.
+
+    A bundle's states are one (states, *lanes) matrix, and ``k1`` to
+    ``k4``, each stage's input and the update are computed in place into
+    matrices allocated once, in the operation order of the scalar form, so
+    a step allocates no lane array but the results of ``**``.  One design
+    point keeps its states as a list of numpy scalars (0-d arrays at
+    t = 0), whose ``**`` rounds differently from an array's.
     """
     if not (step > 0 and horizon >= 0):
         raise ValidationError("step must be positive and horizon not negative")
@@ -148,22 +165,43 @@ def _march(sys: OdeSystem, horizon: float, step: float, reduce) -> None:
     rhs = sys.rhs
     # float64 states make overflow and division by zero inf/NaN instead of
     # Python float exceptions; a bundle's states fill every lane
-    state = [np.asarray(v, dtype=float) + np.zeros(sys.shape) if sys.shape
-             else np.asarray(v, dtype=float) for v in sys.initial_state]
+    if sys.shape:
+        state = np.empty((len(sys.initial_state), *sys.shape))
+        for s, v in zip(state, sys.initial_state):
+            np.add(np.asarray(v, dtype=float), 0.0, out=s)
+        ks, x = np.empty((4, *state.shape)), np.empty_like(state)
+
+        def ahead(s, c, d):                     # s + c * d, into x
+            return np.add(s, np.multiply(c, d, out=x), out=x)
+
+        def advance(s, a, b, c, d):             # s + (h / 6) * (a + 2 * b + 2 * c + d)
+            u = np.add(a, np.multiply(2, b, out=x), out=x)
+            np.add(u, np.multiply(2, c, out=c), out=u)
+            np.add(u, d, out=u)
+            return np.add(s, np.multiply(h / 6.0, u, out=u), out=s)
+    else:
+        state = [np.asarray(v, dtype=float) for v in sys.initial_state]
+        ks = (None,) * 4
+
+        def ahead(s, c, d):
+            return [v + c * e for v, e in zip(s, d)]
+
+        def advance(s, a, b, c, d):
+            return [v + (h / 6.0) * (p + 2 * q + 2 * r + w)
+                    for v, p, q, r, w in zip(s, a, b, c, d)]
     times: list[float] = []
     with np.errstate(all="ignore"):
         for k in range(n + 1):
-            k1 = rhs(rows[len(times)], *state)
+            k1 = rhs(rows[len(times)], *state, ks[0])
             times.append(k * step)
             if len(times) == len(rows) or k == n:
                 if reduce(times, buf[:len(times)]) or k == n:
                     return
                 times = []
-            k2 = rhs(None, *(s + 0.5 * h * d for s, d in zip(state, k1)))
-            k3 = rhs(None, *(s + 0.5 * h * d for s, d in zip(state, k2)))
-            k4 = rhs(None, *(s + h * d for s, d in zip(state, k3)))
-            state = [s + (h / 6.0) * (a + 2 * b + 2 * c + d)
-                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            k2 = rhs(None, *ahead(state, 0.5 * h, k1), ks[1])
+            k3 = rhs(None, *ahead(state, 0.5 * h, k2), ks[2])
+            k4 = rhs(None, *ahead(state, h, k3), ks[3])
+            state = advance(state, k1, k2, k3, k4)
 
 
 def integrate(sys: OdeSystem, horizon: float, step: float) -> Trajectory:
@@ -227,22 +265,20 @@ def _primes(n: int) -> list[int]:
 
 
 def _halton_samples(items, n: int) -> list[tuple[float, ...]]:
-    primes = _primes(len(items))   # one base per axis keeps axes independent
-
-    def halton(i: int, base: int) -> float:
-        f, r = 1.0, 0.0
-        while i > 0:
+    """Halton points 1 to ``n`` scaled to the box, one prime base per axis
+    (which keeps the axes independent).  Each axis takes the radical
+    inverse of every index at once, with the scalar recurrence's operations
+    in its order; an index that reaches zero only adds zeros after."""
+    index = np.arange(1, n + 1)
+    axes = []
+    for base, (_, iv) in zip(_primes(len(items)), items):
+        i, f, r = index.copy(), 1.0, np.zeros(n)
+        while i.any():
             f /= base
             r += f * (i % base)
             i //= base
-        return r
-
-    out = []
-    for i in range(1, n + 1):
-        pt = tuple(iv.lo + halton(i, base) * (iv.hi - iv.lo)
-                   for base, (_, iv) in zip(primes, items))
-        out.append(pt)
-    return out
+        axes.append((iv.lo + r * (iv.hi - iv.lo)).tolist())
+    return list(zip(*axes))
 
 
 def envelope_over_box(arch: Architecture, box: RangeMap | Sequence[RangeMap],
@@ -265,7 +301,7 @@ def envelope_over_box(arch: Architecture, box: RangeMap | Sequence[RangeMap],
     single = isinstance(box, RangeMap)
     sample_sets = [design_samples(b, plan) for b in ([box] if single else box)]
     if not sample_sets or not all(sample_sets):
-        raise ValueError("empty design box")
+        raise ValidationError("empty design box")
     results = _envelope_bundle(arch, sample_sets, plan, windows)
     if not single:
         return results

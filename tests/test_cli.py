@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.resources
 import json
+import math
 import random
 import shutil
 
@@ -196,6 +197,19 @@ class TestDecompose:
         path.write_text(json.dumps(doc))
         assert main(["decompose", str(path), *FAST]) == 2
         assert f"constant '{name}' collides with a port of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", [["num", math.inf], ["num", -math.inf], math.nan],
+                             ids=["num-infinity", "num-minus-infinity", "bare-nan"])
+    def test_non_finite_literal_fails_before_simulation(self, literal, tmp_path, capsys,
+                                                        no_envelope):
+        # Python's json writes and reads Infinity and NaN
+        doc = json.loads(open(CRUISE).read())
+        _sub(doc, "f5")["exprs"]["Fa"] = ["*", literal, ["var", "v"]]
+        path = tmp_path / "literal.json"
+        path.write_text(json.dumps(doc))
+        for command in (["decompose", str(path), *FAST], ["simulate", str(path), *FAST[:4]]):
+            assert main(command) == 2
+            assert "non-finite literal" in capsys.readouterr().err
 
     def test_window_the_plan_never_reaches_fails_before_simulation(self, tmp_path, capsys,
                                                                    no_envelope):

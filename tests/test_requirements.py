@@ -201,6 +201,10 @@ class TestCompose:
         whole = compose([a, b])
         assert whole.inputs["x"] == Interval(5, 10)
 
+    def test_no_requirements_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="at least one requirement"):
+            compose([])
+
 
 def _all_pairs(frs):
     """Oracle: every ordered pair of distinct parts that shares a variable."""

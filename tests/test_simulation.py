@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.resources
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -174,6 +175,25 @@ class TestSampling:
         assert len(design_samples(box, SamplingPlan(grid=3, cap=81))) == 81
         assert len(design_samples(box, SamplingPlan(grid=3, cap=80))) == 80
 
+    @pytest.mark.parametrize("axes", [1, 2, 11])
+    def test_halton_points_equal_the_scalar_recurrence_bit_for_bit(self, axes):
+        items = RangeMap.of(**{f"x{k:02d}": (-1.5 + k, 2.0 + 3 * k) for k in range(axes)}).items()
+
+        def radical_inverse(i: int, base: int) -> float:
+            f, r = 1.0, 0.0
+            while i > 0:
+                f /= base
+                r += f * (i % base)
+                i //= base
+            return r
+
+        want = [tuple(iv.lo + radical_inverse(i, base) * (iv.hi - iv.lo)
+                      for base, (_, iv) in zip(simulation._primes(axes), items))
+                for i in range(1, 10_001)]
+        got = simulation._halton_samples(items, 10_000)
+        assert all(type(v) is float for p in got for v in p)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_low_discrepancy_axes_use_distinct_bases(self):
         box = RangeMap.of(**{f"x{i:02d}": (0.0, 1.0) for i in range(13)})
         pts = design_samples(box, SamplingPlan(grid=3, cap=20))
@@ -204,6 +224,14 @@ class TestEnvelope:
         for bad in ({"step": 0.0}, {"step": -0.01}, {"horizon": 0.0}, {"grid": -1}):
             with pytest.raises(ValidationError):
                 SamplingPlan(**bad)
+
+    @pytest.mark.parametrize("box, plan", [
+        ([], SamplingPlan()),
+        (RangeMap.of(y0=(0.5, 2.0)), SamplingPlan(cap=0)),
+    ], ids=["no-box", "no-sample"])
+    def test_empty_design_box_is_a_validation_error(self, box, plan):
+        with pytest.raises(ValidationError, match="empty design box"):
+            envelope_over_box(_decay_arch(), box, plan)
 
     def test_zero_step_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -383,7 +411,7 @@ def _trees(leaf):
     return st.recursive(leaf, lambda sub: st.one_of(
         st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
         st.builds(Neg, sub),
-        st.builds(Pow, sub, st.sampled_from([-1, 0, 1, 2, 3]))), max_leaves=6)
+        st.builds(Pow, sub, st.sampled_from([-2, -1, 0, 1, 2, 3]))), max_leaves=6)
 
 
 def _leaves(names):
@@ -415,6 +443,48 @@ def _systems(draw):
     shared = dict(zip(("@0", "@1"), draw(_SHARED)))
     return tuple(_map_leaves(e, lambda x: shared.get(getattr(x, "name", None), x))
                  for e in draw(_EXPRS))
+
+
+@st.composite
+def _bundle_systems(draw):
+    """Outputs w and q and the derivatives of states y and z.  q reads w for
+    the last time as the left operand of an operation whose right operand
+    reads a state, so a bundle computes it into a scratch slot while w is
+    still to be read; z's derivative is an output, a state, a literal, y's
+    derivative again or a tree of its own."""
+    w = draw(_trees(_leaves(["y", "z", "a", "b", "c"])))
+    right = BinOp(draw(st.sampled_from("+-*/")), draw(st.sampled_from([Var("y"), Var("z")])),
+                  draw(_trees(_leaves(["y", "z", "a", "c"]))))
+    q = BinOp(draw(st.sampled_from("+-*/")), Var("w"), right)
+    dy = draw(_trees(_leaves(["y", "z", "q", "a", "b", "c"])))
+    dz = draw(st.one_of(st.sampled_from([Var("q"), Var("y"), Num(2.0), dy]),
+                        _trees(_leaves(["y", "z", "q", "b"]))))
+    return w, q, dy, dz
+
+
+def _two_state_arch(w, q, dy, dz, c: float) -> Architecture:
+    wide = (-1e308, 1e308)
+    f = SubFunction(id="f", exprs=(("w", w), ("q", q)),
+                    states=(State("y", dy, Var("a")), State("z", dz, Var("b"))),
+                    inputs=RangeMap.of(a=wide, b=wide),
+                    outputs=RangeMap.of(y=wide, z=wide, w=wide, q=wide))
+    top = FunctionalRequirement("t", inputs=RangeMap.of(a=wide, b=wide),
+                                outputs=RangeMap.of(y=wide))
+    return Architecture(top=top, subfunctions=(f,), constants=(("c", c),))
+
+
+def _evaluated(exprs, env: dict, float64: bool = False) -> dict:
+    """``env`` with every ``(name, expression)`` of ``exprs`` evaluated in
+    order; with ``float64`` the scalars and literals are numpy float64, as
+    the compiler takes them where Python floats raise."""
+    env = dict(env)
+    if float64:
+        env = {k: np.float64(v) if np.ndim(v) == 0 else v for k, v in env.items()}
+        exprs = [(n, _map_leaves(e, lambda x: Num(np.float64(x.value))
+                                 if isinstance(x, Num) else x)) for n, e in exprs]
+    for name, e in exprs:
+        env[name] = ex.evaluate(e, env)
+    return env
 
 
 def _same_bits(got, want) -> bool:
@@ -490,3 +560,109 @@ class TestCompiledRightHandSide:
             assert _same_bits(got, want)
         for j, name in enumerate(sys_.output_names):
             assert _same_bits(row[j], env[name]), name
+
+    def _check_bundle(self, arch, env: dict):
+        """The stage and grid calls of ``arch``'s bundle at ``env`` (a, b,
+        y, z over lanes; the constant c) against the evaluator, bit for bit,
+        twice over, so that no call depends on what the last left behind."""
+        f = arch.subfunctions[0]
+        exprs = [*f.exprs, *(("d" + st.name, st.derivative) for st in f.states)]
+        with np.errstate(all="ignore"):
+            sys_ = build_ode(arch, {"a": env["a"], "b": env["b"]})
+            try:
+                want = _evaluated(exprs, env)
+            except ArithmeticError:     # where Python floats raise, float64 is used
+                want = _evaluated(exprs, env, float64=True)
+            states = np.array([env["y"], env["z"]])
+            for _ in range(2):
+                stage = np.full_like(states, np.nan)
+                assert sys_.rhs(None, *states, stage) is stage
+                grid, row = np.full_like(states, np.nan), np.full((4, states.shape[1]), np.nan)
+                assert sys_.rhs(row, *states, grid) is grid
+                for got in (stage, grid):
+                    assert _same_bits(got[0], want["dy"]) and _same_bits(got[1], want["dz"])
+                for j, name in enumerate(sys_.output_names):
+                    assert _same_bits(row[j], want[name]), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=_bundle_systems(),
+           values=st.lists(st.sampled_from(_VALUES), min_size=13, max_size=13))
+    def test_bundle_stage_call_equals_the_evaluator_bit_for_bit(self, system, values):
+        env = {"c": values[0], **{k: np.array(values[i:i + 3])
+                                  for k, i in zip("abyz", (1, 4, 7, 10))}}
+        self._check_bundle(_two_state_arch(*system, c=values[0]), env)
+
+    @pytest.mark.parametrize("exponent", [2, 3, -2])
+    def test_bundle_powers_equal_the_evaluator_bit_for_bit(self, exponent):
+        # a power as an output, inside an operation, as a derivative and
+        # shared by an output and a derivative
+        y, z, a, b = Var("y"), Var("z"), Var("a"), Var("b")
+        w = Pow(y, exponent)
+        q = BinOp("*", Pow(BinOp("-", z, a), exponent), Var("w"))
+        dy = Pow(BinOp("+", Var("q"), b), exponent)
+        dz = BinOp("-", Pow(y, exponent), Var("q"))
+        lanes = np.array(_VALUES + [-3.0, 7.25, 1e-160, 1e160])
+        env = {"c": 1.0, "a": lanes[::-1].copy(), "b": np.roll(lanes, 3), "y": lanes,
+               "z": np.roll(lanes, 5)}
+        self._check_bundle(_two_state_arch(w, q, dy, dz, c=1.0), env)
+
+
+def _links_arch(links: int = 30) -> Architecture:
+    """A state y with y' = s_n - y, fed through links s_k = 0.5 * s_{k-1} +
+    1.0 from s_1 = y + a, and a lag z' = (s_10 - z) / tau: no power, so a
+    bundle's stage call allocates no lane array at all."""
+    wide = (-1e308, 1e308)
+    exprs = [("s1", BinOp("+", Var("y"), Var("a")))]
+    exprs += [(f"s{k}", BinOp("+", BinOp("*", Num(0.5), Var(f"s{k - 1}")), Num(1.0)))
+              for k in range(2, links + 1)]
+    f = SubFunction(id="f", exprs=tuple(exprs),
+                    states=(State("y", BinOp("-", Var(f"s{links}"), Var("y")), Num(0.0)),
+                            State("z", BinOp("/", BinOp("-", Var("s10"), Var("z")), Var("tau")),
+                                  Num(0.0))),
+                    inputs=RangeMap.of(a=wide),
+                    outputs=RangeMap.of(y=wide, z=wide, **{n: wide for n, _ in exprs}))
+    top = FunctionalRequirement("t", inputs=RangeMap.of(a=wide), outputs=RangeMap.of(y=wide))
+    return Architecture(top=top, subfunctions=(f,), constants=(("tau", 0.5),))
+
+
+class TestAllocation:
+    """A bundle's march allocates its matrices once; tracemalloc sees numpy's
+    data buffers."""
+
+    LANES = 2000
+
+    @staticmethod
+    def _peak(run) -> int:
+        """Traced peak of ``run()`` above what was allocated before it."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_stage_and_grid_calls_allocate_no_lane_array(self):
+        sys_ = build_ode(_links_arch(), {"a": np.linspace(0.0, 1.0, self.LANES)})
+        states = np.ones((2, self.LANES))
+        d = np.empty_like(states)
+        row = np.empty((len(sys_.output_names), self.LANES))
+        sys_.rhs(row, *states, d)
+
+        def calls():
+            sys_.rhs(None, *states, d)
+            sys_.rhs(row, *states, d)
+        assert self._peak(calls) < 8 * self.LANES
+
+    def test_march_peak_is_its_matrices_at_any_number_of_steps(self):
+        sys_ = build_ode(_links_arch(), {"a": np.linspace(0.0, 1.0, self.LANES)})
+        lane = 8 * self.LANES
+        outputs, states = len(sys_.output_names), len(sys_.initial_state)
+        chunk = max(1, simulation.CHUNK_BYTES // (outputs * lane))
+        # the grid buffer, the states, k1 to k4 and the stage input
+        matrices = (chunk * outputs + 6 * states) * lane
+        simulation._march(sys_, 0.02, 0.01, lambda times, rows: False)
+        for steps in (5, 50):
+            peak = self._peak(lambda: simulation._march(sys_, steps * 0.01, 0.01,
+                                                        lambda times, rows: False))
+            assert matrices <= peak < matrices + lane, steps
