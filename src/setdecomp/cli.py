@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .architecture import load_architecture
 from .errors import (EmptyRange, Infeasible, NonFinite, NotComposable,
                      ParseError, PostconditionFailure, SetDecompError)
@@ -140,9 +142,8 @@ def _cmd_simulate(args) -> int:
     sys_ = build_ode(arch, point)
     traj = integrate(sys_, horizon=args.horizon, step=args.step)
     names = sorted(traj.values)
-    rows = ["t," + ",".join(names)]
-    for k, t in enumerate(traj.times):
-        rows.append(repr(float(t)) + "," + ",".join(repr(float(traj.values[n][k])) for n in names))
+    table = np.column_stack([traj.times, *(traj.values[n] for n in names)]).tolist()
+    rows = ["t," + ",".join(names), *(",".join(map(repr, row)) for row in table)]
     _write("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 

@@ -19,6 +19,15 @@ the statement that reads it last has run, so no operand is overwritten
 while a sibling operand is computed.  A call's memory is slots × lanes
 floats, however many operations it runs: on the benchmark's 200-link
 chain (10 000 lanes, ~400 operations) 20 slots, 1.6 MB.
+
+A bundle's ufunc calls take every scalar operand (a parameter, a
+parameter-only output or subtree, a literal) as a 0-d float64 array, bound
+once per compiled system under a name of its own: numpy parses a 0-d array
+operand faster than a Python or numpy scalar (0.81 against 1.24 µs for an
+81-lane call), and computes the same float64 operation on it.  The
+partial evaluation before that stays in Python floats, whose ``**``
+rounds differently from an array's, and every value rhs returns or stores
+keeps its type.
 """
 
 from __future__ import annotations
@@ -30,13 +39,20 @@ from .architecture import Architecture
 
 __all__ = ["compile_rhs"]
 
+
+def _operand(v):
+    """A bundle's ufunc operand: an array as it is, a scalar as a 0-d
+    float64 array."""
+    return v if np.ndim(v) else np.array(v, dtype=np.float64)
+
+
 #: what the generated source reads besides the parameters: the ufuncs a
 #: bundle's statements call with ``out`` (positional, which numpy parses
-#: faster than the keyword), float64 for literals and the allocator of the
-#: scratch and stage arrays
+#: faster than the keyword), float64 for literals, the converter of their
+#: scalar operands and the allocator of the scratch and stage arrays
 _NAMESPACE = {"_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply,
               "_divide": np.divide, "_negative": np.negative, "_float64": np.float64,
-              "_empty": np.empty}
+              "_operand": _operand, "_empty": np.empty}
 _UFUNCS = {"+": "_add", "-": "_subtract", "*": "_multiply", "/": "_divide"}
 
 
@@ -85,8 +101,10 @@ def _source(arch: Architecture, params, output_names, inplace: bool, literal) ->
     With ``inplace`` every operator node but ``**`` is a statement of its
     own, computed with ``out=`` into the derivative row it is, else at a
     grid point into the buffer row of the output it is, else into a
-    scratch slot (see the module docstring).  Without it, a subtree read
-    once is spelt inside the expression that reads it.
+    scratch slot (see the module docstring); an operand that rhs does not
+    compute is read from its ``_operand`` copy, bound in ``_make`` after
+    the partial evaluation.  Without ``inplace``, a subtree read once is
+    spelt inside the expression that reads it.
     """
     states = [st for sf in arch.subfunctions for st in sf.states]
     names = sorted({*params, *(st.name for st in states), *(out for _, out, _ in arch.assignments)})
@@ -227,6 +245,14 @@ def _source(arch: Architecture, params, output_names, inplace: bool, literal) ->
             return f"(_s{slots[n]} if _o is None else _o[{roots[n]}])"
         return f"_s{slots[n]}"
 
+    state_tokens = {rn(st.name) for st in states}
+    operands: dict[str, str] = {}   # source text rhs does not compute -> its _operand copy
+
+    def operand(t) -> str:
+        if isinstance(t, str) and t not in state_tokens:
+            return operands.setdefault(t, f"_k{len(operands)}")
+        return text(t)
+
     body: list[str] = []        # lines of rhs
     if inplace:                 # the caller's derivative matrix, or a fresh one
         body.append(f"_D = _empty(({len(states)}, *_shape)) if _d is None else _d")
@@ -234,7 +260,7 @@ def _source(arch: Architecture, params, output_names, inplace: bool, literal) ->
         e = nodes[n][0]
         if inplace and not pow_(n):
             ufunc = _UFUNCS[e.op] if isinstance(e, ex.BinOp) else "_negative"
-            body.append(f"_t{n} = {ufunc}({', '.join(map(text, (*args, target(n))))})")
+            body.append(f"_t{n} = {ufunc}({', '.join([*map(operand, args), target(n)])})")
         else:
             body.append(f"_t{n} = {_spell(e, list(map(text, args)))}")
     if inplace:
@@ -261,6 +287,7 @@ def _source(arch: Architecture, params, output_names, inplace: bool, literal) ->
         *(f"    {rn(n)} = _P[{n!r}]" for n in sorted(params)),
         *(f"    {rn(n)} = {plain(e)}" for n, e in fixed),
         *(f"    {line}" for line in hoisted),
+        *(f"    {k} = _operand({t})" for t, k in operands.items()),
         *(f"    {line}" for line in scratch),
         f"    def _rhs({', '.join(signature)}):",
         *(f"        {line}" for line in body),

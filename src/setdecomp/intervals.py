@@ -13,15 +13,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EmptyRange, NotFound, UnitMismatch
+from .errors import EmptyRange, NotFound, UnitMismatch, ValidationError
 
 __all__ = ["Interval", "RangeMap", "interval_intersect", "rangemap_merge"]
 
 
 @dataclass(frozen=True)
 class Interval:
-    """A closed, non-empty interval [lo, hi]; lo > hi is rejected at
-    construction."""
+    """A closed, non-empty interval [lo, hi]; NaN bounds and lo > hi are
+    rejected at construction with :class:`ValidationError`."""
 
     lo: float
     hi: float
@@ -29,9 +29,9 @@ class Interval:
 
     def __post_init__(self):
         if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("interval bounds must not be NaN")
+            raise ValidationError("interval bounds must not be NaN")
         if self.lo > self.hi:
-            raise ValueError(f"invalid interval: lo={self.lo} > hi={self.hi}")
+            raise ValidationError(f"invalid interval: lo={self.lo} > hi={self.hi}")
 
     @property
     def width(self) -> float:
@@ -65,7 +65,8 @@ def interval_intersect(a: Interval, b: Interval) -> Interval | None:
 
 class RangeMap:
     """An immutable finite map variable name -> Interval: one range per
-    variable.  The unit lives on the interval."""
+    variable.  The unit lives on the interval.  An empty or repeated name
+    is rejected at construction with :class:`ValidationError`."""
 
     __slots__ = ("_entries",)
 
@@ -74,9 +75,9 @@ class RangeMap:
         d: dict[str, Interval] = {}
         for name, iv in items:
             if not name:
-                raise ValueError("variable name must be non-empty")
+                raise ValidationError("variable name must be non-empty")
             if name in d:
-                raise ValueError(f"duplicate variable '{name}' in RangeMap")
+                raise ValidationError(f"duplicate variable '{name}' in RangeMap")
             d[name] = iv
         object.__setattr__(self, "_entries", d)
 

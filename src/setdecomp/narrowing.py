@@ -17,7 +17,10 @@ Two stages:
    :class:`PostconditionFailure`, and otherwise its raw extrema are the
    attained performance space.  Both steps use the sampled-corner envelope
    from :mod:`.simulation`, so the narrowed spaces are empirical, not
-   formally verified.
+   formally verified.  The checks are simulated in bundles, each sample of
+   a bundle once: the full box with the all-midpoint box the bisection
+   starts from, then the probes of up to ``_BUNDLE_DEPTH`` bisection steps
+   at a time.
 """
 
 from __future__ import annotations
@@ -209,7 +212,10 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
     Otherwise every controllable interval collapses to its midpoint and each
     bound is grown back outward by bisection (lower bound first, variables in
     name order, a fixed number of iterations per bound).  Infeasibility at
-    the all-midpoint box raises :class:`Infeasible`.  The probes of up to
+    the all-midpoint box raises :class:`Infeasible`.  The full and the
+    all-midpoint box are simulated in one bundle; the full box's
+    :class:`NonFinite` error is raised, the midpoint box's only when the
+    full box does not fit.  The probes of up to
     ``_BUNDLE_DEPTH`` consecutive bisection steps are simulated as one
     bundle (see :func:`_bisection_round`); the result is that of probing
     one at a time.
@@ -231,7 +237,14 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
                 for r in envelope_over_box(arch, boxes, check_plan, windows=env_windows)]
 
     fds = spaces.fds
-    full_check = envelope_over_box(arch, fds, check_plan, windows=env_windows)
+    # the all-midpoint box the bisection starts from is judged in the same
+    # march as the full box, and read only if the full box does not fit
+    work = RangeMap((v, Interval(iv.mid, iv.mid, iv.unit) if v in candidates else iv)
+                    for v, iv in fds.items())
+    full_check, mid_check = envelope_over_box(arch, [fds, work], check_plan,
+                                              windows=env_windows)
+    if isinstance(full_check, NonFinite):
+        raise full_check
     log: list[dict] = [{"step": "narrow-start",
                         "candidates": candidates,
                         "samples_per_check": full_check.n_samples}]
@@ -239,10 +252,10 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
         log.append({"step": "full-box-feasible", "narrowed": False})
         narrowed_fds = fds
     else:
-        # collapse candidates to midpoints, then grow each bound back out
-        work = RangeMap((v, Interval(iv.mid, iv.mid, iv.unit) if v in candidates else iv)
-                        for v, iv in fds.items())
-        if not fits(envelope_over_box(arch, work, check_plan, windows=env_windows)):
+        # grow each bound of the all-midpoint box back out
+        if isinstance(mid_check, NonFinite):
+            raise mid_check
+        if not fits(mid_check):
             raise Infeasible("no feasible design at the controllable midpoints")
         # a probe box is a sub-box of the full one, so it has at most as
         # many samples; keep every bundle within the plan's cap

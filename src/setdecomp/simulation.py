@@ -36,7 +36,8 @@ of the right-hand side (the parameter-only parts excluded) and the RK4
 update, plus the reduction spread over the K grid times of a chunk.  The
 number of time steps, not the number of samples, dominates the cost.  That
 is why ``envelope_over_box`` also takes several boxes at once (the probes of
-one narrowing round) and reduces the bundle per box.
+one narrowing round) and reduces the bundle per box; a sample that several
+of the boxes share is marched once.
 
 A bundle's march allocates its arrays once and then nothing per step but
 the results of ``**``: the states are one (states, lanes) matrix, ``k1`` to
@@ -45,7 +46,11 @@ the right-hand side computes every operation with ``out=`` into a stage
 matrix, a buffer row or one of its scratch slots.  Its memory is the
 buffer, six state matrices and slots × lanes floats, the slot count being
 what the liveness of the compiled operations needs (20 on the benchmark's
-200-link chain).  One design point keeps its states as numpy scalars.
+200-link chain).  Every scalar a bundle's step hands numpy (a constant of
+the right-hand side, ``h`` and the RK4 weights) is a 0-d array, which
+numpy parses faster than a Python float; at the tens to hundreds of lanes
+of a narrowing check, a step costs calls more than arithmetic.  One
+design point keeps its states as numpy scalars.
 """
 
 from __future__ import annotations
@@ -150,9 +155,12 @@ def _march(sys: OdeSystem, horizon: float, step: float, reduce) -> None:
     A bundle's states are one (states, *lanes) matrix, and ``k1`` to
     ``k4``, each stage's input and the update are computed in place into
     matrices allocated once, in the operation order of the scalar form, so
-    a step allocates no lane array but the results of ``**``.  One design
-    point keeps its states as a list of numpy scalars (0-d arrays at
-    t = 0), whose ``**`` rounds differently from an array's.
+    a step allocates no lane array but the results of ``**``.  The right-
+    hand side gets the rows of the state and stage-input matrices as views
+    taken once, and the update's scalars ``0.5*h``, ``h``, ``2`` and
+    ``h/6`` as 0-d arrays.  One design point keeps its states as a list of
+    numpy scalars (0-d arrays at t = 0), whose ``**`` rounds differently
+    from an array's.
     """
     if not (step > 0 and horizon >= 0):
         raise ValidationError("step must be positive and horizon not negative")
@@ -166,22 +174,29 @@ def _march(sys: OdeSystem, horizon: float, step: float, reduce) -> None:
     # float64 states make overflow and division by zero inf/NaN instead of
     # Python float exceptions; a bundle's states fill every lane
     if sys.shape:
-        state = np.empty((len(sys.initial_state), *sys.shape))
-        for s, v in zip(state, sys.initial_state):
+        S = np.empty((len(sys.initial_state), *sys.shape))
+        for s, v in zip(S, sys.initial_state):
             np.add(np.asarray(v, dtype=float), 0.0, out=s)
-        ks, x = np.empty((4, *state.shape)), np.empty_like(state)
+        ks, x = np.empty((4, *S.shape)), np.empty_like(S)
+        # the rows rhs reads, and the step's scalars as 0-d arrays, which
+        # numpy takes faster than Python floats
+        state, x_rows = tuple(S), tuple(x)
+        half, full, two, sixth = (np.array(c) for c in (0.5 * h, h, 2.0, h / 6.0))
 
-        def ahead(s, c, d):                     # s + c * d, into x
-            return np.add(s, np.multiply(c, d, out=x), out=x)
+        def ahead(s, c, d):                     # s + c * d, into x; s is S's rows
+            np.add(S, np.multiply(c, d, out=x), out=x)
+            return x_rows
 
         def advance(s, a, b, c, d):             # s + (h / 6) * (a + 2 * b + 2 * c + d)
-            u = np.add(a, np.multiply(2, b, out=x), out=x)
-            np.add(u, np.multiply(2, c, out=c), out=u)
+            u = np.add(a, np.multiply(two, b, out=x), out=x)
+            np.add(u, np.multiply(two, c, out=c), out=u)
             np.add(u, d, out=u)
-            return np.add(s, np.multiply(h / 6.0, u, out=u), out=s)
+            np.add(S, np.multiply(sixth, u, out=u), out=S)
+            return s
     else:
         state = [np.asarray(v, dtype=float) for v in sys.initial_state]
         ks = (None,) * 4
+        half, full = 0.5 * h, h
 
         def ahead(s, c, d):
             return [v + c * e for v, e in zip(s, d)]
@@ -198,9 +213,9 @@ def _march(sys: OdeSystem, horizon: float, step: float, reduce) -> None:
                 if reduce(times, buf[:len(times)]) or k == n:
                     return
                 times = []
-            k2 = rhs(None, *ahead(state, 0.5 * h, k1), ks[1])
-            k3 = rhs(None, *ahead(state, 0.5 * h, k2), ks[2])
-            k4 = rhs(None, *ahead(state, h, k3), ks[3])
+            k2 = rhs(None, *ahead(state, half, k1), ks[1])
+            k3 = rhs(None, *ahead(state, half, k2), ks[2])
+            k4 = rhs(None, *ahead(state, full, k3), ks[3])
             state = advance(state, k1, k2, k3, k4)
 
 
@@ -324,12 +339,26 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
     running extrema.  A set whose outputs turn non-finite gets the
     :class:`NonFinite` error it would raise alone; the march stops early once
     every set has one.
+
+    With more than one set, each distinct sample is marched once, as one
+    lane (the probes of a narrowing round share the corners at the bound
+    held fixed: 143 distinct of 255 on ``cruise-narrow``), and each chunk's
+    rows are gathered back into the filled layout.  Samples are keyed by
+    the bits of their values, so 0.0 and -0.0 stay apart.  One set is
+    distinct already (``design_samples``) and is marched as it is.
     """
     P = len(sample_sets)
     m = max(len(s) for s in sample_sets)
     filled = [s + [s[-1]] * (m - len(s)) for s in sample_sets]
     point = {k: np.array([s[k] for seg in filled for s in seg])
              for k in sample_sets[0][0]}
+    lanes = None                    # the lane of each filled sample, if not its own
+    if P > 1:                       # (samples, design variables), maybe without columns
+        bits = np.array([v.view(np.uint64) for v in point.values()],
+                        dtype=np.uint64).reshape(len(point), P * m).T
+        _, first, lanes = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+        lanes = lanes.reshape(-1)
+        point = {k: v[first] for k, v in point.items()}
     sys = build_ode(arch, point)
 
     names = sys.output_names
@@ -343,6 +372,8 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
     errors: list[NonFinite | None] = [None] * P
 
     def extrema(times, rows) -> bool:
+        if lanes is not None:       # no design variable: one lane, not an axis
+            rows = rows.reshape(len(times), len(names), -1).take(lanes, axis=2)
         seg = rows.reshape(len(times), len(names), P, m)
         lo, hi = np.minimum.reduce(seg, axis=3), np.maximum.reduce(seg, axis=3)
         clo, chi = _earliest(np.minimum, lo), _earliest(np.maximum, hi)

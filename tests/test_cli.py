@@ -8,9 +8,12 @@ import shutil
 import pytest
 
 from setdecomp import cli, narrowing, simulation
+from setdecomp.architecture import load_architecture
 from setdecomp.cli import main
 from setdecomp.intervals import Interval, RangeMap
+from setdecomp.narrowing import initial_spaces
 from setdecomp.requirements import FunctionalRequirement, save_fr
+from setdecomp.simulation import build_ode, integrate
 
 from genfr import rand_chain
 
@@ -459,6 +462,20 @@ class TestSimulate:
         path.write_text(json.dumps(doc))
         assert main(["simulate", str(path), "--step", "0.5", "--horizon", "1"]) == 2
         assert "unit mismatch for 'v_0': 'm/s' vs 'km/h'" in capsys.readouterr().err
+
+    def test_csv_bytes_equal_the_per_value_form(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", CRUISE, "v_r=35", "--step", "0.5", "--horizon", "3",
+                     "--out", str(out)]) == 0
+        arch, _ = load_architecture(CRUISE)
+        point = {v: iv.mid for v, iv in initial_spaces(arch).fds.items()}
+        traj = integrate(build_ode(arch, dict(point, v_r=35.0)), horizon=3.0, step=0.5)
+        names = sorted(traj.values)
+        rows = ["t," + ",".join(names)]
+        for k, t in enumerate(traj.times):
+            rows.append(repr(float(t)) + ","
+                        + ",".join(repr(float(traj.values[n][k])) for n in names))
+        assert out.read_bytes() == ("\n".join(rows) + "\n").encode()
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "traj.csv"

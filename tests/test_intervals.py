@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setdecomp.errors import EmptyRange, NotFound, UnitMismatch
+from setdecomp.errors import EmptyRange, NotFound, UnitMismatch, ValidationError
 from setdecomp.intervals import Interval, RangeMap, interval_intersect, rangemap_merge
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -49,11 +49,11 @@ def _outcome(call):
 
 class TestInterval:
     def test_reversed_bounds_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             Interval(3.0, 1.0)
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             Interval(float("nan"), 1.0)
 
     def test_degenerate_is_fine(self):
@@ -101,8 +101,12 @@ class TestRangeMap:
         assert [v for v, _ in m.items()] == ["a", "k", "z"]
 
     def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             RangeMap([("", Interval(0, 1))])
+
+    def test_duplicate_name_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate variable 'v'"):
+            RangeMap([("v", Interval(0, 1)), ("v", Interval(0, 2))])
 
 
 class TestMerge:

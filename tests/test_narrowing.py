@@ -1,16 +1,20 @@
 import importlib.resources
+import json
+import math
 import random
 
 import pytest
 
-from setdecomp.architecture import Architecture, State, SubFunction, load_architecture
-from setdecomp.errors import (CoverageViolation, Infeasible, PostconditionFailure,
+from setdecomp import narrowing, simulation
+from setdecomp.architecture import (Architecture, State, SubFunction, architecture_from_dict,
+                                    load_architecture)
+from setdecomp.errors import (CoverageViolation, Infeasible, NonFinite, PostconditionFailure,
                               ValidationError)
-from setdecomp.expr import BinOp, Num, Var, parse_expr
+from setdecomp.expr import BinOp, Num, Pow, Var, parse_expr
 from setdecomp.intervals import Interval, RangeMap
 from setdecomp.narrowing import initial_spaces, narrow, top_windows
 from setdecomp.requirements import FunctionalRequirement, TimedOutputSpec
-from setdecomp.simulation import SamplingPlan, envelope_over_box
+from setdecomp.simulation import SamplingPlan, build_ode, envelope_over_box
 
 CRUISE = str(importlib.resources.files("setdecomp") / "data" / "cruise.json")
 
@@ -36,14 +40,41 @@ def _passthrough_arch(c_range=(0.0, 10.0), top_out=(0.0, 5.0), timed_outputs=())
     return Architecture(top=top, subfunctions=(f,))
 
 
-def _probe_arch(extra):
-    """_passthrough_arch plus one more output of c, ``extra``."""
-    base = _passthrough_arch(c_range=(0.0, 10.0), top_out=(0.0, 5.0))
+@pytest.fixture(scope="module")
+def cruise_narrow():
+    """cruise with the windowed speed bound lowered to 36.55 m/s, so that
+    narrowing bisects omega_m."""
+    with open(CRUISE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["top"]["timed_outputs"][0]["windows"][0]["hi"] = 36.55
+    return architecture_from_dict(doc)
+
+
+def _probe_arch(extra, top_out=(0.0, 5.0)):
+    """_passthrough_arch plus one more output of c and x, ``extra``."""
+    base = _passthrough_arch(c_range=(0.0, 10.0), top_out=top_out)
     (f,) = base.subfunctions
-    g = SubFunction(id="g", exprs=(("z", extra),),
+    g = SubFunction(id="g", exprs=(("z", extra),), inputs=RangeMap.of(x=(-1, 2)),
                     outputs=RangeMap.of(z=(-100, 100)),
                     controllables=RangeMap.of(c=(0.0, 10.0)))
     return Architecture(top=base.top, subfunctions=(f, g))
+
+
+def _marches(monkeypatch) -> list[list[int]]:
+    """[boxes, lanes] of every envelope narrowing simulates."""
+    marches: list[list[int]] = []
+
+    def envelope(arch, box, plan, windows=None):
+        marches.append([1 if isinstance(box, RangeMap) else len(box)])
+        return envelope_over_box(arch, box, plan, windows)
+
+    def ode(arch, point):
+        sys_ = build_ode(arch, point)
+        marches[-1].append(math.prod(sys_.shape))
+        return sys_
+    monkeypatch.setattr(narrowing, "envelope_over_box", envelope)
+    monkeypatch.setattr(simulation, "build_ode", ode)
+    return marches
 
 
 def _sequential_fds(arch, spaces, plan):
@@ -264,6 +295,63 @@ class TestNarrow:
         res = narrow(arch, spaces, plan)
         assert res.narrowed.fds == _sequential_fds(arch, spaces, plan)
         assert res.narrowed.fds["c"].hi == 5.0
+
+    def test_full_box_nonfinite_is_raised(self):
+        # z = 1 / (c - 10) is infinite at the full box's corner c = 10
+        arch = _probe_arch(BinOp("/", Num(1.0), BinOp("-", Var("c"), Num(10.0))))
+        spaces = initial_spaces(arch)
+        plan = SamplingPlan(grid=2, step=0.5, horizon=1.0)
+        with pytest.raises(NonFinite) as alone:
+            envelope_over_box(arch, spaces.fds, plan.reduced())
+        with pytest.raises(NonFinite) as got:
+            narrow(arch, spaces, plan)
+        assert str(got.value) == str(alone.value)
+
+    def test_midpoint_nonfinite_is_ignored_when_the_full_box_fits(self):
+        # z = 1 / ((c - 5)^2 + (x - 0.5)^2 - 0.25) is infinite at (x, c) =
+        # (0, 5) and (1, 5): samples of the all-midpoint box, not of the full one
+        x, c = Var("x"), Var("c")
+        spike = BinOp("/", Num(1.0), BinOp("-", BinOp("+", Pow(BinOp("-", c, Num(5.0)), 2),
+                                                      Pow(BinOp("-", x, Num(0.5)), 2)),
+                                           Num(0.25)))
+        arch = _probe_arch(spike, top_out=(0.0, 10.0))
+        spaces = initial_spaces(arch)
+        plan = SamplingPlan(grid=2, step=0.5, horizon=1.0)
+        with pytest.raises(NonFinite):
+            envelope_over_box(arch, spaces.fds.with_entry("c", Interval(5.0, 5.0)),
+                              plan.reduced())
+        res = narrow(arch, spaces, plan)
+        assert res.narrowed.fds == spaces.fds
+        assert res.log[1] == {"step": "full-box-feasible", "narrowed": False}
+
+    def test_box_without_design_variables(self):
+        # y' = -y from y = 1: the full and all-midpoint boxes are both the
+        # one empty sample, marched once without lanes
+        top = FunctionalRequirement("t", outputs=RangeMap.of(y=(-2, 2)))
+        f = SubFunction(id="f", states=(State("y", BinOp("*", Num(-1.0), Var("y")), Num(1.0)),),
+                        outputs=RangeMap.of(y=(-2, 2)))
+        arch = Architecture(top=top, subfunctions=(f,))
+        res = narrow(arch, initial_spaces(arch), SamplingPlan(step=0.5, horizon=2.0))
+        assert [entry["step"] for entry in res.log] == [
+            "narrow-start", "full-box-feasible", "performance-envelope"]
+        assert res.narrowed.fps["y"].hi == 1.0
+
+    def test_cruise_judges_both_first_boxes_in_one_march(self, cruise, monkeypatch):
+        marches = _marches(monkeypatch)
+        narrow(cruise, initial_spaces(cruise), FAST_PLAN)
+        # 17 samples of the full box and 9 of the all-midpoint box, one shared
+        assert marches == [[2, 25], [1, 16]]
+
+    def test_cruise_narrow_marches_each_shared_sample_once(self, cruise_narrow, monkeypatch):
+        marches = _marches(monkeypatch)
+        res = narrow(cruise_narrow, initial_spaces(cruise_narrow), SamplingPlan(step=0.05))
+        # the first check, two bounds of omega_m in three rounds of 15
+        # probes each, and the published envelope
+        assert [boxes for boxes, _ in marches] == [2, 15, 15, 15, 15, 15, 15, 1]
+        # a round's 15 x 17 = 255 samples share the 8 corners at the bound
+        # held fixed: 120 corners at the trial bounds, 8 shared, 15 centres
+        assert [lanes for _, lanes in marches] == [25, *[143] * 6, 81]
+        assert res.log[0]["samples_per_check"] == 17
 
     def test_cruise_narrowed_spaces_nest(self, cruise):
         spaces = initial_spaces(cruise)

@@ -245,16 +245,27 @@ class TestEnvelope:
         assert lo == pytest.approx(5.0, abs=1e-9)   # y0=0 at t=5
         assert hi == pytest.approx(11.0, abs=1e-9)  # y0=1 at t=10
 
-    def test_boxes_bundled_match_boxes_alone(self):
-        # sets of 3 and 1 samples share a bundle filled to 3 per box
+    def test_boxes_bundled_match_boxes_alone(self, monkeypatch):
+        # sets of 3 and 1 samples share a bundle filled to 3 per box; the
+        # fourth box shares y0 = 0.5 and 1.25 with the first, and the last
+        # two differ only in the sign of a zero, which e = y0 * 1.0 keeps
         boxes = [RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(1.5, 1.5)),
-                 RangeMap.of(y0=(0.75, 1.0))]
+                 RangeMap.of(y0=(0.75, 1.0)), RangeMap.of(y0=(0.5, 1.25)),
+                 RangeMap.of(y0=(0.0, 0.0)), RangeMap.of(y0=(-0.0, -0.0))]
         plan = SamplingPlan(grid=3, step=0.01, horizon=1.0)
         windows = {"y": [(0.25, 0.5)]}
-        bundled = envelope_over_box(_decay_arch(), boxes, plan, windows)
-        alone = [envelope_over_box(_decay_arch(), b, plan, windows) for b in boxes]
-        assert bundled == alone
-        assert [e.n_samples for e in bundled] == [3, 1, 3]
+        lanes = _lanes(monkeypatch)
+        arch = _decay_arch()
+        echo = SubFunction(id="echo", exprs=(("e", BinOp("*", Var("y0"), Num(1.0))),),
+                           inputs=RangeMap.of(y0=(0.5, 2)), outputs=RangeMap.of(e=(0.5, 2)))
+        arch = dataclasses.replace(arch, subfunctions=(*arch.subfunctions, echo))
+        bundled = envelope_over_box(arch, boxes, plan, windows)
+        alone = [envelope_over_box(arch, b, plan, windows) for b in boxes]
+        assert list(map(_env_bits, bundled)) == list(map(_env_bits, alone))
+        assert [e.n_samples for e in bundled] == [3, 1, 3, 3, 1, 1]
+        # 0.5, 2, 1.25, 1.5, 0.75, 1, 0.875, 0 and -0 of 18 filled samples
+        assert lanes[0] == 9
+        assert [repr(env.bounds["e"]) for env in bundled[4:]] == ["(0.0, 0.0)", "(-0.0, -0.0)"]
 
     def test_diverging_box_returns_its_error(self):
         # dy/dt = y^2 from y0 = 2 blows up near t = 0.5; y0 = 0 stays at 0
@@ -276,6 +287,20 @@ class TestEnvelope:
         assert results[1] == envelope_over_box(arch, good, plan)
         assert results[1].bounds["y"] == (0.0, 0.0)
 
+    def test_diverging_boxes_sharing_samples_name_their_own_sample(self):
+        # [0.5, 1.25] shares its samples 0.5 and 1.25 with [0.5, 2], whose
+        # first to blow up is y0 = 2 (t = 0.5), while its own is 1.25 (t = 0.8)
+        plan = SamplingPlan(grid=1, step=0.01, horizon=5.0)
+        boxes = [RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(0.0, 0.0)),
+                 RangeMap.of(y0=(0.5, 1.25))]
+        results = envelope_over_box(_blowup_arch(), boxes, plan)
+        for box, got in zip(boxes[::2], results[::2]):
+            with pytest.raises(NonFinite) as alone:
+                envelope_over_box(_blowup_arch(), box, plan)
+            assert isinstance(got, NonFinite) and str(got) == str(alone.value)
+        assert "'y0': 1.25" in str(results[2]) and "'y0': 2.0" in str(results[0])
+        assert results[1] == envelope_over_box(_blowup_arch(), boxes[1], plan)
+
 
 def _counting(sys_, calls: list):
     """``sys_`` that appends to ``calls`` at every grid-point evaluation."""
@@ -292,6 +317,24 @@ def _counted(monkeypatch, module) -> list:
     monkeypatch.setattr(module, "build_ode", lambda arch, point: _counting(build_ode(arch, point),
                                                                            calls))
     return calls
+
+
+def _lanes(monkeypatch) -> list[int]:
+    """The number of lanes of every bundle ``simulation`` builds."""
+    lanes: list[int] = []
+
+    def spy(arch, point):
+        sys_ = build_ode(arch, point)
+        lanes.append(math.prod(sys_.shape))
+        return sys_
+    monkeypatch.setattr(simulation, "build_ode", spy)
+    return lanes
+
+
+def _env_bits(env) -> str:
+    """An envelope's bounds and window extrema, every float spelt exactly
+    (0.0 and -0.0 apart)."""
+    return repr((env.bounds, env.windows, env.n_samples))
 
 
 def _chunk_rows(monkeypatch, rows: int, outputs: int, lanes: int) -> None:
@@ -605,6 +648,23 @@ class TestCompiledRightHandSide:
         env = {"c": 1.0, "a": lanes[::-1].copy(), "b": np.roll(lanes, 3), "y": lanes,
                "z": np.roll(lanes, 5)}
         self._check_bundle(_two_state_arch(w, q, dy, dz, c=1.0), env)
+
+    @pytest.mark.parametrize("c", [2, 2 ** 60 + 1])
+    def test_bundle_integer_operands_equal_the_evaluator_bit_for_bit(self, c):
+        # an integer constant and literal as ufunc operands, alone and in
+        # parameter-only subtrees that Python evaluates in integers first:
+        # c - (c - 1) is 1 there, but 0 in float64 at c = 2**60 + 1
+        y, z, cv = Var("y"), Var("z"), Var("c")
+        w = BinOp("*", cv, y)
+        q = BinOp("/", BinOp("-", Num(2), Var("w")),
+                  BinOp("+", z, BinOp("*", Pow(cv, 2), Num(2))))
+        dy = BinOp("-", BinOp("*", Neg(cv), z),
+                   BinOp("*", BinOp("+", cv, Num(2)), BinOp("-", cv, BinOp("-", cv, Num(1)))))
+        dz = BinOp("+", BinOp("*", Var("q"), Num(2)), BinOp("-", cv, y))
+        lanes = np.array(_VALUES + [-3.0, 7.25, 2.0 ** 60, -(2.0 ** 61)])
+        env = {"c": c, "a": lanes[::-1].copy(), "b": np.roll(lanes, 3), "y": lanes,
+               "z": np.roll(lanes, 5)}
+        self._check_bundle(_two_state_arch(w, q, dy, dz, c=c), env)
 
 
 def _links_arch(links: int = 30) -> Architecture:
