@@ -5,30 +5,48 @@ and a four-step pipeline that turns a top-level requirement plus a functional
 architecture into consistent sub-requirements: classification, initial
 feasible spaces, simulation-based narrowing, and a barrier trade-off for the
 final ranges.
+
+Each export is resolved on first use (PEP 562) from its submodule in the
+table ``_EXPORTS``, so ``import setdecomp`` imports no submodule and a name
+brings in only what its submodule needs:
+
+* ``architecture``, ``errors``, ``intervals``, ``requirements`` — the model,
+  the contracts and their laws; none of them imports numpy;
+* ``narrowing``, ``pipeline``, ``simulation``, ``tradeoff`` — initial spaces,
+  narrowing, the simulator and the trade-off; each of them imports numpy.
 """
 
-from .architecture import (Architecture, Classification, State, SubFunction,
-                           classify, load_architecture, validate_coverage)
-from .errors import SetDecompError
-from .intervals import Interval, RangeMap, interval_intersect, rangemap_merge
-from .narrowing import FeasibleSpaces, NarrowingResult, initial_spaces, narrow
-from .pipeline import PipelineReport, run_pipeline
-from .requirements import (FunctionalRequirement, TimedOutputSpec,
-                           check_composable, check_refines, compose, links)
-from .simulation import Envelope, SamplingPlan, Trajectory, build_ode, envelope_over_box, integrate
-from .tradeoff import PreferenceWeights, TradeoffResult, run_tradeoff
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Architecture", "Classification",
-    "Envelope", "FeasibleSpaces", "FunctionalRequirement",
-    "Interval", "NarrowingResult", "PipelineReport",
-    "PreferenceWeights", "RangeMap", "SamplingPlan",
-    "SetDecompError", "State", "SubFunction", "TimedOutputSpec", "TradeoffResult",
-    "Trajectory", "build_ode", "check_composable", "check_refines",
-    "classify", "compose", "envelope_over_box", "initial_spaces",
-    "integrate", "interval_intersect", "links", "load_architecture", "narrow",
-    "rangemap_merge", "run_pipeline", "run_tradeoff", "validate_coverage",
-    "__version__",
-]
+#: submodule -> the names the package root exports from it
+_EXPORTS = {name: module for module, names in {
+    "architecture": ("Architecture", "Classification", "State", "SubFunction",
+                     "classify", "load_architecture", "validate_coverage"),
+    "errors": ("SetDecompError",),
+    "intervals": ("Interval", "RangeMap", "interval_intersect", "rangemap_merge"),
+    "requirements": ("FunctionalRequirement", "TimedOutputSpec", "check_composable",
+                     "check_refines", "compose", "links"),
+    "narrowing": ("FeasibleSpaces", "NarrowingResult", "initial_spaces", "narrow"),
+    "pipeline": ("PipelineReport", "run_pipeline"),
+    "simulation": ("Envelope", "SamplingPlan", "Trajectory", "build_ode",
+                   "envelope_over_box", "integrate"),
+    "tradeoff": ("PreferenceWeights", "TradeoffResult", "run_tradeoff"),
+}.items() for name in names}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

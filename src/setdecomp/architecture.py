@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -268,11 +269,27 @@ def _subfunction_from_dict(d: dict) -> SubFunction:
     )
 
 
+def _constant(name: str, value) -> float:
+    """A constant's value, which must be a finite number: Python's ``json``
+    reads NaN and Infinity, an integer may be beyond float range, and
+    ``true`` is an ``int``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"constant '{name}' is not a number: {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:       # an integer beyond float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"constant '{name}' is not finite")
+    return x
+
+
 def architecture_from_dict(d: dict) -> Architecture:
     try:
         top = fr_from_dict(d["top"])
         subs = tuple(_subfunction_from_dict(s) for s in d["subfunctions"])
-        constants = tuple(sorted((k, float(v)) for k, v in d.get("constants", {}).items()))
+        constants = tuple(sorted((k, _constant(k, v))
+                                 for k, v in d.get("constants", {}).items()))
     except (KeyError, TypeError, AttributeError) as e:
         raise ValidationError(f"bad architecture document: {e}") from e
     return Architecture(top=top, subfunctions=subs, constants=constants)

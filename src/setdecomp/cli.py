@@ -14,6 +14,13 @@ Three subcommands:
 
 Exit codes: 0 success, 2 validation/parse failure, 3 infeasibility,
 4 law violation.
+
+Each command imports what it runs, when it runs: at import this module
+loads only ``architecture``, ``errors`` and ``requirements``, none of which
+imports numpy, and that is all ``check-laws`` needs. ``decompose`` imports
+``pipeline`` and ``simulation`` (and through them numpy, ``narrowing``,
+``codegen`` and ``tradeoff``); ``simulate`` imports numpy, ``narrowing``
+and ``simulation``.
 """
 
 from __future__ import annotations
@@ -21,15 +28,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .architecture import load_architecture
 from .errors import (EmptyRange, Infeasible, NonFinite, NotComposable,
                      ParseError, PostconditionFailure, SetDecompError)
-from .narrowing import initial_spaces
-from .pipeline import report_to_csv, report_to_json, report_to_markdown, run_pipeline
 from .requirements import _assemble, check_refines, links, load_fr
-from .simulation import SamplingPlan, build_ode, integrate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,6 +87,9 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_decompose(args) -> int:
+    from .pipeline import report_to_csv, report_to_json, report_to_markdown, run_pipeline
+    from .simulation import SamplingPlan
+
     plan = SamplingPlan(grid=args.grid, step=args.step, horizon=args.horizon)
     report = run_pipeline(args.architecture, plan,
                           strict_refinement=args.strict_refinement,
@@ -126,6 +131,11 @@ def _cmd_check_laws(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .narrowing import initial_spaces
+    from .simulation import build_ode, integrate
+
     arch, _ = load_architecture(args.architecture)
     spaces = initial_spaces(arch)
     point = {v: iv.mid for v, iv in spaces.fds.items()}

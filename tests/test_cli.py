@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from setdecomp import cli, narrowing, simulation
+from setdecomp import narrowing, simulation
 from setdecomp.architecture import load_architecture
 from setdecomp.cli import main
 from setdecomp.intervals import Interval, RangeMap
@@ -200,6 +200,35 @@ class TestDecompose:
         path.write_text(json.dumps(doc))
         assert main(["decompose", str(path), *FAST]) == 2
         assert f"constant '{name}' collides with a port of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, message", [
+        ("a", "constant 'A' is not a number: 'a'"),
+        (True, "constant 'A' is not a number: True"),
+        (math.nan, "constant 'A' is not finite"),
+        (math.inf, "constant 'A' is not finite"),
+        (-math.inf, "constant 'A' is not finite"),
+        (10 ** 400, "constant 'A' is not finite"),
+    ], ids=["string", "bool", "nan", "infinity", "minus-infinity", "beyond-float-range"])
+    def test_bad_constant_fails_before_simulation(self, value, message, tmp_path, capsys,
+                                                  no_envelope):
+        # Python's json writes and reads NaN, Infinity and integers of any size
+        doc = json.loads(open(CRUISE).read())
+        doc["constants"]["A"] = value
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), *FAST]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_constant_with_a_fresh_name_changes_no_byte(self, tmp_path):
+        # one path for both documents: the report names the file it read
+        doc = json.loads(open(CRUISE).read())
+        path, reports = tmp_path / "cruise.json", []
+        for constants in ({}, {"unread": 1.0}):
+            path.write_text(json.dumps({**doc, "constants": {**doc["constants"], **constants}}))
+            report = tmp_path / f"report{len(reports)}.json"
+            assert main(["decompose", str(path), *FAST, "--out", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("literal", [["num", math.inf], ["num", -math.inf], math.nan],
                              ids=["num-infinity", "num-minus-infinity", "bare-nan"])
@@ -502,9 +531,10 @@ class TestSimulate:
         path = tmp_path / "diverging.json"
         path.write_text(json.dumps(_ramp_doc(["pow", ["var", "y"], 2], "dy", None, 1.0)))
         calls = []
+        original = simulation.build_ode     # `simulate` reads it when it runs
 
         def build_ode(arch, point):
-            sys_ = simulation.build_ode(arch, point)
+            sys_ = original(arch, point)
 
             def rhs(row, *state):
                 if row is not None:
@@ -512,7 +542,7 @@ class TestSimulate:
                 return sys_.rhs(row, *state)
             return dataclasses.replace(sys_, rhs=rhs)
 
-        monkeypatch.setattr(cli, "build_ode", build_ode)
+        monkeypatch.setattr(simulation, "build_ode", build_ode)
         assert main(["simulate", str(path), "--horizon", "100"]) == 3
         err = capsys.readouterr().err
         assert "infeasible: non-finite value for 'dy'" in err
