@@ -2,23 +2,29 @@
 
 ``compile_rhs`` turns the expression trees of an architecture into one
 Python function closed over one design point: the right-hand side, which
-the RK stages call for the derivatives and a grid point also to write every
-output into a buffer row.  It partially evaluates at the design point (the
-parameter-only outputs and subtrees once, a repeated subtree once per call)
-and keeps every operation, operand order and operand type, so every value
-is bit-identical to ``expr.evaluate`` on the same trees.
+the RK stages call for the derivatives and a grid point also to hand over
+every output.  A grid point has two modes, chosen at compile time.  The row
+mode writes every output into a buffer row.  The fold mode, for a bundle
+whose grid row is larger than the cache, writes no row: it passes each
+output to a callable right after the statement that computes it, while it
+is still in cache, and the caller folds it into its extrema.  The compiler
+partially evaluates at the design point (the parameter-only outputs and
+subtrees once, a repeated subtree once per call) and keeps every
+operation, operand order and operand type, so every value is bit-identical
+to ``expr.evaluate`` on the same trees.
 
 For a bundle (every value an array of lanes) the function allocates
 nothing per call but the results of ``**``.  Every other operation runs as
 its ufunc with ``out=``: a derivative into its row of the stage matrix the
-caller passes, an output at a grid point into its buffer row, and anything
-else into a slot of one scratch array of shape ``(slots, *lanes)``,
-allocated once per compiled system.  Slots are assigned at compile time by
-liveness over the generated statements: a slot is free again only once
-the statement that reads it last has run, so no operand is overwritten
-while a sibling operand is computed.  A call's memory is slots × lanes
-floats, however many operations it runs: on the benchmark's 200-link
-chain (10 000 lanes, ~400 operations) 20 slots, 1.6 MB.
+caller passes, an output at a row-mode grid point into its buffer row, and
+anything else, a folded output included, into a slot of one scratch
+array of shape ``(slots, *lanes)``, allocated once per compiled system.
+Slots are assigned at compile time by liveness over the generated
+statements: a slot is free again only once the statement that reads it
+last has run, so no operand is overwritten while a sibling operand is
+computed.  A call's memory is slots × lanes floats, however many
+operations it runs: on the benchmark's 200-link chain (10 000 lanes, ~400
+operations) 20 slots, 1.6 MB, in either mode.
 
 A bundle's ufunc calls take every scalar operand (a parameter, a
 parameter-only output or subtree, a literal) as a 0-d float64 array, bound
@@ -56,24 +62,32 @@ _NAMESPACE = {"_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply
 _UFUNCS = {"+": "_add", "-": "_subtract", "*": "_multiply", "/": "_divide"}
 
 
-def compile_rhs(arch: Architecture, params: dict, output_names, inplace: bool):
+def compile_rhs(arch: Architecture, params: dict, output_names, inplace: bool,
+                fold: bool = False):
     """``(rhs, initial states)`` of the architecture at ``params``
     (constants and design point).
 
-    ``rhs(row, *states, d=None)`` returns the derivatives; given a buffer
-    row, not None, it also writes the outputs, in ``output_names`` order,
-    into ``row``.  With ``inplace`` (a bundle: the design values are arrays
-    of lanes) and a ``(states, *lanes)`` matrix ``d``, it writes the
-    derivatives into ``d`` and returns it.  Otherwise it ignores ``d`` and
-    every value keeps its type: numpy scalars stay scalars, whose ``**``
-    rounds differently from an array's.  The parameter-only values follow
-    the march's non-finite rule: inf or NaN, never an exception or a numpy
-    warning."""
+    ``rhs(grid, *states, d=None)`` returns the derivatives; at a grid
+    point, ``grid`` not None, it also hands over every output, in
+    ``output_names`` order for its index.  In the row mode ``grid`` is a
+    buffer row and rhs writes output ``j`` into ``grid[j]``.  In the fold
+    mode, ``fold`` (a bundle only), ``grid`` is a callable and rhs calls
+    ``grid(j, value)`` for every output and writes no row: right after the
+    statement that computes the output, so that ``value`` is still in
+    cache, and first of all for the outputs it does not compute (a state,
+    or a parameter-only value as its 0-d or lane array).  ``value`` is
+    scratch that the call itself overwrites later.  With ``inplace`` (a
+    bundle: the design values are arrays of lanes) and a
+    ``(states, *lanes)`` matrix ``d``, it writes the derivatives into ``d``
+    and returns it.  Otherwise it ignores ``d`` and every value keeps its
+    type: numpy scalars stay scalars, whose ``**`` rounds differently from
+    an array's.  The parameter-only values follow the march's non-finite
+    rule: inf or NaN, never an exception or a numpy warning."""
     shape = np.broadcast_shapes(*(np.shape(v) for v in params.values())) if inplace else ()
 
     def make(params, literal=repr):
         ns = dict(_NAMESPACE)
-        exec(_source(arch, params.keys(), output_names, inplace, literal), ns)  # noqa: S102
+        exec(_source(arch, params.keys(), output_names, inplace, fold, literal), ns)  # noqa: S102
         return ns["_make"](params, shape)
 
     with np.errstate(all="ignore"):
@@ -86,7 +100,8 @@ def compile_rhs(arch: Architecture, params: dict, output_names, inplace: bool):
                         literal=lambda v: f"_float64({v!r})")
 
 
-def _source(arch: Architecture, params, output_names, inplace: bool, literal) -> str:
+def _source(arch: Architecture, params, output_names, inplace: bool, fold: bool,
+            literal) -> str:
     """Python source of ``_make(params, lanes) -> (rhs, initial states)``.
 
     ``_make`` partially evaluates the right-hand side: it binds the
@@ -100,11 +115,13 @@ def _source(arch: Architecture, params, output_names, inplace: bool, literal) ->
 
     With ``inplace`` every operator node but ``**`` is a statement of its
     own, computed with ``out=`` into the derivative row it is, else at a
-    grid point into the buffer row of the output it is, else into a
-    scratch slot (see the module docstring); an operand that rhs does not
-    compute is read from its ``_operand`` copy, bound in ``_make`` after
-    the partial evaluation.  Without ``inplace``, a subtree read once is
-    spelt inside the expression that reads it.
+    grid point of the row mode into the buffer row of the output it is,
+    else into a scratch slot (see the module docstring); an operand that
+    rhs does not compute is read from its ``_operand`` copy, bound in
+    ``_make`` after the partial evaluation.  With ``fold`` every output is
+    folded by the statement right after the one that computes it.  Without
+    ``inplace``, a subtree read once is spelt inside the expression that
+    reads it.
     """
     states = [st for sf in arch.subfunctions for st in sf.states]
     names = sorted({*params, *(st.name for st in states), *(out for _, out, _ in arch.assignments)})
@@ -227,21 +244,30 @@ def _source(arch: Architecture, params, output_names, inplace: bool, literal) ->
             return {t}
         return set().union(*(reads(a) for a in nodes[t][1]))
 
-    # the statements of rhs: the computed subtrees, then a bundle's stores
-    # into the buffer row and the derivative matrix of what is not computed
-    # there in place
+    folds: dict = {}            # token -> the outputs it is, folded as it is computed
+    for j, t in enumerate(outs if fold else ()):
+        folds.setdefault(t, []).append(j)
+
+    # the statements of rhs: the computed subtrees, each followed by its
+    # folds, then a bundle's stores into the buffer row and the derivative
+    # matrix of what is not computed there in place
     computed = [(n, nodes[n][1]) for n in nodes if not inline(n)]
     to_o = [(j, t) for j, t in enumerate(outs)
-            if inplace and (roots.get(t) != j or t in into or pow_(t))]
+            if inplace and not fold and (roots.get(t) != j or t in into or pow_(t))]
     to_d = [(i, t) for i, t in enumerate(derivs) if inplace and into.get(t) != i]
-    slots = _slots(computed + [(None, (t,)) for _, t in to_o + to_d],
+    statements = []
+    for n, args in computed:
+        statements.append((n, args))
+        if n in folds:
+            statements.append((None, (n,)))
+    slots = _slots(statements + [(None, (t,)) for _, t in to_o + to_d],
                    {n for n, _ in computed if not pow_(n) and n not in into},
                    reads) if inplace else {}
 
     def target(n) -> str:
         if n in into:
             return f"_D[{into[n]}]"
-        if n in roots:
+        if n in roots and not fold:
             return f"(_s{slots[n]} if _o is None else _o[{roots[n]}])"
         return f"_s{slots[n]}"
 
@@ -253,9 +279,14 @@ def _source(arch: Architecture, params, output_names, inplace: bool, literal) ->
             return operands.setdefault(t, f"_k{len(operands)}")
         return text(t)
 
+    def folded(pairs) -> list[str]:
+        return ["if _o is not None:", *(f"    _o({j}, {v})" for j, v in pairs)] if pairs else []
+
     body: list[str] = []        # lines of rhs
     if inplace:                 # the caller's derivative matrix, or a fresh one
         body.append(f"_D = _empty(({len(states)}, *_shape)) if _d is None else _d")
+    body += folded([(j, operand(t)) for t, js in folds.items() if isinstance(t, str)
+                    for j in js])   # the outputs rhs does not compute
     for n, args in computed:
         e = nodes[n][0]
         if inplace and not pow_(n):
@@ -263,6 +294,7 @@ def _source(arch: Architecture, params, output_names, inplace: bool, literal) ->
             body.append(f"_t{n} = {ufunc}({', '.join([*map(operand, args), target(n)])})")
         else:
             body.append(f"_t{n} = {_spell(e, list(map(text, args)))}")
+        body += folded([(j, f"_t{n}") for j in folds.get(n, ())])
     if inplace:
         stores = [f"_o[{j}] = {text(t)}" for j, t in to_o]
     else:                       # one statement stores a point's whole row

@@ -67,7 +67,7 @@ def parse_expr(node) -> Expr:
         raise ParseError(f"bad expression node: {node!r}")
     head = node[0]
     if head == "num":
-        if len(node) != 2 or not isinstance(node[1], (int, float)):
+        if len(node) != 2 or not isinstance(node[1], (int, float)) or isinstance(node[1], bool):
             raise ParseError(f"bad num node: {node!r}")
         return _literal(node[1], node)
     if head == "var":

@@ -13,22 +13,30 @@ is bit-identical to evaluating the expressions as written.
 
 One classical fixed-step 4th-order Runge-Kutta kernel, ``_march``, steps
 the system.  At each grid time the grid-point evaluation, reused as the
-first RK stage, writes the outputs straight into a row of a preallocated
-(K, outputs, lanes) buffer; once K rows are full it hands them to one of
-two reducers: ``integrate`` keeps every row, ``envelope_over_box`` keeps
-per-variable extrema over a deterministic bundle of samples drawn from a
-design-space box (all corners plus an n-per-axis grid), reduced once per
-chunk over the samples and then over the times.  K is as many rows as
-``CHUNK_BYTES`` holds.  The envelope is the raw simulated extrema at the
-grid times: an empirical inner estimate, *not* a sound over-approximation,
-and every consumer of it says so.
+first RK stage, hands the outputs to one of two reducers, a chunk of K grid
+times at a time, K being as many grid rows (outputs × lanes floats) as
+``CHUNK_BYTES`` holds.  ``integrate`` keeps every row: the kernel writes
+them into a preallocated (K, outputs, lanes) buffer.  ``envelope_over_box``
+keeps per-variable extrema over a deterministic bundle of samples drawn
+from a design-space box (all corners plus an n-per-axis grid): its lane
+reducer reduces each box over its own lanes into a (K, outputs, boxes)
+table, which is then reduced over the times.  If a grid row fits
+``CHUNK_BYTES``, the kernel writes K rows into a buffer and the reducer
+reads them once per chunk; if not (the benchmark's 200-link chain: 16 MB),
+the kernel writes no row but folds each output through the reducer right
+after computing it, while it is still in cache, and a chunk is one grid
+time.  The envelope is the raw simulated extrema at the grid times: an
+empirical inner estimate, *not* a sound over-approximation, and every
+consumer of it says so.
 
 Both reducers follow one non-finite rule: states are float64, so overflow
 and division by zero give inf or NaN (never an exception or a numpy
 warning; what Python floats would raise on is evaluated in float64), and a
 :class:`NonFinite` error names the first output, in name order, at the
 first grid time where it is not finite.  The march stops at the end of the
-chunk that settles the error.
+chunk that settles the error.  Where the kernel folds, the one grid time
+that turns a box non-finite is evaluated once more into a full row, so
+that the error names the same sample.
 
 All samples of a bundle are integrated simultaneously as numpy vectors, one
 lane each, so a step costs a fixed number of numpy calls: four evaluations
@@ -36,17 +44,20 @@ of the right-hand side (the parameter-only parts excluded) and the RK4
 update, plus the reduction spread over the K grid times of a chunk.  The
 number of time steps, not the number of samples, dominates the cost.  That
 is why ``envelope_over_box`` also takes several boxes at once (the probes of
-one narrowing round) and reduces the bundle per box; a sample that several
-of the boxes share is marched once.
+one narrowing round) and reduces the bundle per box, each over its own
+lanes; a sample that several of the boxes share is marched once.
 
 A bundle's march allocates its arrays once and then nothing per step but
-the results of ``**``: the states are one (states, lanes) matrix, ``k1`` to
-``k4`` and the stage input are preallocated matrices of that shape, and
-the right-hand side computes every operation with ``out=`` into a stage
-matrix, a buffer row or one of its scratch slots.  Its memory is the
-buffer, six state matrices and slots × lanes floats, the slot count being
-what the liveness of the compiled operations needs (20 on the benchmark's
-200-link chain).  Every scalar a bundle's step hands numpy (a constant of
+the results of ``**`` (and, with several boxes, the gather of a grid
+row's or a folded output's lanes): the states are one (states, lanes)
+matrix, ``k1`` to ``k4`` and the stage input are preallocated matrices of
+that shape, and the right-hand side computes every operation with
+``out=`` into a stage matrix, a buffer row or one of its scratch slots.
+Its memory is six state matrices and slots × lanes floats, the slot count
+being what the liveness of the compiled operations needs (20 on the
+benchmark's 200-link chain), plus a buffer of at most ``CHUNK_BYTES``
+where the rows fit and, per grid time, a (outputs, boxes) table where the
+kernel folds.  Every scalar a bundle's step hands numpy (a constant of
 the right-hand side, ``h`` and the RK4 weights) is a 0-d array, which
 numpy parses faster than a Python float; at the tens to hundreds of lanes
 of a narrowing check, a step costs calls more than arithmetic.  One
@@ -72,7 +83,8 @@ __all__ = ["OdeSystem", "Trajectory", "Envelope", "SamplingPlan",
            "build_ode", "integrate", "envelope_over_box", "design_samples"]
 
 #: byte cap on the buffer of grid-time outputs that one reduction reads:
-#: small enough to stay in cache and to leave peak memory where it was
+#: small enough to stay in cache; an envelope whose one grid row is larger
+#: folds its outputs in the kernel instead
 CHUNK_BYTES = 128 * 1024
 
 
@@ -103,7 +115,7 @@ class OdeSystem:
 
     output_names: tuple[str, ...]       # all sub-function outputs (the y' set)
     initial_state: tuple        # floats or ndarrays, one per state
-    rhs: object                 # rhs(row or None, *states, d) -> derivatives; fills a row
+    rhs: object                 # rhs(grid or None, *states, d) -> derivatives
     shape: tuple[int, ...]      # lanes: () for one design point, (n,) for n of them
 
 
@@ -123,10 +135,13 @@ class Envelope:
     n_samples: int = 0
 
 
-def build_ode(arch: Architecture, point: dict[str, float]) -> OdeSystem:
+def build_ode(arch: Architecture, point: dict[str, float], fold: bool = False) -> OdeSystem:
     """Compile the architecture at a design point (values for every design
     variable: top inputs, free architecture inputs, controllables and
-    uncontrollables).  Point values may be scalars or aligned numpy arrays."""
+    uncontrollables).  Point values may be scalars or aligned numpy arrays.
+    ``fold`` compiles a bundle's grid calls in the fold mode of
+    :func:`codegen.compile_rhs`: they hand every output to a callable
+    instead of writing a row."""
     xs, ys, cs, us = aggregate_names(arch)
     design = sorted((xs | cs | us) - ys)
     missing = [n for n in design if n not in point]
@@ -137,20 +152,21 @@ def build_ode(arch: Architecture, point: dict[str, float]) -> OdeSystem:
     output_names = tuple(sorted(ys))
     shape = np.broadcast_shapes(*(np.shape(point[n]) for n in design))
 
-    rhs, initial = compile_rhs(arch, params, output_names, inplace=bool(shape))
+    rhs, initial = compile_rhs(arch, params, output_names, inplace=bool(shape), fold=fold)
     return OdeSystem(output_names=output_names, initial_state=initial, rhs=rhs, shape=shape)
 
 
-def _march(sys: OdeSystem, horizon: float, step: float, reduce) -> None:
+def _march(sys: OdeSystem, horizon: float, step: float, grid: Sequence, reduce) -> None:
     """Fixed-step RK4 over [0, horizon], the one stepping loop.
 
-    At every grid time the grid-point evaluation, reused as ``k1``, writes
-    the outputs into the next row of a (K, outputs, *lanes) buffer; the RK
-    stages pass no row.  Once K rows are full, or at the last grid time,
-    ``reduce(times, rows)`` gets those rows and stops the march by
-    returning True.  K is as many rows as ``CHUNK_BYTES`` holds.  Non-finite
-    values propagate silently; each reducer reports them as
-    :class:`NonFinite`.
+    At every grid time the grid-point evaluation, reused as ``k1``, gets
+    the next of the K ``grid`` targets: a row of a (K, outputs, *lanes)
+    buffer to write the outputs into, or, for a system compiled to fold, a
+    callable that folds them (see ``codegen.compile_rhs``); the RK stages
+    get None.  Once K grid times are evaluated, or at the last one,
+    ``reduce(times, state)`` gets their times and the states at the last of
+    them, and stops the march by returning True.  Non-finite values
+    propagate silently; each reducer reports them as :class:`NonFinite`.
 
     A bundle's states are one (states, *lanes) matrix, and ``k1`` to
     ``k4``, each stage's input and the update are computed in place into
@@ -166,10 +182,6 @@ def _march(sys: OdeSystem, horizon: float, step: float, reduce) -> None:
         raise ValidationError("step must be positive and horizon not negative")
     n = int(round(horizon / step))
     h = step
-    row_bytes = 8 * max(1, len(sys.output_names)) * math.prod(sys.shape)
-    chunk = min(n + 1, max(1, CHUNK_BYTES // row_bytes))
-    buf = np.empty((chunk, len(sys.output_names), *sys.shape))
-    rows = list(buf)
     rhs = sys.rhs
     # float64 states make overflow and division by zero inf/NaN instead of
     # Python float exceptions; a bundle's states fill every lane
@@ -207,10 +219,10 @@ def _march(sys: OdeSystem, horizon: float, step: float, reduce) -> None:
     times: list[float] = []
     with np.errstate(all="ignore"):
         for k in range(n + 1):
-            k1 = rhs(rows[len(times)], *state, ks[0])
+            k1 = rhs(grid[len(times)], *state, ks[0])
             times.append(k * step)
-            if len(times) == len(rows) or k == n:
-                if reduce(times, buf[:len(times)]) or k == n:
+            if len(times) == len(grid) or k == n:
+                if reduce(times, state) or k == n:
                     return
                 times = []
             k2 = rhs(None, *ahead(state, half, k1), ks[1])
@@ -219,21 +231,30 @@ def _march(sys: OdeSystem, horizon: float, step: float, reduce) -> None:
             state = advance(state, k1, k2, k3, k4)
 
 
+def _rows_per_chunk(outputs: int, lanes: int) -> int:
+    """How many grid rows of ``outputs`` × ``lanes`` floats ``CHUNK_BYTES``
+    holds; 0 if not even one."""
+    return CHUNK_BYTES // (8 * max(1, outputs) * lanes)
+
+
 def integrate(sys: OdeSystem, horizon: float, step: float) -> Trajectory:
     """Fixed-step RK4 over [0, horizon]; records every y' variable at every
     grid time.  Raises :class:`NonFinite` for the first output, in name
     order, at the first grid time where any of its values is not finite; the
     march stops at the end of that time's chunk."""
+    names = sys.output_names
+    buf = np.empty((max(1, _rows_per_chunk(len(names), math.prod(sys.shape))), len(names),
+                    *sys.shape))
     times: list[float] = []
     chunks: list[np.ndarray] = []
 
-    def keep(ts, rows) -> bool:
+    def keep(ts, state) -> bool:
+        rows = buf[:len(ts)]
         times.extend(ts)
         chunks.append(rows.copy())          # the buffer is reused
         return not np.isfinite(rows).all()
 
-    _march(sys, horizon, step, keep)
-    names = sys.output_names
+    _march(sys, horizon, step, list(buf), keep)
     rows = np.concatenate(chunks)           # (times, outputs, *lanes)
     bad = ~np.isfinite(rows).all(axis=tuple(range(2, rows.ndim)))
     if bad.any():
@@ -332,55 +353,92 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
     """The extrema reducer: all sample sets marched at once, with extrema
     reduced per set.
 
-    Every set is filled to a common length ``m`` by repeating its own last
-    sample, which leaves its extrema unchanged, so each chunk of grid times
-    reduces to a (times, outputs, sets) table over the samples, and that
-    table to (outputs, sets) over the times, which is folded into the
-    running extrema.  A set whose outputs turn non-finite gets the
-    :class:`NonFinite` error it would raise alone; the march stops early once
-    every set has one.
+    Each distinct sample is marched once, as one lane, in the order the
+    sets first name it (the probes of a narrowing round share the corners
+    at the bound held fixed: 143 distinct of 255 on ``cruise-narrow``).
+    Samples are keyed by the bits of their values, so 0.0 and -0.0 stay
+    apart.  The lane reducer reduces each set over its own lanes, in set
+    order: one gather of every set's lanes and ``reduceat``, or a plain
+    reduce when one set covers every lane in order.  Its results, per grid
+    time, output and set, make a (times, outputs, sets) table, which is
+    reduced over the times and folded into the running extrema.  A set
+    whose outputs turn non-finite gets the :class:`NonFinite` error it
+    would raise alone; the march stops early once every set has one.
 
-    With more than one set, each distinct sample is marched once, as one
-    lane (the probes of a narrowing round share the corners at the bound
-    held fixed: 143 distinct of 255 on ``cruise-narrow``), and each chunk's
-    rows are gathered back into the filled layout.  Samples are keyed by
-    the bits of their values, so 0.0 and -0.0 stay apart.  One set is
-    distinct already (``design_samples``) and is marched as it is.
+    The reducer runs at one of two places.  If a grid row (outputs × lanes
+    floats) fits ``CHUNK_BYTES``, the kernel writes K rows into a buffer
+    and the reducer reduces them at once.  Otherwise the system is compiled
+    to fold: the kernel writes no row, and hands every output to the
+    reducer as soon as it is computed, while it is still in cache; a chunk
+    is then one grid time, whose states are at hand when a set turns
+    non-finite, so that only on that path the grid time is evaluated once
+    more into a full row, for the sample to name.
     """
-    P = len(sample_sets)
-    m = max(len(s) for s in sample_sets)
-    filled = [s + [s[-1]] * (m - len(s)) for s in sample_sets]
-    point = {k: np.array([s[k] for seg in filled for s in seg])
-             for k in sample_sets[0][0]}
-    lanes = None                    # the lane of each filled sample, if not its own
-    if P > 1:                       # (samples, design variables), maybe without columns
-        bits = np.array([v.view(np.uint64) for v in point.values()],
-                        dtype=np.uint64).reshape(len(point), P * m).T
-        _, first, lanes = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-        lanes = lanes.reshape(-1)
-        point = {k: v[first] for k, v in point.items()}
-    sys = build_ode(arch, point)
+    point, index = _lanes(sample_sets)
+    lanes = int(index.max()) + 1
+    starts = np.cumsum([0, *map(len, sample_sets[:-1])])
+    box_lanes = np.split(index, starts[1:])
 
-    names = sys.output_names
-    index = {name: j for j, name in enumerate(names)}
+    names = tuple(sorted(aggregate_names(arch)[1]))     # build_ode's outputs
+    K = _rows_per_chunk(len(names), lanes)
+    fold = not K and bool(point)    # no design variable: one design point, no lanes
+    K = max(K, 1)
+    sys = build_ode(arch, point, fold=fold)
+
+    P = len(sample_sets)
+    lo, hi = np.empty((K, len(names), P)), np.empty((K, len(names), P))
+    if P == 1 and lanes == len(index):
+        def reduce_lanes(x, lo, hi):            # over the last axis, into lo and hi
+            np.minimum.reduce(x, -1, None, lo, True)
+            np.maximum.reduce(x, -1, None, hi, True)
+    else:
+        def reduce_lanes(x, lo, hi):
+            x = x.take(index, -1)
+            np.minimum.reduceat(x, starts, -1, None, lo)
+            np.maximum.reduceat(x, starts, -1, None, hi)
+
+    if fold:
+        lo0, hi0 = lo[0], hi[0]
+
+        def fold_output(j, v):
+            if v.ndim:
+                reduce_lanes(v, lo0[j], hi0[j])
+            else:                               # a parameter-only scalar
+                lo0[j] = hi0[j] = v
+
+        def chunk_rows(times, state):
+            row = np.empty((len(names), lanes))
+            sys.rhs(row.__setitem__, *state)
+            return row[np.newaxis]
+        grid = [fold_output]
+    else:
+        buf = np.empty((K, len(names), *sys.shape))
+
+        def chunk_rows(times, state):
+            return buf[:len(times)].reshape(len(times), len(names), -1)
+        grid = list(buf)
+
     rlo = np.full((len(names), P), math.inf)    # running extrema
     rhi = np.full((len(names), P), -math.inf)
     wins = {name: {tuple(w): (np.full(P, math.inf), np.full(P, -math.inf)) for w in ws}
             for name, ws in (windows or {}).items()}
-    win_rows = [(index[name], t0, t1, *ext) for name, ws in wins.items() if name in index
+    index_of = {name: j for j, name in enumerate(names)}
+    win_rows = [(index_of[name], t0, t1, *ext) for name, ws in wins.items() if name in index_of
                 for (t0, t1), ext in ws.items()]
     errors: list[NonFinite | None] = [None] * P
 
-    def extrema(times, rows) -> bool:
-        if lanes is not None:       # no design variable: one lane, not an axis
-            rows = rows.reshape(len(times), len(names), -1).take(lanes, axis=2)
-        seg = rows.reshape(len(times), len(names), P, m)
-        lo, hi = np.minimum.reduce(seg, axis=3), np.maximum.reduce(seg, axis=3)
-        clo, chi = _earliest(np.minimum, lo), _earliest(np.maximum, hi)
+    def extrema(times, state) -> bool:
+        T = len(times)
+        if not fold:
+            reduce_lanes(chunk_rows(times, state), lo[:T], hi[:T])
+        clo, chi = _earliest(np.minimum, lo[:T]), _earliest(np.maximum, hi[:T])
         # NaN and inf survive min and max, so one test covers the chunk
         finite = np.isfinite(clo) & np.isfinite(chi)
         if not finite.all():
-            _record_nonfinite(errors, ~finite, times, lo, hi, rows, names, sample_sets, m)
+            fresh = {int(p) for p in np.flatnonzero(~finite.all(axis=0)) if errors[p] is None}
+            if fresh:
+                _record_nonfinite(errors, fresh, times, lo[:T], hi[:T], chunk_rows(times, state),
+                                  names, sample_sets, box_lanes)
             if all(e is not None for e in errors):
                 return True
         # on ties the second argument wins, which keeps the earlier extremum
@@ -393,7 +451,7 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
                 np.maximum(_earliest(np.maximum, hi[a:b, j]), whi, out=whi)
         return False
 
-    _march(sys, plan.horizon, plan.step, extrema)
+    _march(sys, plan.horizon, plan.step, grid, extrema)
 
     results: list = []
     for p, samples in enumerate(sample_sets):
@@ -408,6 +466,23 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
     return results
 
 
+def _lanes(sample_sets) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The design point of one lane per distinct sample, in the order the
+    sets first name it, and the lane of every sample, set after set.
+    Samples are keyed by the bits of their values, so 0.0 and -0.0 stay
+    apart."""
+    samples = [s for seg in sample_sets for s in seg]
+    point = {k: np.array([s[k] for s in samples]) for k in samples[0]}
+    w = 8 * len(point)
+    bits = np.array([v.view(np.uint64) for v in point.values()], dtype=np.uint64)
+    bits = bits.reshape(len(point), len(samples)).T.tobytes()
+    lane_of: dict[bytes, int] = {}
+    index = np.array([lane_of.setdefault(bits[i * w:(i + 1) * w], len(lane_of))
+                      for i in range(len(samples))])
+    first = np.unique(index, return_index=True)[1]
+    return {k: v[first] for k, v in point.items()}, index
+
+
 def _earliest(extremum, x: np.ndarray) -> np.ndarray:
     """``extremum`` (``np.minimum`` or ``np.maximum``) of ``x`` over its time
     axis 0.  Equal extrema differ only in the sign of a zero; the earliest
@@ -420,19 +495,19 @@ def _earliest(extremum, x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _record_nonfinite(errors: list, bad: np.ndarray, times, lo, hi, rows, names,
-                      sample_sets, m: int) -> None:
-    """Give every set that first turns non-finite in this chunk (``bad``:
-    outputs × sets, over the whole chunk) the error a bundle of its samples
-    alone raises: at the first such time, the first output in order, at the
-    first such sample."""
-    fresh = {int(p) for p in np.flatnonzero(bad.any(axis=0)) if errors[p] is None}
+def _record_nonfinite(errors: list, fresh: set[int], times, lo, hi, rows, names,
+                      sample_sets, box_lanes) -> None:
+    """Give every set in ``fresh``, which first turns non-finite in this
+    chunk, the error a bundle of its samples alone raises: at the first
+    such time, the first output in order, at the first such sample.
+    ``rows`` are the chunk's (times, outputs, lanes) outputs and
+    ``box_lanes`` the lane of each sample of every set."""
     for k, t in enumerate(times):
         if not fresh:
             return
         now = ~(np.isfinite(lo[k]) & np.isfinite(hi[k]))        # (outputs, sets)
         for p in fresh & set(np.flatnonzero(now.any(axis=0)).tolist()):
             i = int(np.argmax(now[:, p]))
-            idx = int(np.argmax(~np.isfinite(rows[k, i, p * m:(p + 1) * m])))
+            idx = int(np.argmax(~np.isfinite(rows[k, i, box_lanes[p]])))
             errors[p] = NonFinite(f"{names[i]} (sample {sample_sets[p][idx]})", t)
             fresh.discard(p)

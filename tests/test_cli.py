@@ -243,6 +243,15 @@ class TestDecompose:
             assert main(command) == 2
             assert "non-finite literal" in capsys.readouterr().err
 
+    def test_bool_num_literal_fails_before_simulation(self, tmp_path, capsys, no_envelope):
+        # a bare true is no number, and neither is a wrapped one
+        doc = json.loads(open(CRUISE).read())
+        _sub(doc, "f5")["exprs"]["Fa"] = ["*", ["num", True], ["var", "v"]]
+        path = tmp_path / "literal.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), *FAST]) == 2
+        assert "bad num node: ['num', True]" in capsys.readouterr().err
+
     def test_window_the_plan_never_reaches_fails_before_simulation(self, tmp_path, capsys,
                                                                    no_envelope):
         # cruise-narrow: the v window [20, 100] lowered to 36.55 m/s

@@ -68,8 +68,8 @@ def _marches(monkeypatch) -> list[list[int]]:
         marches.append([1 if isinstance(box, RangeMap) else len(box)])
         return envelope_over_box(arch, box, plan, windows)
 
-    def ode(arch, point):
-        sys_ = build_ode(arch, point)
+    def ode(arch, point, **kw):
+        sys_ = build_ode(arch, point, **kw)
         marches[-1].append(math.prod(sys_.shape))
         return sys_
     monkeypatch.setattr(narrowing, "envelope_over_box", envelope)

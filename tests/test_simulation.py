@@ -246,26 +246,34 @@ class TestEnvelope:
         assert hi == pytest.approx(11.0, abs=1e-9)  # y0=1 at t=10
 
     def test_boxes_bundled_match_boxes_alone(self, monkeypatch):
-        # sets of 3 and 1 samples share a bundle filled to 3 per box; the
-        # fourth box shares y0 = 0.5 and 1.25 with the first, and the last
-        # two differ only in the sign of a zero, which e = y0 * 1.0 keeps
+        # sets of 3 and 1 samples share a bundle; the fourth box shares
+        # y0 = 0.5 and 1.25 with the first, and the last two differ only in
+        # the sign of a zero, which e = y0 * 1.0 keeps; with grid rows, then
+        # with no row fitting CHUNK_BYTES, so that the kernel folds
         boxes = [RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(1.5, 1.5)),
                  RangeMap.of(y0=(0.75, 1.0)), RangeMap.of(y0=(0.5, 1.25)),
                  RangeMap.of(y0=(0.0, 0.0)), RangeMap.of(y0=(-0.0, -0.0))]
         plan = SamplingPlan(grid=3, step=0.01, horizon=1.0)
         windows = {"y": [(0.25, 0.5)]}
-        lanes = _lanes(monkeypatch)
         arch = _decay_arch()
         echo = SubFunction(id="echo", exprs=(("e", BinOp("*", Var("y0"), Num(1.0))),),
                            inputs=RangeMap.of(y0=(0.5, 2)), outputs=RangeMap.of(e=(0.5, 2)))
         arch = dataclasses.replace(arch, subfunctions=(*arch.subfunctions, echo))
-        bundled = envelope_over_box(arch, boxes, plan, windows)
-        alone = [envelope_over_box(arch, b, plan, windows) for b in boxes]
-        assert list(map(_env_bits, bundled)) == list(map(_env_bits, alone))
-        assert [e.n_samples for e in bundled] == [3, 1, 3, 3, 1, 1]
-        # 0.5, 2, 1.25, 1.5, 0.75, 1, 0.875, 0 and -0 of 18 filled samples
-        assert lanes[0] == 9
-        assert [repr(env.bounds["e"]) for env in bundled[4:]] == ["(0.0, 0.0)", "(-0.0, -0.0)"]
+        lanes = _lanes(monkeypatch)
+        bits = []
+        for chunk_bytes in (simulation.CHUNK_BYTES, 0):
+            monkeypatch.setattr(simulation, "CHUNK_BYTES", chunk_bytes)
+            del lanes[:]
+            bundled = envelope_over_box(arch, boxes, plan, windows)
+            alone = [envelope_over_box(arch, b, plan, windows) for b in boxes]
+            assert list(map(_env_bits, bundled)) == list(map(_env_bits, alone))
+            bits.append(list(map(_env_bits, bundled)))
+            assert [e.n_samples for e in bundled] == [3, 1, 3, 3, 1, 1]
+            # 0.5, 2, 1.25, 1.5, 0.75, 1, 0.875, 0 and -0 of 12 samples
+            assert lanes[0] == 9
+            assert ([repr(env.bounds["e"]) for env in bundled[4:]]
+                    == ["(0.0, 0.0)", "(-0.0, -0.0)"])
+        assert bits[0] == bits[1]
 
     def test_diverging_box_returns_its_error(self):
         # dy/dt = y^2 from y0 = 2 blows up near t = 0.5; y0 = 0 stays at 0
@@ -287,35 +295,41 @@ class TestEnvelope:
         assert results[1] == envelope_over_box(arch, good, plan)
         assert results[1].bounds["y"] == (0.0, 0.0)
 
-    def test_diverging_boxes_sharing_samples_name_their_own_sample(self):
+    def test_diverging_boxes_sharing_samples_name_their_own_sample(self, monkeypatch):
         # [0.5, 1.25] shares its samples 0.5 and 1.25 with [0.5, 2], whose
-        # first to blow up is y0 = 2 (t = 0.5), while its own is 1.25 (t = 0.8)
+        # first to blow up is y0 = 2 (t = 0.5), while its own is 1.25 (t = 0.8);
+        # with grid rows, then with the kernel folding
         plan = SamplingPlan(grid=1, step=0.01, horizon=5.0)
         boxes = [RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(0.0, 0.0)),
                  RangeMap.of(y0=(0.5, 1.25))]
-        results = envelope_over_box(_blowup_arch(), boxes, plan)
-        for box, got in zip(boxes[::2], results[::2]):
-            with pytest.raises(NonFinite) as alone:
-                envelope_over_box(_blowup_arch(), box, plan)
-            assert isinstance(got, NonFinite) and str(got) == str(alone.value)
-        assert "'y0': 1.25" in str(results[2]) and "'y0': 2.0" in str(results[0])
-        assert results[1] == envelope_over_box(_blowup_arch(), boxes[1], plan)
+        seen = []
+        for chunk_bytes in (simulation.CHUNK_BYTES, 0):
+            monkeypatch.setattr(simulation, "CHUNK_BYTES", chunk_bytes)
+            results = envelope_over_box(_blowup_arch(), boxes, plan)
+            for box, got in zip(boxes[::2], results[::2]):
+                with pytest.raises(NonFinite) as alone:
+                    envelope_over_box(_blowup_arch(), box, plan)
+                assert isinstance(got, NonFinite) and str(got) == str(alone.value)
+            assert "'y0': 1.25" in str(results[2]) and "'y0': 2.0" in str(results[0])
+            assert results[1] == envelope_over_box(_blowup_arch(), boxes[1], plan)
+            seen.append([*map(str, results[::2]), _env_bits(results[1])])
+        assert seen[0] == seen[1]
 
 
 def _counting(sys_, calls: list):
     """``sys_`` that appends to ``calls`` at every grid-point evaluation."""
-    def rhs(row, *state):
-        if row is not None:
+    def rhs(grid, *state):
+        if grid is not None:
             calls.append(None)
-        return sys_.rhs(row, *state)
+        return sys_.rhs(grid, *state)
     return dataclasses.replace(sys_, rhs=rhs)
 
 
 def _counted(monkeypatch, module) -> list:
     """Count the grid-point evaluations of every system ``module`` builds."""
     calls: list = []
-    monkeypatch.setattr(module, "build_ode", lambda arch, point: _counting(build_ode(arch, point),
-                                                                           calls))
+    monkeypatch.setattr(module, "build_ode",
+                        lambda arch, point, **kw: _counting(build_ode(arch, point, **kw), calls))
     return calls
 
 
@@ -323,8 +337,8 @@ def _lanes(monkeypatch) -> list[int]:
     """The number of lanes of every bundle ``simulation`` builds."""
     lanes: list[int] = []
 
-    def spy(arch, point):
-        sys_ = build_ode(arch, point)
+    def spy(arch, point, **kw):
+        sys_ = build_ode(arch, point, **kw)
         lanes.append(math.prod(sys_.shape))
         return sys_
     monkeypatch.setattr(simulation, "build_ode", spy)
@@ -338,7 +352,8 @@ def _env_bits(env) -> str:
 
 
 def _chunk_rows(monkeypatch, rows: int, outputs: int, lanes: int) -> None:
-    """Set the buffer cap so that a chunk holds ``rows`` grid times."""
+    """Set the buffer cap so that a chunk holds ``rows`` grid times; with 0
+    not even one grid row fits, and a bundle's kernel folds."""
     monkeypatch.setattr(simulation, "CHUNK_BYTES", rows * 8 * outputs * lanes)
 
 
@@ -370,22 +385,24 @@ def _signed_zero_arch():
 
 
 class TestChunks:
-    """The reducers see the grid times K buffer rows at a time; no K may
-    change a result."""
+    """The reducers see the grid times K buffer rows at a time, or, with 0
+    rows, the kernel folds the outputs of one grid time; no K may change a
+    result."""
 
     # 21 grid times; with K = 7 the first window spans the chunk boundary
-    # after t = 0.3 and the second lies inside the second chunk
+    # after t = 0.3 and the second lies inside the second chunk; folding,
+    # every window spans chunks of one grid time
     PLAN = SamplingPlan(grid=3, step=0.05, horizon=1.0)
     WINDOWS = {"y": [(0.25, 0.5), (0.4, 0.6), (0.33, 0.33), (0.0, 0.0), (1.0, 1.0)]}
     BOXES = [RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(1.5, 1.5))]
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 7])
     def test_envelopes_do_not_depend_on_the_chunk_length(self, rows, monkeypatch):
         default = envelope_over_box(_decay_arch(), self.BOXES, self.PLAN, self.WINDOWS)
         _chunk_rows(monkeypatch, rows, outputs=2, lanes=2 * 3)
         assert envelope_over_box(_decay_arch(), self.BOXES, self.PLAN, self.WINDOWS) == default
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 7])
     def test_bundled_error_inside_a_chunk(self, rows, monkeypatch):
         plan = SamplingPlan(grid=1, step=0.01, horizon=5.0)
         boxes = [RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(0.0, 0.0))]
@@ -395,7 +412,7 @@ class TestChunks:
         got = envelope_over_box(_blowup_arch(), boxes, plan)
         assert str(got[0]) == str(default[0]) and got[1] == default[1]
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 7])
     def test_march_stops_in_the_chunk_of_the_last_error(self, rows, monkeypatch):
         plan = SamplingPlan(grid=1, step=0.01, horizon=5.0)
         box = RangeMap.of(y0=(1.0, 2.0))
@@ -407,11 +424,13 @@ class TestChunks:
             envelope_over_box(_blowup_arch(), box, plan)
         assert str(chunked.value) == str(default.value)
         first_bad = round(chunked.value.t / plan.step)
-        assert first_bad < len(calls) <= first_bad + rows
+        # folding, a chunk is one grid time, evaluated once more into a
+        # full row for the error to name its sample
+        assert first_bad < len(calls) <= first_bad + (rows or 2)
 
-    @pytest.mark.parametrize("rows", [None, 1, 2, 3, 7])
+    @pytest.mark.parametrize("rows", [None, 0, 1, 2, 3, 7])
     def test_equal_extrema_keep_the_earliest_sign_of_zero(self, rows, monkeypatch):
-        if rows:
+        if rows is not None:
             _chunk_rows(monkeypatch, rows, outputs=3, lanes=1)
         env = envelope_over_box(_signed_zero_arch(), RangeMap.of(y0=(0.5, 0.5)),
                                 SamplingPlan(grid=1, step=0.01, horizon=1.0),
@@ -703,26 +722,30 @@ class TestAllocation:
             tracemalloc.stop()
 
     def test_stage_and_grid_calls_allocate_no_lane_array(self):
-        sys_ = build_ode(_links_arch(), {"a": np.linspace(0.0, 1.0, self.LANES)})
         states = np.ones((2, self.LANES))
         d = np.empty_like(states)
-        row = np.empty((len(sys_.output_names), self.LANES))
-        sys_.rhs(row, *states, d)
+        row = np.empty((32, self.LANES))
+        for fold, grid in ((False, row), (True, row.__setitem__)):
+            sys_ = build_ode(_links_arch(), {"a": np.linspace(0.0, 1.0, self.LANES)}, fold=fold)
+            sys_.rhs(grid, *states, d)
 
-        def calls():
-            sys_.rhs(None, *states, d)
-            sys_.rhs(row, *states, d)
-        assert self._peak(calls) < 8 * self.LANES
+            def calls():
+                sys_.rhs(None, *states, d)
+                sys_.rhs(grid, *states, d)
+            assert self._peak(calls) < 8 * self.LANES, fold
 
     def test_march_peak_is_its_matrices_at_any_number_of_steps(self):
-        sys_ = build_ode(_links_arch(), {"a": np.linspace(0.0, 1.0, self.LANES)})
+        # 32 outputs × 2000 lanes make a 512 KB grid row, above CHUNK_BYTES:
+        # the kernel folds every output and allocates no grid buffer
+        sys_ = build_ode(_links_arch(), {"a": np.linspace(0.0, 1.0, self.LANES)}, fold=True)
+        assert simulation._rows_per_chunk(len(sys_.output_names), self.LANES) == 0
         lane = 8 * self.LANES
-        outputs, states = len(sys_.output_names), len(sys_.initial_state)
-        chunk = max(1, simulation.CHUNK_BYTES // (outputs * lane))
-        # the grid buffer, the states, k1 to k4 and the stage input
-        matrices = (chunk * outputs + 6 * states) * lane
-        simulation._march(sys_, 0.02, 0.01, lambda times, rows: False)
+        # the states, k1 to k4 and the stage input; the scratch slots are
+        # allocated with the system, before the march
+        matrices = 6 * len(sys_.initial_state) * lane
+        grid = [lambda j, v: (np.minimum.reduce(v), np.maximum.reduce(v))]
+        simulation._march(sys_, 0.02, 0.01, grid, lambda times, state: False)
         for steps in (5, 50):
-            peak = self._peak(lambda: simulation._march(sys_, steps * 0.01, 0.01,
-                                                        lambda times, rows: False))
+            peak = self._peak(lambda: simulation._march(sys_, steps * 0.01, 0.01, grid,
+                                                        lambda times, state: False))
             assert matrices <= peak < matrices + lane, steps
