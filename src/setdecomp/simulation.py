@@ -18,7 +18,8 @@ times at a time, K being as many grid rows (outputs × lanes floats) as
 ``CHUNK_BYTES`` holds.  ``integrate`` keeps every row: the kernel writes
 them into a preallocated (K, outputs, lanes) buffer.  ``envelope_over_box``
 keeps per-variable extrema over a deterministic bundle of samples drawn
-from a design-space box (all corners plus an n-per-axis grid): its lane
+from a design-space box (all corners plus an n-per-axis grid), held as one
+(samples, variables) matrix from sampling to the end of the march: its lane
 reducer reduces each box over its own lanes into a (K, outputs, boxes)
 table, which is then reduced over the times.  If a grid row fits
 ``CHUNK_BYTES``, the kernel writes K rows into a buffer and the reducer
@@ -50,18 +51,20 @@ lanes; a sample that several of the boxes share is marched once.
 A bundle's march allocates its arrays once and then nothing per step but
 the results of ``**`` (and, with several boxes, the gather of a grid
 row's or a folded output's lanes): the states are one (states, lanes)
-matrix, ``k1`` to ``k4`` and the stage input are preallocated matrices of
-that shape, and the right-hand side computes every operation with
-``out=`` into a stage matrix, a buffer row or one of its scratch slots.
-Its memory is six state matrices and slots × lanes floats, the slot count
-being what the liveness of the compiled operations needs (20 on the
-benchmark's 200-link chain), plus a buffer of at most ``CHUNK_BYTES``
-where the rows fit and, per grid time, a (outputs, boxes) table where the
-kernel folds.  Every scalar a bundle's step hands numpy (a constant of
-the right-hand side, ``h`` and the RK4 weights) is a 0-d array, which
-numpy parses faster than a Python float; at the tens to hundreds of lanes
-of a narrowing check, a step costs calls more than arithmetic.  One
-design point keeps its states as numpy scalars.
+matrix, the stage input, the RK4 accumulator and one stage derivative are
+preallocated matrices of that shape, and the right-hand side computes
+every operation with ``out=`` into a stage matrix, a buffer row or one of
+its scratch slots.  Its memory is four state matrices and slots × lanes
+floats, the slot count being what the liveness of the compiled operations
+needs (20 on the benchmark's 200-link chain), plus a buffer of at most
+``CHUNK_BYTES`` where the rows fit and, per grid time, a (outputs, boxes)
+table where the kernel folds.  The samples are one (samples, variables)
+matrix and the lanes' design point one (variables, lanes) matrix.  Every
+scalar a bundle's step hands numpy (a constant of the right-hand side,
+``h`` and the RK4 weights) is a 0-d array, which numpy parses faster than
+a Python float; at the tens to hundreds of lanes of a narrowing check, a
+step costs calls more than arithmetic.  One design point keeps its states
+as numpy scalars.
 """
 
 from __future__ import annotations
@@ -168,15 +171,17 @@ def _march(sys: OdeSystem, horizon: float, step: float, grid: Sequence, reduce) 
     them, and stops the march by returning True.  Non-finite values
     propagate silently; each reducer reports them as :class:`NonFinite`.
 
-    A bundle's states are one (states, *lanes) matrix, and ``k1`` to
-    ``k4``, each stage's input and the update are computed in place into
-    matrices allocated once, in the operation order of the scalar form, so
-    a step allocates no lane array but the results of ``**``.  The right-
-    hand side gets the rows of the state and stage-input matrices as views
-    taken once, and the update's scalars ``0.5*h``, ``h``, ``2`` and
-    ``h/6`` as 0-d arrays.  One design point keeps its states as a list of
-    numpy scalars (0-d arrays at t = 0), whose ``**`` rounds differently
-    from an array's.
+    A bundle's march keeps four (states, *lanes) matrices, allocated once:
+    the states ``S``, the stage input ``x``, the accumulator ``acc`` and one
+    derivative ``k``.  ``k1`` is written into ``acc``; ``k2`` and ``k3``,
+    once their stage input is computed, are doubled in place and added to
+    it, and ``k4`` is added last, so the update is ``S + (h/6) * (((k1 +
+    2*k2) + 2*k3) + k4)``, the scalar form's operations in its order, and a
+    step allocates no lane array but the results of ``**``.  The right-hand
+    side gets the rows of ``S`` and ``x`` as views taken once, and the
+    update's scalars ``0.5*h``, ``h``, ``2`` and ``h/6`` as 0-d arrays.  One
+    design point keeps its states as a list of numpy scalars (0-d arrays at
+    t = 0), whose ``**`` rounds differently from an array's.
     """
     if not (step > 0 and horizon >= 0):
         raise ValidationError("step must be positive and horizon not negative")
@@ -189,7 +194,8 @@ def _march(sys: OdeSystem, horizon: float, step: float, grid: Sequence, reduce) 
         S = np.empty((len(sys.initial_state), *sys.shape))
         for s, v in zip(S, sys.initial_state):
             np.add(np.asarray(v, dtype=float), 0.0, out=s)
-        ks, x = np.empty((4, *S.shape)), np.empty_like(S)
+        x, acc, k = np.empty((3, *S.shape))
+        ks = (acc, k, k, k)
         # the rows rhs reads, and the step's scalars as 0-d arrays, which
         # numpy takes faster than Python floats
         state, x_rows = tuple(S), tuple(x)
@@ -197,13 +203,13 @@ def _march(sys: OdeSystem, horizon: float, step: float, grid: Sequence, reduce) 
 
         def ahead(s, c, d):                     # s + c * d, into x; s is S's rows
             np.add(S, np.multiply(c, d, out=x), out=x)
+            if d is k:                          # k2 or k3, no longer read: acc += 2 * d
+                np.add(acc, np.multiply(two, k, out=k), out=acc)
             return x_rows
 
         def advance(s, a, b, c, d):             # s + (h / 6) * (a + 2 * b + 2 * c + d)
-            u = np.add(a, np.multiply(two, b, out=x), out=x)
-            np.add(u, np.multiply(two, c, out=c), out=u)
-            np.add(u, d, out=u)
-            np.add(S, np.multiply(sixth, u, out=u), out=S)
+            np.add(acc, k, out=acc)             # acc holds a + 2 * b + 2 * c, k holds d
+            np.add(S, np.multiply(sixth, acc, out=acc), out=S)
             return s
     else:
         state = [np.asarray(v, dtype=float) for v in sys.initial_state]
@@ -218,11 +224,11 @@ def _march(sys: OdeSystem, horizon: float, step: float, grid: Sequence, reduce) 
                     for v, p, q, r, w in zip(s, a, b, c, d)]
     times: list[float] = []
     with np.errstate(all="ignore"):
-        for k in range(n + 1):
+        for i in range(n + 1):
             k1 = rhs(grid[len(times)], *state, ks[0])
-            times.append(k * step)
-            if len(times) == len(grid) or k == n:
-                if reduce(times, state) or k == n:
+            times.append(i * step)
+            if len(times) == len(grid) or i == n:
+                if reduce(times, state) or i == n:
                     return
                 times = []
             k2 = rhs(None, *ahead(state, half, k1), ks[1])
@@ -264,11 +270,13 @@ def integrate(sys: OdeSystem, horizon: float, step: float) -> Trajectory:
                       values={name: rows[:, j] for j, name in enumerate(names)})
 
 
-def design_samples(box: RangeMap, plan: SamplingPlan) -> list[dict[str, float]]:
-    """Deterministic sample set for a box: all corners plus an n-per-axis
-    grid, deduplicated; beyond the cap, a Halton low-discrepancy set."""
+def design_samples(box: RangeMap, plan: SamplingPlan) -> np.ndarray:
+    """Deterministic sample set for a box, as an (n, d) float64 matrix whose
+    columns follow ``box.items()``: all corners in product order, then the
+    n-per-axis grid points not already present (deduplicated by value);
+    beyond the cap, a Halton low-discrepancy set.  A box with no design
+    variable is one sample, of shape (1, 0)."""
     items = box.items()
-    names = [v for v, _ in items]
     lattices = [[(iv.lo, iv.hi) if iv.lo < iv.hi else (iv.lo,) for _, iv in items]]
     if plan.grid > 0:
         lattices.append([(iv.mid,) if iv.lo == iv.hi or plan.grid == 1
@@ -280,14 +288,10 @@ def design_samples(box: RangeMap, plan: SamplingPlan) -> list[dict[str, float]]:
     if len(lattices) == 2:
         count -= math.prod(len(set(c) & set(g)) for c, g in zip(*lattices))
     if count > plan.cap:
-        return [dict(zip(names, p)) for p in _halton_samples(items, plan.cap)]
-    seen = set()
-    unique: list[tuple[float, ...]] = []
-    for p in itertools.chain.from_iterable(itertools.product(*lattice) for lattice in lattices):
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return [dict(zip(names, p)) for p in unique]
+        return _halton_samples(items, plan.cap)
+    unique = dict.fromkeys(itertools.chain.from_iterable(
+        itertools.product(*lattice) for lattice in lattices))
+    return np.array(list(unique), dtype=np.float64).reshape(len(unique), len(items))
 
 
 def _primes(n: int) -> list[int]:
@@ -300,21 +304,22 @@ def _primes(n: int) -> list[int]:
     return primes
 
 
-def _halton_samples(items, n: int) -> list[tuple[float, ...]]:
+def _halton_samples(items, n: int) -> np.ndarray:
     """Halton points 1 to ``n`` scaled to the box, one prime base per axis
-    (which keeps the axes independent).  Each axis takes the radical
-    inverse of every index at once, with the scalar recurrence's operations
-    in its order; an index that reaches zero only adds zeros after."""
+    (which keeps the axes independent), as an (n, axes) matrix.  Each axis
+    takes the radical inverse of every index at once, with the scalar
+    recurrence's operations in its order; an index that reaches zero only
+    adds zeros after."""
     index = np.arange(1, n + 1)
-    axes = []
-    for base, (_, iv) in zip(_primes(len(items)), items):
+    points = np.empty((n, len(items)))
+    for j, (base, (_, iv)) in enumerate(zip(_primes(len(items)), items)):
         i, f, r = index.copy(), 1.0, np.zeros(n)
         while i.any():
             f /= base
             r += f * (i % base)
             i //= base
-        axes.append((iv.lo + r * (iv.hi - iv.lo)).tolist())
-    return list(zip(*axes))
+        points[:, j] = iv.lo + r * (iv.hi - iv.lo)
+    return points
 
 
 def envelope_over_box(arch: Architecture, box: RangeMap | Sequence[RangeMap],
@@ -335,10 +340,14 @@ def envelope_over_box(arch: Architecture, box: RangeMap | Sequence[RangeMap],
     simulated with.
     """
     single = isinstance(box, RangeMap)
-    sample_sets = [design_samples(b, plan) for b in ([box] if single else box)]
-    if not sample_sets or not all(sample_sets):
+    boxes = [box] if single else list(box)
+    sample_sets = [design_samples(b, plan) for b in boxes]
+    if not sample_sets or not all(map(len, sample_sets)):
         raise ValidationError("empty design box")
-    results = _envelope_bundle(arch, sample_sets, plan, windows)
+    design = [v for v, _ in boxes[0].items()]      # the columns of every sample set
+    if any(b.names() != boxes[0].names() for b in boxes):
+        raise ValidationError("the boxes of one bundle must name the same variables")
+    results = _envelope_bundle(arch, design, sample_sets, plan, windows)
     if not single:
         return results
     if isinstance(results[0], NonFinite):
@@ -346,24 +355,25 @@ def envelope_over_box(arch: Architecture, box: RangeMap | Sequence[RangeMap],
     return results[0]
 
 
-def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]]],
+def _envelope_bundle(arch: Architecture, design: list[str], sample_sets: list[np.ndarray],
                      plan: SamplingPlan,
                      windows: dict[str, list[tuple[float, float]]] | None
                      ) -> list[Envelope | NonFinite]:
     """The extrema reducer: all sample sets marched at once, with extrema
     reduced per set.
 
-    Each distinct sample is marched once, as one lane, in the order the
-    sets first name it (the probes of a narrowing round share the corners
-    at the bound held fixed: 143 distinct of 255 on ``cruise-narrow``).
-    Samples are keyed by the bits of their values, so 0.0 and -0.0 stay
-    apart.  The lane reducer reduces each set over its own lanes, in set
-    order: one gather of every set's lanes and ``reduceat``, or a plain
-    reduce when one set covers every lane in order.  Its results, per grid
-    time, output and set, make a (times, outputs, sets) table, which is
-    reduced over the times and folded into the running extrema.  A set
-    whose outputs turn non-finite gets the :class:`NonFinite` error it
-    would raise alone; the march stops early once every set has one.
+    Every sample set is an (n, d) matrix whose columns are the ``design``
+    variables.  Each distinct row is marched once, as one lane, in the
+    order the sets first name it (the probes of a narrowing round share the
+    corners at the bound held fixed: 143 distinct of 255 on
+    ``cruise-narrow``); see :func:`_lanes`.  The lane reducer reduces each
+    set over its own lanes, in set order: one gather of every set's lanes
+    and ``reduceat``, or a plain reduce when one set covers every lane in
+    order.  Its results, per grid time, output and set, make a (times,
+    outputs, sets) table, which is reduced over the times and folded into
+    the running extrema.  A set whose outputs turn non-finite gets the
+    :class:`NonFinite` error it would raise alone; the march stops early
+    once every set has one.
 
     The reducer runs at one of two places.  If a grid row (outputs × lanes
     floats) fits ``CHUNK_BYTES``, the kernel writes K rows into a buffer
@@ -374,8 +384,9 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
     non-finite, so that only on that path the grid time is evaluated once
     more into a full row, for the sample to name.
     """
-    point, index = _lanes(sample_sets)
-    lanes = int(index.max()) + 1
+    columns, index = _lanes(sample_sets)
+    point = dict(zip(design, columns))
+    lanes = columns.shape[1]
     starts = np.cumsum([0, *map(len, sample_sets[:-1])])
     box_lanes = np.split(index, starts[1:])
 
@@ -438,7 +449,7 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
             fresh = {int(p) for p in np.flatnonzero(~finite.all(axis=0)) if errors[p] is None}
             if fresh:
                 _record_nonfinite(errors, fresh, times, lo[:T], hi[:T], chunk_rows(times, state),
-                                  names, sample_sets, box_lanes)
+                                  names, design, sample_sets, box_lanes)
             if all(e is not None for e in errors):
                 return True
         # on ties the second argument wins, which keeps the earlier extremum
@@ -466,21 +477,25 @@ def _envelope_bundle(arch: Architecture, sample_sets: list[list[dict[str, float]
     return results
 
 
-def _lanes(sample_sets) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """The design point of one lane per distinct sample, in the order the
-    sets first name it, and the lane of every sample, set after set.
-    Samples are keyed by the bits of their values, so 0.0 and -0.0 stay
-    apart."""
-    samples = [s for seg in sample_sets for s in seg]
-    point = {k: np.array([s[k] for s in samples]) for k in samples[0]}
-    w = 8 * len(point)
-    bits = np.array([v.view(np.uint64) for v in point.values()], dtype=np.uint64)
-    bits = bits.reshape(len(point), len(samples)).T.tobytes()
-    lane_of: dict[bytes, int] = {}
-    index = np.array([lane_of.setdefault(bits[i * w:(i + 1) * w], len(lane_of))
-                      for i in range(len(samples))])
-    first = np.unique(index, return_index=True)[1]
-    return {k: v[first] for k, v in point.items()}, index
+def _lanes(sample_sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the (n, d) sample matrices, one lane each, in
+    the order the sets first name them, as a (d, lanes) matrix (one
+    contiguous row per design variable), and the lane of every sample, set
+    after set.  Rows are keyed by the bits of their values, so 0.0 and
+    -0.0 stay apart: ``np.unique`` over a byte view of the rows finds each
+    row's first occurrence, and lanes are ranked by it."""
+    rows = sample_sets[0] if len(sample_sets) == 1 else np.concatenate(sample_sets)
+    n, d = rows.shape
+    if not d:                               # no design variable: one lane
+        return np.empty((0, 1)), np.zeros(n, dtype=np.intp)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * d)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    columns = np.empty((d, len(order)))
+    np.take(rows.T, first[order], axis=1, out=columns)
+    return columns, rank[inverse]
 
 
 def _earliest(extremum, x: np.ndarray) -> np.ndarray:
@@ -496,12 +511,14 @@ def _earliest(extremum, x: np.ndarray) -> np.ndarray:
 
 
 def _record_nonfinite(errors: list, fresh: set[int], times, lo, hi, rows, names,
-                      sample_sets, box_lanes) -> None:
+                      design, sample_sets, box_lanes) -> None:
     """Give every set in ``fresh``, which first turns non-finite in this
     chunk, the error a bundle of its samples alone raises: at the first
     such time, the first output in order, at the first such sample.
-    ``rows`` are the chunk's (times, outputs, lanes) outputs and
-    ``box_lanes`` the lane of each sample of every set."""
+    ``rows`` are the chunk's (times, outputs, lanes) outputs,
+    ``box_lanes`` the lane of each sample of every set, and ``design`` the
+    names of the sample matrices' columns; the error names its sample as
+    a dict of plain floats."""
     for k, t in enumerate(times):
         if not fresh:
             return
@@ -509,5 +526,6 @@ def _record_nonfinite(errors: list, fresh: set[int], times, lo, hi, rows, names,
         for p in fresh & set(np.flatnonzero(now.any(axis=0)).tolist()):
             i = int(np.argmax(now[:, p]))
             idx = int(np.argmax(~np.isfinite(rows[k, i, box_lanes[p]])))
-            errors[p] = NonFinite(f"{names[i]} (sample {sample_sets[p][idx]})", t)
+            sample = dict(zip(design, sample_sets[p][idx].tolist()))
+            errors[p] = NonFinite(f"{names[i]} (sample {sample})", t)
             fresh.discard(p)

@@ -215,10 +215,10 @@ def test_cruise_classification_reproduces_published_sets(arch):
 
 def test_narrowed_design_points_satisfy_the_speed_requirement(arch, narrowed):
     start = time.perf_counter()
-    points = design_samples(narrowed.narrowed.fds,
-                            SamplingPlan(grid=3, cap=64))
+    fds = narrowed.narrowed.fds
+    points = design_samples(fds, SamplingPlan(grid=3, cap=64))
     assert len(points) == 64
-    bundle = {k: np.array([p[k] for p in points]) for k in points[0]}
+    bundle = {v: points[:, j] for j, (v, _) in enumerate(fds.items())}
     traj = integrate(build_ode(arch, bundle), horizon=100.0, step=0.01)
     v = traj.values["v"]
     assert float(v.min()) >= 20.0 and float(v.max()) <= 40.0

@@ -14,6 +14,8 @@ import re
 import pytest
 
 from setdecomp.cli import build_parser
+from setdecomp.intervals import RangeMap
+from setdecomp.simulation import SamplingPlan, design_samples
 
 SOURCES = sorted(p for p in importlib.resources.files("setdecomp").iterdir()
                  if p.name.endswith(".py"))
@@ -132,3 +134,16 @@ def test_traced_function_exists_with_the_arguments_read(module, func, read):
     assert callable(fn), f"setdecomp.{module}.{func} is not a function"
     missing = sorted(read - set(inspect.signature(fn).parameters))
     assert not missing, f"setdecomp.{module}.{func} has no argument {', '.join(missing)}"
+
+
+def test_design_samples_length_is_the_sample_count():
+    # the traced mode records len(design_samples(box, plan)) as
+    # simulation.samples: the lattice, the Halton set above the cap and a box
+    # with no design variable
+    (note,) = [n for m, f, n in SPAN_TARGETS if (m, f) == ("simulation", "design_samples")]
+    assert note == set()        # the note reads the result, no argument
+    box = RangeMap.of(a=(0, 1), b=(10, 20))
+    for b, plan, count in ((box, SamplingPlan(grid=3), 9), (box, SamplingPlan(grid=3, cap=5), 5),
+                           (RangeMap(), SamplingPlan(), 1)):
+        samples = design_samples(b, plan)
+        assert len(samples) == samples.shape[0] == count

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setdecomp import expr as ex
@@ -145,23 +145,23 @@ class TestSampling:
         box = RangeMap.of(a=(0, 1), b=(10, 20))
         plan = SamplingPlan(grid=3)
         pts = design_samples(box, plan)
-        # 4 corners + 9 grid points, 4 shared
-        assert len(pts) == 9
-        assert {(p["a"], p["b"]) for p in pts} >= {(0, 10), (0, 20), (1, 10), (1, 20)}
-        assert any(p["a"] == 0.5 and p["b"] == 15 for p in pts)
+        # 4 corners + 9 grid points, 4 shared; columns a and b, the corners
+        # first in product order
+        assert len(pts) == 9 and pts.shape == (9, 2) and pts.dtype == np.float64
+        assert pts[:4].tolist() == [[0, 10], [0, 20], [1, 10], [1, 20]]
+        assert any(a == 0.5 and b == 15 for a, b in pts.tolist())
 
     def test_degenerate_axis(self):
         pts = design_samples(RangeMap.of(a=(2, 2), b=(0, 1)), SamplingPlan(grid=3))
-        assert all(p["a"] == 2 for p in pts)
+        assert (pts[:, 0] == 2).all()
 
     def test_cap_falls_back_to_low_discrepancy(self):
         box = RangeMap.of(**{f"x{i}": (0.0, 1.0) for i in range(8)})
         pts = design_samples(box, SamplingPlan(grid=3, cap=100))
-        assert len(pts) == 100
-        for p in pts:
-            assert all(0.0 <= v <= 1.0 for v in p.values())
+        assert pts.shape == (100, 8)
+        assert ((0.0 <= pts) & (pts <= 1.0)).all()
         # deterministic
-        assert pts == design_samples(box, SamplingPlan(grid=3, cap=100))
+        assert pts.tobytes() == design_samples(box, SamplingPlan(grid=3, cap=100)).tobytes()
 
     def test_many_axes_go_straight_to_the_cap(self):
         # 2^30 corners and 3^30 grid points are counted, never built
@@ -191,13 +191,13 @@ class TestSampling:
                       for base, (_, iv) in zip(simulation._primes(axes), items))
                 for i in range(1, 10_001)]
         got = simulation._halton_samples(items, 10_000)
-        assert all(type(v) is float for p in got for v in p)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert got.shape == (10_000, axes)
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_low_discrepancy_axes_use_distinct_bases(self):
         box = RangeMap.of(**{f"x{i:02d}": (0.0, 1.0) for i in range(13)})
         pts = design_samples(box, SamplingPlan(grid=3, cap=20))
-        assert [p["x00"] for p in pts] != [p["x12"] for p in pts]
+        assert pts[:, 0].tolist() != pts[:, 12].tolist()       # x00 and x12
 
 
 class TestEnvelope:
@@ -232,6 +232,11 @@ class TestEnvelope:
     def test_empty_design_box_is_a_validation_error(self, box, plan):
         with pytest.raises(ValidationError, match="empty design box"):
             envelope_over_box(_decay_arch(), box, plan)
+
+    def test_boxes_of_one_bundle_name_the_same_variables(self):
+        boxes = [RangeMap.of(y0=(0.5, 2.0)), RangeMap.of(y0=(0.5, 2.0), k=(0.0, 1.0))]
+        with pytest.raises(ValidationError, match="same variables"):
+            envelope_over_box(_decay_arch(), boxes, SamplingPlan(step=0.01, horizon=1.0))
 
     def test_zero_step_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -314,6 +319,61 @@ class TestEnvelope:
             assert results[1] == envelope_over_box(_blowup_arch(), boxes[1], plan)
             seen.append([*map(str, results[::2]), _env_bits(results[1])])
         assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("box, plan", [
+        (RangeMap.of(y0=(0.0, 2.0)), SamplingPlan(grid=3, step=0.01, horizon=1.0)),
+        (RangeMap.of(y0=(1.0, 2.0)), SamplingPlan(grid=0, step=0.01, horizon=1.0)),
+        (RangeMap.of(y0=(0.0, 2.0)), SamplingPlan(grid=3, step=0.01, horizon=1.0, cap=2)),
+    ], ids=["grid", "corner", "halton"])
+    def test_nonfinite_names_its_sample_with_plain_floats(self, box, plan):
+        # dy/dt = 1 / (y0 - 1) divides by zero at t = 0 for y0 = 1.0: a grid
+        # point (from np.linspace), a corner, and the first Halton point
+        top = FunctionalRequirement("pole", inputs=RangeMap.of(y0=(0, 2)),
+                                    outputs=RangeMap.of(y=(-1e9, 1e9)))
+        integ = SubFunction(id="int", states=(State("y", Var("dy"), Var("y0")),),
+                            inputs=RangeMap.of(y0=(0, 2), dy=(-1e9, 1e9)),
+                            outputs=RangeMap.of(y=(-1e9, 1e9)))
+        pole = SubFunction(id="pole", exprs=(("dy", BinOp("/", Num(1.0),
+                                                          BinOp("-", Var("y0"), Num(1.0)))),),
+                           inputs=RangeMap.of(y0=(0, 2)), outputs=RangeMap.of(dy=(-1e9, 1e9)))
+        arch = Architecture(top=top, subfunctions=(integ, pole))
+        with pytest.raises(NonFinite) as err:
+            envelope_over_box(arch, box, plan)
+        assert str(err.value) == "non-finite value for 'dy (sample {'y0': 1.0})' at t=0"
+
+
+@st.composite
+def _sample_sets(draw):
+    """Sample matrices of one width (0 to 3 columns) over a pool of five
+    values holding 0.0 and -0.0, so rows repeat within and across sets."""
+    d = draw(st.integers(0, 3))
+    row = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0]), min_size=d, max_size=d)
+    sets = draw(st.lists(st.lists(row, min_size=1, max_size=6), min_size=1, max_size=4))
+    return [np.array(s, dtype=np.float64).reshape(len(s), d) for s in sets]
+
+
+class TestLanes:
+    @staticmethod
+    def _reference(sample_sets):
+        """One lane per distinct row, keyed by its bytes, in first-seen
+        order, and the lane of every row, set after set."""
+        lane_of: dict[bytes, int] = {}
+        index = [lane_of.setdefault(row.tobytes(), len(lane_of))
+                 for rows in sample_sets for row in rows]
+        return list(lane_of), index
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sample_sets())
+    @example([np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 2.0]]),
+              np.array([[2.0, 2.0], [-0.0, 1.0], [0.0, -0.0]])])
+    @example([np.empty((2, 0)), np.empty((1, 0))])
+    def test_lanes_equal_a_dict_keyed_reference(self, sample_sets):
+        columns, index = simulation._lanes(sample_sets)
+        rows, want = self._reference(sample_sets)
+        assert index.tolist() == want
+        assert columns.shape == (sample_sets[0].shape[1], len(rows))
+        assert [lane.tobytes() for lane in columns.T] == rows
+        assert all(c.flags.c_contiguous for c in columns)
 
 
 def _counting(sys_, calls: list):
@@ -740,12 +800,26 @@ class TestAllocation:
         sys_ = build_ode(_links_arch(), {"a": np.linspace(0.0, 1.0, self.LANES)}, fold=True)
         assert simulation._rows_per_chunk(len(sys_.output_names), self.LANES) == 0
         lane = 8 * self.LANES
-        # the states, k1 to k4 and the stage input; the scratch slots are
-        # allocated with the system, before the march
-        matrices = 6 * len(sys_.initial_state) * lane
+        # the states, the stage input, the RK4 accumulator and one stage
+        # derivative; the scratch slots are allocated with the system,
+        # before the march
+        matrices = 4 * len(sys_.initial_state) * lane
         grid = [lambda j, v: (np.minimum.reduce(v), np.maximum.reduce(v))]
         simulation._march(sys_, 0.02, 0.01, grid, lambda times, state: False)
         for steps in (5, 50):
             peak = self._peak(lambda: simulation._march(sys_, steps * 0.01, 0.01, grid,
                                                         lambda times, state: False))
             assert matrices <= peak < matrices + lane, steps
+
+    def test_samples_and_lanes_peak_near_their_matrix(self):
+        # chain's published plan: 11 axes above the cap, 10 000 Halton
+        # points, one 0.88 MB matrix; one dict per sample took 7.6 MB.  The
+        # peak holds the samples, their lanes and np.unique's copies of the
+        # rows (flattened, sorted, distinct)
+        box = RangeMap.of(**{f"x{i:02d}": (0.0, 1.0 + i) for i in range(11)})
+        plan = SamplingPlan()
+        matrix = 8 * 11 * plan.cap
+        got = []
+        peak = self._peak(lambda: got.append(simulation._lanes([design_samples(box, plan)])))
+        assert got[0][0].shape == (11, plan.cap)
+        assert peak < 6 * matrix
