@@ -247,26 +247,38 @@ def classify(arch: Architecture) -> Classification:
 def _subfunction_from_dict(d: dict) -> SubFunction:
     """An ``"algebraic"`` document lists expressions and states; an
     ``"integrator"`` one is a single state exposed as its output."""
+    sf_id = _name(d["id"], "sub-function id")
     kind_tag = d.get("kind")
     if kind_tag == "integrator":
-        if d["state"] not in d.get("outputs", {}):
-            raise ValidationError(f"{d['id']}: integrator state '{d['state']}' is not an output")
+        state, derivative, initial = (_name(d[key], f"{sf_id}: {key}") for key in
+                                      ("state", "derivative_input", "initial_input"))
+        if state not in d.get("outputs", {}):
+            raise ValidationError(f"{sf_id}: integrator state '{state}' is not an output")
         exprs = ()
-        states = (State(d["state"], ex.Var(d["derivative_input"]), ex.Var(d["initial_input"])),)
+        states = (State(state, ex.Var(derivative), ex.Var(initial)),)
     elif kind_tag == "algebraic":
         exprs = tuple(sorted(((out, ex.parse_expr(e)) for out, e in d["exprs"].items())))
-        states = tuple(State(s["name"], ex.parse_expr(s["derivative"]),
-                             ex.parse_expr(s.get("initial", 0.0)))
+        states = tuple(State(_name(s["name"], f"{sf_id}: state name"),
+                             ex.parse_expr(s["derivative"]), ex.parse_expr(s.get("initial", 0.0)))
                        for s in d.get("states", []))
     else:
-        raise ValidationError(f"sub-function '{d.get('id', '?')}': unknown kind {kind_tag!r}")
+        raise ValidationError(f"sub-function '{sf_id}': unknown kind {kind_tag!r}")
     return SubFunction(
-        id=d["id"], exprs=exprs, states=states,
+        id=sf_id, exprs=exprs, states=states,
         inputs=_map_from_dict(d.get("inputs", {})),
         outputs=_map_from_dict(d.get("outputs", {})),
         controllables=_map_from_dict(d.get("controllables", {})),
         uncontrollables=_map_from_dict(d.get("uncontrollables", {})),
     )
+
+
+def _name(value, what: str) -> str:
+    """``value``, the name of a sub-function, port or state, which must be
+    a string: any other JSON value would fail later, unhashable or as a
+    variable no expression can read."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} is not a string: {value!r}")
+    return value
 
 
 def _constant(name: str, value) -> float:

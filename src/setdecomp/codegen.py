@@ -22,9 +22,17 @@ array of shape ``(slots, *lanes)``, allocated once per compiled system.
 Slots are assigned at compile time by liveness over the generated
 statements: a slot is free again only once the statement that reads it
 last has run, so no operand is overwritten while a sibling operand is
-computed.  A call's memory is slots × lanes floats, however many
-operations it runs: on the benchmark's 200-link chain (10 000 lanes, ~400
-operations) 20 slots, 1.6 MB, in either mode.
+computed.  Each derivative is computed right after the last output it
+reads (one that reads none first), so that no output stays live to the
+end of the call for a derivative to read it.  A call's memory is slots ×
+lanes floats, however many operations and states it has: on the
+benchmark's 200-link chain (10 000 lanes, ~400 operations, 20 states) 2
+slots, 160 KB, in either mode.
+
+The generated source depends on the architecture, the parameters' names,
+the outputs and the mode, but not on the parameters' values, and is
+compiled once per source: the envelopes of one architecture at different
+design points share the code and bind their own values.
 
 A bundle's ufunc calls take every scalar operand (a parameter, a
 parameter-only output or subtree, a literal) as a 0-d float64 array, bound
@@ -37,6 +45,8 @@ keeps its type.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -87,7 +97,8 @@ def compile_rhs(arch: Architecture, params: dict, output_names, inplace: bool,
 
     def make(params, literal=repr):
         ns = dict(_NAMESPACE)
-        exec(_source(arch, params.keys(), output_names, inplace, fold, literal), ns)  # noqa: S102
+        code = _code(_source(arch, params.keys(), output_names, inplace, fold, literal))
+        exec(code, ns)  # noqa: S102
         return ns["_make"](params, shape)
 
     with np.errstate(all="ignore"):
@@ -98,6 +109,17 @@ def compile_rhs(arch: Architecture, params: dict, output_names, inplace: bool,
             # the parameters and literals in float64, as the states are
             return make({n: np.float64(v) if np.ndim(v) == 0 else v for n, v in params.items()},
                         literal=lambda v: f"_float64({v!r})")
+
+
+#: how many compiled sources ``_code`` keeps
+CODE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _code(source: str):
+    """The compiled ``source`` of a right-hand side, once per source text
+    (which no parameter value enters)."""
+    return compile(source, "<rhs>", "exec")
 
 
 def _source(arch: Architecture, params, output_names, inplace: bool, fold: bool,
@@ -207,9 +229,23 @@ def _source(arch: Architecture, params, output_names, inplace: bool, fold: bool,
             nodes[n] = (e, tuple(map(ref, _children(e))))
         return n
 
-    for name, e in moving:
+    # each derivative right after the last output it reads (one that reads
+    # none first), so no output stays live for a derivative at the end
+    position = {name: k for k, (name, _) in enumerate(moving)}
+    after: dict[int, list[int]] = {}
+    for i, st in enumerate(states):
+        last = max((position[v] for v in ex.free_vars(st.derivative) if v in position), default=-1)
+        after.setdefault(last, []).append(i)
+    derivs: list = [None] * len(states)
+
+    def derive(k):
+        for i in after.get(k, ()):
+            derivs[i] = ref(states[i].derivative)
+
+    derive(-1)
+    for k, (name, e) in enumerate(moving):
         value[name] = ref(e)
-    derivs = [ref(st.derivative) for st in states]
+        derive(k)
     outs = [value[n] for n in output_names]
 
     def pow_(n) -> bool:

@@ -56,7 +56,7 @@ preallocated matrices of that shape, and the right-hand side computes
 every operation with ``out=`` into a stage matrix, a buffer row or one of
 its scratch slots.  Its memory is four state matrices and slots × lanes
 floats, the slot count being what the liveness of the compiled operations
-needs (20 on the benchmark's 200-link chain), plus a buffer of at most
+needs (2 on the benchmark's 200-link chain), plus a buffer of at most
 ``CHUNK_BYTES`` where the rows fit and, per grid time, a (outputs, boxes)
 table where the kernel folds.  The samples are one (samples, variables)
 matrix and the lanes' design point one (variables, lanes) matrix.  Every
@@ -482,20 +482,31 @@ def _lanes(sample_sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     the order the sets first name them, as a (d, lanes) matrix (one
     contiguous row per design variable), and the lane of every sample, set
     after set.  Rows are keyed by the bits of their values, so 0.0 and
-    -0.0 stay apart: ``np.unique`` over a byte view of the rows finds each
-    row's first occurrence, and lanes are ranked by it."""
+    -0.0 stay apart: a stable argsort of a byte view of the rows puts equal
+    rows next to each other in sample order, a comparison of neighbours'
+    bits, one column at a time, finds where each run of equal rows starts,
+    and lanes are ranked by the first sample of their run."""
     rows = sample_sets[0] if len(sample_sets) == 1 else np.concatenate(sample_sets)
     n, d = rows.shape
     if not d:                               # no design variable: one lane
         return np.empty((0, 1)), np.zeros(n, dtype=np.intp)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * d)))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    columns = np.empty((d, len(order)))
-    np.take(rows.T, first[order], axis=1, out=columns)
-    return columns, rank[inverse]
+    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * d)))[:, 0], kind="stable")
+    starts = np.zeros(n, dtype=bool)        # per sorted row: the first of its run
+    starts[0] = True
+    for column in rows.view(np.uint64).T:
+        bits = column[order]
+        starts[1:] |= bits[1:] != bits[:-1]
+    first = order[starts]                   # the first sample of every run
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    lane = np.cumsum(is_first) - 1          # at a first sample: its lane
+    index = np.empty(n, dtype=np.intp)
+    index[order] = lane[first][np.cumsum(starts) - 1]
+    lane_rows = np.flatnonzero(is_first)    # the sample of every lane
+    columns = np.empty((d, len(lane_rows)))
+    for row, column in zip(columns, rows.T):    # a whole-matrix take copies its out
+        np.take(column, lane_rows, out=row)
+    return columns, index
 
 
 def _earliest(extremum, x: np.ndarray) -> np.ndarray:

@@ -252,7 +252,9 @@ def restore_feasibility(arch: Architecture, chosen: RangeMap, fds2: RangeMap,
             b = brackets.get(v)
             if b is None:
                 return got
-            # clamped so that t = 1 lands on the attained range exactly
+            if t == 1.0:        # the attained range, which the sum can miss by an ulp
+                return Interval(b.l2, b.u2, got.unit)
+            # clamped so that no pull overshoots the attained range
             return Interval(min(got.lo + t * (b.l2 - got.lo), b.l2),
                             max(got.hi + t * (b.u2 - got.hi), b.u2), got.unit)
 

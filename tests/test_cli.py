@@ -191,6 +191,23 @@ class TestDecompose:
         assert main(["decompose", str(path), *FAST]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: _sub(doc, "f1").update(id=["f1"]), "sub-function id is not a string: ['f1']"),
+        (lambda doc: _sub(doc, "f1").update(initial_input=[1]),
+         "f1: initial_input is not a string: [1]"),
+        (lambda doc: _sub(doc, "f8")["states"][0].update(name={"x": 1}),
+         "f8: state name is not a string: {'x': 1}"),
+    ], ids=["sub-function-id", "integrator-input", "state-name"])
+    def test_non_string_name_fails_before_simulation(self, edit, message, tmp_path, capsys,
+                                                     no_envelope):
+        # each was an unhashable-type TypeError traceback, exit 1
+        doc = json.loads(open(CRUISE).read())
+        edit(doc)
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), *FAST]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["vdot", "u"])
     def test_constant_named_like_a_port_fails_before_simulation(self, name, tmp_path, capsys,
                                                                 no_envelope):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.resources
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from setdecomp import codegen
 from setdecomp import expr as ex
 from setdecomp import simulation
 
@@ -584,6 +586,24 @@ def _bundle_systems(draw):
     return w, q, dy, dz
 
 
+@st.composite
+def _early_derivative_systems(draw):
+    """Outputs w and q and the derivatives of states y and z, where z's
+    derivative reads no output, so it is computed before every output, and
+    is or holds a subtree over a state that w reads after it; y's
+    derivative reads q, so it is computed last."""
+    op = st.sampled_from("+-*/")
+    shared = BinOp(draw(op), draw(st.sampled_from([Var("y"), Var("z")])),
+                   draw(_trees(_leaves(["y", "z", "a", "c"]))))
+    tree = _trees(_leaves(["y", "z", "a", "b", "c"]))
+    dz = draw(st.one_of(st.just(shared), st.builds(BinOp, op, st.just(shared), tree),
+                        st.builds(BinOp, op, tree, st.just(shared))))
+    w = BinOp(draw(op), draw(tree), shared)
+    q = BinOp(draw(op), Var("w"), draw(tree))
+    dy = BinOp(draw(op), Var("q"), draw(_trees(_leaves(["y", "z", "w", "a", "b"]))))
+    return w, q, dy, dz
+
+
 def _two_state_arch(w, q, dy, dz, c: float) -> Architecture:
     wide = (-1e308, 1e308)
     f = SubFunction(id="f", exprs=(("w", w), ("q", q)),
@@ -617,7 +637,70 @@ def _same_bits(got, want) -> bool:
             and np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan]))
 
 
+def _lagged_chain(links: int = 60, tau: float = 0.5) -> Architecture:
+    """The benchmark's chain in small: links s_k = 0.5 * s_{k-1} + 1 from
+    s_0 = a, every tenth a lag s_k = z_k with z_k' = (0.5 * s_{k-1} + 1 -
+    z_k) / tau, so the only states are the lags, each reading the link
+    before it."""
+    wide = (-1e308, 1e308)
+    subs = []
+    for k in range(1, links + 1):
+        link = BinOp("+", BinOp("*", Num(0.5), Var(f"s{k - 1}")), Num(1.0))
+        if k % 10:
+            exprs, states = ((f"s{k}", link),), ()
+        else:
+            z = f"z{k}"
+            exprs = ((f"s{k}", Var(z)),)
+            states = (State(z, BinOp("/", BinOp("-", link, Var(z)), Var("tau")), Num(0.0)),)
+        subs.append(SubFunction(id=f"L{k}", exprs=exprs, states=states,
+                                inputs=RangeMap.of(**{f"s{k - 1}": wide}),
+                                outputs=RangeMap.of(**{f"s{k}": wide})))
+    subs.append(SubFunction(id="L0", exprs=(("s0", Var("a")),), inputs=RangeMap.of(a=wide),
+                            outputs=RangeMap.of(s0=wide)))
+    top = FunctionalRequirement("t", inputs=RangeMap.of(a=wide),
+                                outputs=RangeMap.of(**{f"s{links}": wide}))
+    return Architecture(top=top, subfunctions=tuple(subs), constants=(("tau", tau),))
+
+
+def _scratch_slots(sys_) -> int:
+    """How many scratch slots a bundle's compiled right-hand side reads."""
+    return sum(bool(re.fullmatch(r"_s\d+", v)) for v in sys_.rhs.__code__.co_freevars)
+
+
 class TestCompiledRightHandSide:
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_scratch_slots_do_not_grow_with_the_states(self, fold):
+        # each lag's derivative is computed right after the link it reads;
+        # computed after every output, each would hold that link's slot to
+        # the end of the call: one slot per state
+        sys_ = build_ode(_lagged_chain(), {"a": np.linspace(0.0, 1.0, 3)}, fold=fold)
+        assert len(sys_.initial_state) == 6
+        assert _scratch_slots(sys_) <= 3
+
+    @staticmethod
+    def _stage(arch, point) -> np.ndarray:
+        states = np.linspace(-1.0, 2.0, 6 * 3).reshape(6, 3)
+        return build_ode(arch, point).rhs(None, *states, np.empty_like(states))
+
+    def test_one_architecture_compiles_once(self):
+        arch = _lagged_chain()
+        points = [{"a": np.linspace(0.0, 1.0, 3)}, {"a": np.array([-2.0, 0.5, 7.0])}]
+        codegen._code.cache_clear()
+        cached = [self._stage(arch, point) for point in points]
+        info = codegen._code.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        for point, got in zip(points, cached):
+            codegen._code.cache_clear()
+            assert got.tobytes() == self._stage(arch, point).tobytes()
+
+    def test_architectures_differing_in_a_constant_share_the_code(self):
+        point = {"a": np.linspace(0.0, 1.0, 3)}
+        codegen._code.cache_clear()
+        slow, fast = (self._stage(_lagged_chain(tau=tau), point) for tau in (0.5, 0.25))
+        assert codegen._code.cache_info().misses == 1
+        # each keeps its own tau: every derivative (x - z) / tau doubles
+        assert fast.tobytes() == (2.0 * slow).tobytes()
+
     def test_literals_that_compare_equal_are_not_shared(self):
         # 0.0 == -0.0, but y * 0.0 and y * -0.0 differ in sign: neither the
         # parameter-only subtrees nor the repeated ones may merge them
@@ -713,6 +796,32 @@ class TestCompiledRightHandSide:
         env = {"c": values[0], **{k: np.array(values[i:i + 3])
                                   for k, i in zip("abyz", (1, 4, 7, 10))}}
         self._check_bundle(_two_state_arch(*system, c=values[0]), env)
+
+    @settings(max_examples=50, deadline=None)
+    @given(system=_early_derivative_systems(),
+           values=st.lists(st.sampled_from(_VALUES), min_size=13, max_size=13))
+    def test_derivative_computed_before_an_output_it_shares_a_subtree_with(self, system,
+                                                                           values):
+        arch = _two_state_arch(*system, c=values[0])
+        lanes = {k: np.array(values[i:i + 3]) for k, i in zip("abyz", (1, 4, 7, 10))}
+        self._check_bundle(arch, {"c": values[0], **lanes})
+        # one design point, whose states are numpy scalars
+        f = arch.subfunctions[0]
+        exprs = [*f.exprs, *(("d" + st.name, st.derivative) for st in f.states)]
+        env = {"c": values[0], "a": values[1], "b": values[4], "y": np.float64(values[7]),
+               "z": np.float64(values[10])}
+        with np.errstate(all="ignore"):
+            sys_ = build_ode(arch, {"a": env["a"], "b": env["b"]})
+            try:
+                want = _evaluated(exprs, env)
+            except ArithmeticError:     # where Python floats raise, float64 is used
+                want = _evaluated(exprs, env, float64=True)
+            row = np.full(4, np.nan)
+            got = sys_.rhs(row, env["y"], env["z"])
+        for value, name in zip(got, ("dy", "dz")):
+            assert type(value) is type(want[name]) and _same_bits(value, want[name]), name
+        for j, name in enumerate(sys_.output_names):
+            assert _same_bits(row[j], want[name]), name
 
     @pytest.mark.parametrize("exponent", [2, 3, -2])
     def test_bundle_powers_equal_the_evaluator_bit_for_bit(self, exponent):
@@ -814,12 +923,12 @@ class TestAllocation:
     def test_samples_and_lanes_peak_near_their_matrix(self):
         # chain's published plan: 11 axes above the cap, 10 000 Halton
         # points, one 0.88 MB matrix; one dict per sample took 7.6 MB.  The
-        # peak holds the samples, their lanes and np.unique's copies of the
-        # rows (flattened, sorted, distinct)
+        # peak holds the samples, their lanes and a few index arrays of one
+        # integer per sample, but no copy of the rows (np.unique made three)
         box = RangeMap.of(**{f"x{i:02d}": (0.0, 1.0 + i) for i in range(11)})
         plan = SamplingPlan()
         matrix = 8 * 11 * plan.cap
         got = []
         peak = self._peak(lambda: got.append(simulation._lanes([design_samples(box, plan)])))
         assert got[0][0].shape == (11, plan.cap)
-        assert peak < 6 * matrix
+        assert peak < 3 * matrix

@@ -146,6 +146,19 @@ class TestRestoration:
         assert -7.0 <= 2 * y.lo and 2 * y.hi <= 7.0
         assert z.contains_interval(Interval(2 * y.lo, 2 * y.hi))
 
+    def test_full_pull_lands_on_the_attained_range_exactly(self):
+        # -3 + (l2 - -3) rounds to 2 ulp below l2, and z's bracket admits
+        # only the image of y's attained range, so only an exact pull passes
+        l2 = 1.3015227307724904
+        assert -3.0 + (l2 - -3.0) < l2
+        brackets = {"y": Bracket("y", "", -20.0, l2, 2.0, 20.0),
+                    "z": Bracket("z", "", 2 * l2, 2 * l2, 4.0, 4.0)}
+        chosen = RangeMap.of(y=(-3.0, 2.0), z=(2 * l2, 4.0))
+        fixed, log = restore_feasibility(_chain_arch(), chosen, RangeMap.of(x=(l2, 2.0)),
+                                         brackets)
+        assert log[0] == {"step": "pulled-in", "t": 1.0}
+        assert fixed["y"] == Interval(l2, 2.0)
+
     def test_sub_function_loop_is_swept_in_expression_order(self):
         arch = _loop_arch()
         brackets = {"a": Bracket("a", "", -80.0, 0.0, 1.0, 80.0),
