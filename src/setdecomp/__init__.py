@@ -10,10 +10,11 @@ Each export is resolved on first use (PEP 562) from its submodule in the
 table ``_EXPORTS``, so ``import setdecomp`` imports no submodule and a name
 brings in only what its submodule needs:
 
-* ``architecture``, ``errors``, ``intervals``, ``requirements`` — the model,
-  the contracts and their laws; none of them imports numpy;
-* ``narrowing``, ``pipeline``, ``simulation``, ``tradeoff`` — initial spaces,
-  narrowing, the simulator and the trade-off; each of them imports numpy.
+* ``architecture``, ``errors``, ``intervals``, ``requirements``,
+  ``tradeoff`` — the model, the contracts and their laws, and the
+  trade-off's closed form; none of them imports numpy;
+* ``narrowing``, ``pipeline``, ``simulation`` — initial spaces, narrowing
+  and the simulator; each of them imports numpy.
 """
 
 import importlib

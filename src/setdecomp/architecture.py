@@ -281,18 +281,19 @@ def _name(value, what: str) -> str:
     return value
 
 
-def _constant(name: str, value) -> float:
-    """A constant's value, which must be a finite number: Python's ``json``
-    reads NaN and Infinity, an integer may be beyond float range, and
-    ``true`` is an ``int``."""
+def _finite(value, what: str) -> float:
+    """``value``, a constant or a trade-off weight, which must be a finite
+    number: Python's ``json`` reads NaN and Infinity, an integer may be
+    beyond float range, ``true`` is an ``int``, and ``float`` would read a
+    string.  ``what`` names the value in the error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"constant '{name}' is not a number: {value!r}")
+        raise ValidationError(f"{what} is not a number: {value!r}")
     try:
         x = float(value)
     except OverflowError:       # an integer beyond float range
         x = math.inf
     if not math.isfinite(x):
-        raise ValidationError(f"constant '{name}' is not finite")
+        raise ValidationError(f"{what} is not finite")
     return x
 
 
@@ -300,7 +301,7 @@ def architecture_from_dict(d: dict) -> Architecture:
     try:
         top = fr_from_dict(d["top"])
         subs = tuple(_subfunction_from_dict(s) for s in d["subfunctions"])
-        constants = tuple(sorted((k, _constant(k, v))
+        constants = tuple(sorted((k, _finite(v, f"constant '{k}'"))
                                  for k, v in d.get("constants", {}).items()))
     except (KeyError, TypeError, AttributeError) as e:
         raise ValidationError(f"bad architecture document: {e}") from e

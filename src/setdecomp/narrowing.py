@@ -208,11 +208,12 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
     probe: an escape raises :class:`PostconditionFailure`, else its raw
     extrema are the attained performance space.
 
-    Deterministic: if the full box already fits, it is returned unchanged.
+    Deterministic: if the full box already fits, it is returned unchanged;
+    if it has no controllable, its escapes raise :class:`Infeasible`.
     Otherwise every controllable interval collapses to its midpoint and each
     bound is grown back outward by bisection (lower bound first, variables in
-    name order, a fixed number of iterations per bound).  Infeasibility at
-    the all-midpoint box raises :class:`Infeasible`.  The full and the
+    name order, a fixed number of iterations per bound); escapes of the
+    all-midpoint box raise :class:`Infeasible`.  The full and the
     all-midpoint box are simulated in one bundle; the full box's
     :class:`NonFinite` error is raised, the midpoint box's only when the
     full box does not fit.  The probes of up to
@@ -248,15 +249,21 @@ def narrow(arch: Architecture, spaces: FeasibleSpaces,
     log: list[dict] = [{"step": "narrow-start",
                         "candidates": candidates,
                         "samples_per_check": full_check.n_samples}]
-    if fits(full_check):
+    full_escapes = _escapes(full_check, spaces.fps, windows)
+    if not full_escapes:
         log.append({"step": "full-box-feasible", "narrowed": False})
         narrowed_fds = fds
+    elif not candidates:
+        raise Infeasible("no controllable to narrow, and the design box escapes: "
+                         + "; ".join(map(str, full_escapes)))
     else:
         # grow each bound of the all-midpoint box back out
         if isinstance(mid_check, NonFinite):
             raise mid_check
-        if not fits(mid_check):
-            raise Infeasible("no feasible design at the controllable midpoints")
+        mid_escapes = _escapes(mid_check, spaces.fps, windows)
+        if mid_escapes:
+            raise Infeasible("no feasible design at the controllable midpoints: "
+                             + "; ".join(map(str, mid_escapes)))
         # a probe box is a sub-box of the full one, so it has at most as
         # many samples; keep every bundle within the plan's cap
         depth = max(d for d in range(1, _BUNDLE_DEPTH + 1)

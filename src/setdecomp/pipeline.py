@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .narrowing import NarrowingResult, initial_spaces, narrow
 from .requirements import _map_to_dict, check_refines, fr_to_dict
 from .simulation import SamplingPlan
-from .tradeoff import PreferenceWeights, TradeoffResult, run_tradeoff
+from .tradeoff import PreferenceWeights, TradeoffResult, check_weight_names, run_tradeoff
 
 __all__ = ["PipelineReport", "run_pipeline",
            "report_to_json", "report_to_markdown", "report_to_csv",
@@ -68,6 +68,8 @@ def run_pipeline(arch_file, plan: SamplingPlan | None = None, *,
                       for label, group in cls.groups().items()}
 
     spaces = initial_spaces(arch)
+    # a misnamed weight fails before any envelope is simulated
+    check_weight_names(arch, weights, spaces.fps)
     nres: NarrowingResult = narrow(arch, spaces, plan)
     tres: TradeoffResult = run_tradeoff(
         arch, nres.narrowed.fds, spaces.fps, nres.narrowed.fps, weights)

@@ -23,12 +23,9 @@ simulated envelope instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .architecture import Architecture
+from .architecture import Architecture, _finite
 from .errors import (Infeasible, InfeasibleBrackets, PostconditionFailure,
                      ValidationError)
 from .expr import evaluate_interval, free_vars
@@ -37,18 +34,14 @@ from .requirements import (ComposabilityResult, FunctionalRequirement,
                            _assemble, check_refines, links)
 
 __all__ = ["PreferenceWeights", "Bracket", "BarrierProblem", "TradeoffResult",
-           "build_brackets", "barrier_value", "barrier_gradient",
+           "build_brackets", "check_weight_names", "barrier_optimum",
            "solve_tradeoff", "assemble_subrequirements", "run_tradeoff"]
 
 
 def _weight(where: str, value) -> float:
-    try:
-        w = float(value)
-    except (TypeError, ValueError):
-        w = math.nan
-    if not (math.isfinite(w) and w >= 0):
-        raise ValidationError(
-            f"trade-off weight {where} must be a finite non-negative number, got {value!r}")
+    w = _finite(value, f"trade-off weight {where}")
+    if w < 0:
+        raise ValidationError(f"trade-off weight {where} is negative: {value!r}")
     return w
 
 
@@ -56,7 +49,7 @@ def _weight(where: str, value) -> float:
 class PreferenceWeights:
     """Per-variable producer weights and per-(sub, variable) consumer weights.
     Anything unspecified defaults to 0.5.  ``from_dict`` accepts only finite,
-    non-negative weights: the closed-form optimum assumes them."""
+    non-negative numbers: the closed-form optimum assumes them."""
 
     producer: dict[str, float] = field(default_factory=dict)
     consumer: dict[str, dict[str, float]] = field(default_factory=dict)
@@ -78,6 +71,24 @@ class PreferenceWeights:
                        default=_weight("default", doc.get("default", 0.5)))
         except AttributeError as e:     # a section that is not a JSON object
             raise ValidationError(f"trade-off weights must map names to numbers: {e}") from None
+
+
+def check_weight_names(arch: Architecture, weights: PreferenceWeights, variables) -> None:
+    """Every producer weight must name one of the performance ``variables``,
+    and every consumer weight a sub-function that consumes one of them;
+    otherwise :class:`ValidationError`.  A variable outside ``variables``
+    (a top input, say) takes no weight, even where a sub-function reads it."""
+    consumers = arch.consumers_of()
+    for name in weights.producer:
+        if name not in variables:
+            raise ValidationError(
+                f"trade-off weight producer.{name}: '{name}' is not a performance variable")
+    for sub_id, ws in weights.consumer.items():
+        for name in ws:
+            if name not in variables or sub_id not in consumers.get(name, ()):
+                raise ValidationError(
+                    f"trade-off weight consumer.{sub_id}.{name}: "
+                    f"'{sub_id}' does not consume performance variable '{name}'")
 
 
 @dataclass(frozen=True)
@@ -102,121 +113,73 @@ class Bracket:
 def build_brackets(fps1: RangeMap, fps2: RangeMap) -> dict[str, Bracket]:
     """Brackets from the allowed (outer) and attained (inner) performance
     boxes.  The inner box must be contained in the outer one."""
-    out: dict[str, Bracket] = {}
-    for v, outer in fps1.items():
-        inner = fps2[v]
-        out[v] = Bracket(v, outer.unit,
-                              outer.lo, inner.lo, inner.hi, outer.hi)
-    return out
+    return {v: Bracket(v, outer.unit, outer.lo, fps2[v].lo, fps2[v].hi, outer.hi)
+            for v, outer in fps1.items()}
 
 
 class BarrierProblem:
-    """The trade-off objective over the free bound variables.
+    """The trade-off's bounds, each computed once.
 
-    The decision vector stacks, in variable-name order, the lower then the
-    upper chosen bound of every variable whose bracket has interior width on
-    that side.  Zero-width sides are pinned to their only possible value.
-
-    Every weight must name a performance variable, and a consumer weight a
-    sub-function that consumes it; otherwise :class:`ValidationError`.
+    ``free`` lists, in variable-name order, the lower then the upper bound
+    of every variable whose bracket has interior width on that side, as
+    ``(variable, side, inner wall, outer wall, producer weight, summed
+    consumer weight)``.  ``pinned`` maps each zero-width side
+    ``(variable, side)`` to its only possible value.  The weight names are
+    checked first (:func:`check_weight_names`).
     """
 
     def __init__(self, arch: Architecture, brackets: dict[str, Bracket],
                  weights: PreferenceWeights):
-        self.brackets = brackets
-        self.weights = weights
+        check_weight_names(arch, weights, brackets)
         consumers = arch.consumers_of()
-        self.consumers = {name: consumers.get(name, []) for name in brackets}
-        for name in weights.producer:
-            if name not in brackets:
-                raise ValidationError(
-                    f"trade-off weight producer.{name}: '{name}' is not a performance variable")
-        for sub_id, ws in weights.consumer.items():
-            for name in ws:
-                if sub_id not in self.consumers.get(name, ()):
-                    raise ValidationError(
-                        f"trade-off weight consumer.{sub_id}.{name}: "
-                        f"'{sub_id}' does not consume performance variable '{name}'")
-
-        # (variable, side, inner wall, outer wall); sides with no interior
-        # are pinned
-        self.free: list[tuple[str, str, float, float]] = []
+        self.brackets = brackets
+        self.free: list[tuple[str, str, float, float, float, float]] = []
         self.pinned: dict[tuple[str, str], float] = {}
         for name in sorted(brackets):
             b = brackets[name]
-            if b.l1 < b.l2:
-                self.free.append((name, "lo", b.l2, b.l1))
-            else:
-                self.pinned[(name, "lo")] = b.l1
-            if b.u2 < b.u1:
-                self.free.append((name, "hi", b.u2, b.u1))
-            else:
-                self.pinned[(name, "hi")] = b.u1
+            a_p = weights.producer_weight(name)
+            a_c = sum(weights.consumer_weight(j, name) for j in consumers.get(name, []))
+            for side, inner, outer in (("lo", b.l2, b.l1), ("hi", b.u2, b.u1)):
+                if inner != outer:
+                    self.free.append((name, side, inner, outer, a_p, a_c))
+                else:
+                    self.pinned[(name, side)] = outer
 
     def dim(self) -> int:
         return len(self.free)
 
-    def _terms(self, k: int) -> tuple[float, float]:
-        """(producer weight, summed consumer weight) for free bound k."""
-        name = self.free[k][0]
-        a_p = self.weights.producer_weight(name)
-        a_c = sum(self.weights.consumer_weight(j, name)
-                  for j in self.consumers[name])
-        return a_p, a_c
 
-    def chosen(self, x: np.ndarray) -> RangeMap:
-        vals = dict(self.pinned)
-        for k, (name, side, _, _) in enumerate(self.free):
-            vals[(name, side)] = float(x[k])
-        return RangeMap((name, Interval(vals[(name, "lo")], vals[(name, "hi")], b.unit))
-                        for name, b in self.brackets.items())
+def barrier_optimum(inner: float, outer: float, a_p: float, a_c: float) -> float:
+    """The minimiser of one free bound's barrier term
+    -a_p*ln|x - inner| - a_c*ln|outer - x| over the open bracket, where it
+    is stationary: x = (a_p*outer + a_c*inner) / (a_p + a_c).
 
-
-def barrier_value(problem: BarrierProblem, x: np.ndarray) -> float:
-    """Sum over free bounds of
-    -a_prod * ln(distance to the inner wall) - a_cons * ln(distance to the
-    outer wall); infinite outside the open bracket."""
-    total = 0.0
-    for k, (_, _, inner, outer) in enumerate(problem.free):
-        a_p, a_c = problem._terms(k)
-        d_in, d_out = abs(x[k] - inner), abs(outer - x[k])
-        lo, hi = sorted((inner, outer))
-        if not (lo < x[k] < hi):
-            return float("inf")
-        total += -a_p * np.log(d_in) - a_c * np.log(d_out)
-    return float(total)
-
-
-def barrier_gradient(problem: BarrierProblem, x: np.ndarray) -> np.ndarray:
-    g = np.empty(problem.dim())
-    for k, (_, side, inner, outer) in enumerate(problem.free):
-        a_p, a_c = problem._terms(k)
-        s = 1.0 if outer > inner else -1.0   # direction inner wall -> outer wall
-        g[k] = s * (-a_p / abs(x[k] - inner) + a_c / abs(outer - x[k]))
-    return g
-
-
-def solve_tradeoff(problem: BarrierProblem) -> tuple[np.ndarray, int]:
-    """The barrier's exact minimiser, one free bound at a time.
-
-    Each term  -a_p*ln|x - inner| - a_c*ln|outer - x|  is stationary at
-    x = (a_p*outer + a_c*inner) / (a_p + a_c).  A zero producer weight puts
-    the bound on its inner wall, a zero consumer weight on its outer wall;
-    with both zero the term is constant and the bound stays at the bracket
-    midpoint.  Returns the bounds and 0 iterations.
+    A zero producer weight puts the bound on its inner wall, a zero consumer
+    weight on its outer wall; with both zero the term is constant and the
+    bound stays at the bracket midpoint.
     """
-    x = np.empty(problem.dim())
-    for k, (_, _, inner, outer) in enumerate(problem.free):
-        a_p, a_c = problem._terms(k)
-        if a_p == 0 and a_c == 0:
-            x[k] = 0.5 * (inner + outer)
-        elif a_p == 0:
-            x[k] = inner
-        elif a_c == 0:
-            x[k] = outer
-        else:
-            x[k] = (a_p * outer + a_c * inner) / (a_p + a_c)
-    return x, 0
+    if a_p == 0 and a_c == 0:
+        return 0.5 * (inner + outer)
+    if a_p == 0:
+        return inner
+    if a_c == 0:
+        return outer
+    return (a_p * outer + a_c * inner) / (a_p + a_c)
+
+
+def solve_tradeoff(problem: BarrierProblem) -> tuple[RangeMap, int]:
+    """The chosen performance ranges: every free bound at its
+    :func:`barrier_optimum`, every pinned bound at its only value.
+
+    The barrier is a sum of independent one-dimensional terms, so this is
+    its exact minimiser and takes no iterations.  The returned count, always
+    0, is kept because the benchmark's traced mode reads it.
+    """
+    value = dict(problem.pinned)
+    for name, side, inner, outer, a_p, a_c in problem.free:
+        value[(name, side)] = barrier_optimum(inner, outer, a_p, a_c)
+    return RangeMap((name, Interval(value[(name, "lo")], value[(name, "hi")], b.unit))
+                    for name, b in problem.brackets.items()), 0
 
 
 def restore_feasibility(arch: Architecture, chosen: RangeMap, fds2: RangeMap,
@@ -332,8 +295,7 @@ def run_tradeoff(arch: Architecture, fds2: RangeMap, fps1: RangeMap,
     post-conditions."""
     brackets = build_brackets(fps1, fps2)
     problem = BarrierProblem(arch, brackets, weights)
-    x, _ = solve_tradeoff(problem)
-    chosen = problem.chosen(x)
+    chosen, _ = solve_tradeoff(problem)
     log: list[dict] = [{"step": "barrier-optimum", "free_bounds": problem.dim(),
                         "pinned_bounds": sorted(f"{n}.{s}" for n, s in problem.pinned)}]
     chosen, rlog = restore_feasibility(arch, chosen, fds2, brackets)

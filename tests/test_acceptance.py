@@ -4,12 +4,14 @@ Each test pins one external promise of the package: the algebraic laws the
 contract calculus relies on, exact reproduction of the cruise-control
 feasible spaces, requirement satisfaction of the narrowed design space,
 trade-off solution quality, numerical soundness of the solver and the
-integrator, and run-to-run determinism.
+integrator, run-to-run determinism, and a second decomposition of an
+emitted part.
 """
 
 import importlib.resources
 import json
 import math
+import pathlib
 import random
 import time
 
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from setdecomp.architecture import architecture_from_dict, classify, load_architecture
+from setdecomp.cli import main
 from setdecomp.expr import evaluate_interval
 from setdecomp.intervals import (Interval, RangeMap, interval_intersect,
                                  rangemap_merge)
@@ -26,13 +29,15 @@ from setdecomp.requirements import check_composable, check_refines, compose
 from setdecomp.simulation import (SamplingPlan, build_ode, design_samples,
                                   envelope_over_box, integrate)
 from setdecomp.tradeoff import (BarrierProblem, PreferenceWeights,
-                                barrier_gradient, barrier_value,
-                                build_brackets, run_tradeoff, solve_tradeoff)
+                                build_brackets, run_tradeoff)
 
+from barrier import barrier_gradient, barrier_value, solver_point
 from genfr import (oracle_composable, oracle_refines, rand_chain, rand_fr,
                    rand_interval, rand_refinement)
 
 CRUISE = str(importlib.resources.files("setdecomp") / "data" / "cruise.json")
+#: the run flags the ``emitted_parts`` fixture decomposes cruise with
+FAST = ["--step", "0.05", "--horizon", "30", "--grid", "2"]
 
 # Published reference values for the cruise-control study.  The feasible
 # performance envelope below was produced by a zonotope reachability engine,
@@ -273,8 +278,7 @@ class TestTradeoffSolution:
                                                weights):
         brackets = build_brackets(spaces.fps, narrowed.narrowed.fps)
         problem = BarrierProblem(arch, brackets, weights)
-        x, _ = solve_tradeoff(problem)
-        for (name, side, inner, outer), val in zip(problem.free, x):
+        for (name, side, inner, outer, _, _), val in zip(problem.free, solver_point(problem)):
             lo, hi = min(inner, outer), max(inner, outer)
             assert lo < val < hi, f"{name}.{side}"
 
@@ -282,11 +286,12 @@ class TestTradeoffSolution:
                                                      narrowed, weights):
         brackets = build_brackets(spaces.fps, narrowed.narrowed.fps)
         problem = BarrierProblem(arch, brackets, weights)
-        x, _ = solve_tradeoff(problem)
-        for k, (name, side, inner, outer) in enumerate(problem.free):
-            a_p, a_c = problem._terms(k)
+        consumers = arch.consumers_of()
+        for (name, side, inner, outer, _, _), val in zip(problem.free, solver_point(problem)):
+            a_p = weights.producer_weight(name)
+            a_c = sum(weights.consumer_weight(j, name) for j in consumers.get(name, []))
             optimum = (a_p * outer + a_c * inner) / (a_p + a_c)
-            assert x[k] == pytest.approx(optimum, rel=1e-12), f"{name}.{side}"
+            assert val == pytest.approx(optimum, rel=1e-12), f"{name}.{side}"
 
     def test_chosen_ranges_respect_the_brackets(self, spaces, narrowed, tradeoff):
         brackets = build_brackets(spaces.fps, narrowed.narrowed.fps)
@@ -339,34 +344,32 @@ class TestNumericalSoundness:
         problem = BarrierProblem(arch, brackets, weights)
         rng = random.Random(42)
         for _ in range(100):
-            x = np.array([inner + (0.2 + 0.6 * rng.random()) * (outer - inner)
-                          for (_, _, inner, outer) in problem.free])
-            g = barrier_gradient(problem, x)
-            for k, (_, _, inner, outer) in enumerate(problem.free):
+            x = [inner + (0.2 + 0.6 * rng.random()) * (outer - inner)
+                 for (_, _, inner, outer, _, _) in problem.free]
+            g = barrier_gradient(problem.free, x)
+            for k, (_, _, inner, outer, _, _) in enumerate(problem.free):
                 # fourth-order central stencil, step scaled to the bracket
                 # width: the plain two-point formula loses digits where the
                 # two wall forces nearly cancel
                 h = 1e-4 * abs(outer - inner)
-                e = np.zeros(len(x))
-                e[k] = h
 
-                def f(p):
-                    return barrier_value(problem, p)
+                def f(steps):
+                    moved = list(x)
+                    moved[k] += steps * h
+                    return barrier_value(problem.free, moved)
 
-                fd = (8 * (f(x + e) - f(x - e))
-                      - (f(x + 2 * e) - f(x - 2 * e))) / (12 * h)
+                fd = (8 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12 * h)
                 assert g[k] == pytest.approx(fd, rel=1e-6)
 
     def test_barrier_gradient_vanishes_at_the_solver_point(self, arch, spaces,
                                                            narrowed, weights):
         brackets = build_brackets(spaces.fps, narrowed.narrowed.fps)
         problem = BarrierProblem(arch, brackets, weights)
-        x, _ = solve_tradeoff(problem)
-        g = barrier_gradient(problem, x)
-        for k, (name, side, inner, outer) in enumerate(problem.free):
+        x = solver_point(problem)
+        g = barrier_gradient(problem.free, x)
+        for k, (name, side, inner, outer, a_p, a_c) in enumerate(problem.free):
             if not min(inner, outer) < x[k] < max(inner, outer):
                 continue
-            a_p, a_c = problem._terms(k)
             force = max(a_p / abs(x[k] - inner), a_c / abs(outer - x[k]))
             assert abs(g[k]) <= 1e-9 * force, f"{name}.{side}"
 
@@ -386,3 +389,36 @@ class TestNumericalSoundness:
 def test_repeated_pipeline_runs_are_byte_identical():
     texts = [report_to_json(run_pipeline(CRUISE)) for _ in range(2)]
     assert texts[0].encode() == texts[1].encode()
+
+
+def test_emitted_part_decomposes_again_and_both_levels_refine(emitted_parts, tmp_path):
+    """The paper's second level: the supplier of the emitted f4
+    (F = alpha*u*T) splits it into f4a (G = alpha*u) and f4b (F = G*T)
+    and decomposes f4 over them.  The two parts refine f4, and the nine
+    parts with f4 replaced by the two refine cruise's top."""
+    *parts, top = emitted_parts
+    by_name = {pathlib.Path(p).stem: p for p in parts}
+    f4_file = by_name.pop("f4")
+    f4 = json.loads(pathlib.Path(f4_file).read_text())
+    wide = {"lo": -1e6, "hi": 1e6, "unit": "N/Nm"}
+    doc = {"top": f4,
+           "constants": {"alpha": json.loads(open(CRUISE).read())["constants"]["alpha"]},
+           "subfunctions": [
+               {"id": "f4a", "kind": "algebraic",
+                "exprs": {"G": ["*", ["var", "alpha"], ["var", "u"]]},
+                "inputs": {"u": f4["inputs"]["u"]}, "outputs": {"G": wide}},
+               {"id": "f4b", "kind": "algebraic",
+                "exprs": {"F": ["*", ["var", "G"], ["var", "T"]]},
+                "inputs": {"G": wide, "T": f4["inputs"]["T"]}, "outputs": f4["outputs"]}]}
+    level2 = tmp_path / "level2"
+    level2.mkdir()
+    arch, report = level2 / "f4.arch.json", level2 / "report.json"
+    arch.write_text(json.dumps(doc))
+    assert main(["decompose", str(arch), *FAST, "--out", str(report)]) == 0
+    split = []
+    for fr in json.loads(report.read_text())["subrequirements"]:
+        split.append(level2 / f"{fr['name']}.json")
+        split[-1].write_text(json.dumps(fr))
+    assert [p.stem for p in split] == ["f4a", "f4b"]
+    assert main(["check-laws", *map(str, split), f4_file]) == 0
+    assert main(["check-laws", *by_name.values(), *map(str, split), top]) == 0

@@ -112,14 +112,34 @@ class TestDecompose:
             main(["decompose", CRUISE, "--padding", "0.02"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("weight", [-0.5, float("nan")], ids=["negative", "nan"])
-    def test_bad_tradeoff_weight_is_validation_error(self, weight, tmp_path, capsys):
+    @pytest.mark.parametrize("weight", [-0.5, float("nan"), 10 ** 400],
+                             ids=["negative", "nan", "beyond-float-range"])
+    def test_bad_tradeoff_weight_is_validation_error(self, weight, tmp_path, capsys,
+                                                     no_envelope):
         doc = json.loads(open(CRUISE).read())
         doc["tradeoff"]["weights"]["producer"]["T"] = weight
         path = tmp_path / "weights.json"
         path.write_text(json.dumps(doc))
         assert main(["decompose", str(path), *FAST]) == 2
-        assert "trade-off weight producer.T" in capsys.readouterr().err
+        assert "error: trade-off weight producer.T" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights, message", [
+        ({"producer": {"omega_m": 0.5}},
+         "producer.omega_m: 'omega_m' is not a performance variable"),
+        ({"consumer": {"f99": {"v": 0.5}}},
+         "consumer.f99.v: 'f99' does not consume performance variable 'v'"),
+        # f8 reads v_r, but v_r is a top input: no bound of it is chosen
+        ({"consumer": {"f8": {"v_r": 0.5}}},
+         "consumer.f8.v_r: 'f8' does not consume performance variable 'v_r'"),
+    ], ids=["design-variable", "unknown-sub-function", "top-input"])
+    def test_misnamed_tradeoff_weight_fails_before_simulation(self, weights, message, tmp_path,
+                                                              capsys, no_envelope):
+        doc = json.loads(open(CRUISE).read())
+        doc["tradeoff"]["weights"] = weights
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), *FAST]) == 2
+        assert f"error: trade-off weight {message}" in capsys.readouterr().err
 
     def test_tradeoff_section_must_be_an_object(self, tmp_path, capsys):
         doc = json.loads(open(CRUISE).read())
@@ -300,6 +320,19 @@ class TestDecompose:
         assert "postcondition 'envelope' violated: y hi: simulated 1.0" in captured.err
         assert "> allowed 0.5" in captured.err
         assert captured.out == ""
+
+    def test_design_box_without_controllable_names_its_escapes(self, tmp_path, capsys):
+        # y = 2x over x in [0, 1] leaves [0, 1], and nothing can be narrowed
+        unit = {"lo": 0.0, "hi": 1.0, "unit": ""}
+        doc = {"top": {"name": "steep", "inputs": {"x": unit}, "outputs": {"y": unit}},
+               "subfunctions": [{"id": "f", "kind": "algebraic",
+                                 "exprs": {"y": ["*", 2.0, ["var", "x"]]}, "inputs": {"x": unit},
+                                 "outputs": {"y": {"lo": 0.0, "hi": 10.0, "unit": ""}}}]}
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), "--horizon", "1"]) == 3
+        assert ("infeasible: no controllable to narrow, and the design box escapes: "
+                "y hi: simulated 2.0 > allowed 1.0\n") in capsys.readouterr().err
 
     def test_expression_reading_its_own_output_decomposes(self, tmp_path):
         port = {"lo": -10.0, "hi": 10.0, "unit": ""}

@@ -1,19 +1,23 @@
 """Source hygiene: every name a package module imports is used or re-exported,
 every name it exports exists, the README's Python examples import only
-exported names, the README's flag list is the CLI's, and every function the
-benchmark's traced mode wraps exists with the arguments it reads."""
+exported names, the README's flag list is the CLI's, every function the
+benchmark's traced mode wraps exists with the arguments it reads, and the
+traced mode runs on one decompose."""
 
 import argparse
 import ast
 import importlib
 import importlib.resources
+import importlib.util
 import inspect
+import json
 import pathlib
 import re
+import sys
 
 import pytest
 
-from setdecomp.cli import build_parser
+from setdecomp.cli import build_parser, main
 from setdecomp.intervals import RangeMap
 from setdecomp.simulation import SamplingPlan, design_samples
 
@@ -147,3 +151,29 @@ def test_design_samples_length_is_the_sample_count():
                            (RangeMap(), SamplingPlan(), 1)):
         samples = design_samples(b, plan)
         assert len(samples) == samples.shape[0] == count
+
+
+def test_traced_mode_records_one_decompose(tmp_path):
+    # bench/spans.py as the benchmark runs it, on every module it wraps
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = {(m, f): getattr(importlib.import_module(f"setdecomp.{m}"), f)
+                 for m, f, _ in spans.TARGETS}
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        unwrapped = [f"{m}.{f}" for (m, f), fn in originals.items()
+                     if getattr(sys.modules[f"setdecomp.{m}"], f) is fn]
+        report = tmp_path / "report.json"
+        cruise = str(importlib.resources.files("setdecomp") / "data" / "cruise.json")
+        assert main(["decompose", cruise, "--step", "0.05", "--horizon", "30", "--grid", "2",
+                     "--out", str(report)]) == 0
+    finally:
+        recorder.remove()
+    assert unwrapped == []
+    metrics = spans.layer_metrics(recorder.spans)
+    (optimum,) = [entry for entry in json.loads(report.read_text())["log"]["tradeoff"]
+                  if entry["step"] == "barrier-optimum"]
+    assert metrics["tradeoff.solve.iterations"] == 0
+    assert metrics["tradeoff.solve.free_bounds"] == optimum["free_bounds"]

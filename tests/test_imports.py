@@ -1,7 +1,8 @@
-"""What each entry point imports. Loading and classifying an architecture and
-``check-laws`` run without numpy and the simulator; ``decompose`` loads them;
-the package root resolves each export from its submodule on first use. Each
-case runs in a fresh interpreter, because this one has imported everything."""
+"""What each entry point imports. Loading and classifying an architecture,
+``check-laws`` and reading trade-off weights run without numpy and the
+simulator; ``decompose`` loads them; the package root resolves each export
+from its submodule on first use. Each case runs in a fresh interpreter,
+because this one has imported everything."""
 
 import importlib.resources
 import json
@@ -10,10 +11,7 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 import setdecomp
-from setdecomp.cli import main
 
 CRUISE = str(importlib.resources.files("setdecomp") / "data" / "cruise.json")
 FAST = ["--step", "0.05", "--horizon", "30", "--grid", "2"]
@@ -38,20 +36,6 @@ def _simulator_after(code: str, *args: str) -> list[str]:
                   f"print(json.dumps([m for m in {SIMULATOR!r} if m in sys.modules]))", *args)
 
 
-@pytest.fixture
-def emitted_parts(tmp_path):
-    """The sub-requirements ``decompose`` emits for cruise, then its top
-    requirement, as contract files."""
-    report = tmp_path / "report.json"
-    assert main(["decompose", CRUISE, *FAST, "--out", str(report)]) == 0
-    paths = []
-    for fr in [*json.loads(report.read_text())["subrequirements"],
-               json.loads(open(CRUISE).read())["top"]]:
-        paths.append(tmp_path / f"{fr['name']}.json")
-        paths[-1].write_text(json.dumps(fr))
-    return [str(p) for p in paths]
-
-
 def test_load_and_classify_import_no_simulator():
     code = ("import setdecomp\n"
             "arch, _ = setdecomp.load_architecture(sys.argv[1])\n"
@@ -64,6 +48,12 @@ def test_check_laws_imports_no_simulator(emitted_parts):
             "assert cli.main(['check-laws', *sys.argv[1:]]) == 0")
     assert len(emitted_parts) == 9
     assert _simulator_after(code, *emitted_parts) == []
+
+
+def test_preference_weights_import_no_numpy():
+    code = ("import setdecomp\n"
+            "setdecomp.PreferenceWeights.from_dict({'producer': {'v': 0.9}})")
+    assert _simulator_after(code) == ["setdecomp.tradeoff"]
 
 
 def test_decompose_imports_the_simulator(tmp_path):

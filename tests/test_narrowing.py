@@ -239,7 +239,7 @@ class TestNarrow:
     def test_infeasible_midpoint_raises(self):
         arch = _passthrough_arch(c_range=(20.0, 30.0), top_out=(0.0, 5.0))
         spaces = initial_spaces(arch)
-        with pytest.raises(Infeasible):
+        with pytest.raises(Infeasible, match=r"midpoints: y hi: simulated 25\.0 > allowed 5\.0$"):
             narrow(arch, spaces, SamplingPlan(grid=2, step=0.5, horizon=1.0))
 
     def test_attained_space_is_the_raw_envelope(self):

@@ -1,7 +1,6 @@
 import importlib.resources
 import random
 
-import numpy as np
 import pytest
 
 from setdecomp.architecture import Architecture, SubFunction, load_architecture
@@ -12,10 +11,11 @@ from setdecomp.narrowing import initial_spaces, narrow
 from setdecomp.requirements import FunctionalRequirement, check_refines
 from setdecomp.simulation import SamplingPlan
 from setdecomp.tradeoff import (BarrierProblem, Bracket, PreferenceWeights,
-                                assemble_subrequirements, barrier_gradient,
-                                barrier_value, build_brackets,
+                                assemble_subrequirements, build_brackets,
                                 restore_feasibility, run_tradeoff,
                                 solve_tradeoff)
+
+from barrier import barrier_gradient, barrier_value
 
 CRUISE = str(importlib.resources.files("setdecomp") / "data" / "cruise.json")
 
@@ -72,20 +72,21 @@ class TestBarrier:
 
     def test_value_is_infinite_outside_brackets(self):
         p = self._problem()
-        assert barrier_value(p, np.array([4.0, 6.0])) == float("inf")
-        assert barrier_value(p, np.array([2.0, 8.0])) < float("inf")
+        assert barrier_value(p.free, [4.0, 6.0]) == float("inf")
+        assert barrier_value(p.free, [2.0, 8.0]) < float("inf")
 
     def test_gradient_matches_central_differences(self):
         p = self._problem()
         rng = random.Random(5)
         h = 1e-6
         for _ in range(100):
-            x = np.array([rng.uniform(0.5, 3.5), rng.uniform(6.5, 9.5)])
-            g = barrier_gradient(p, x)
+            x = [rng.uniform(0.5, 3.5), rng.uniform(6.5, 9.5)]
+            g = barrier_gradient(p.free, x)
             for k in range(len(x)):
-                e = np.zeros(len(x))
-                e[k] = h
-                fd = (barrier_value(p, x + e) - barrier_value(p, x - e)) / (2 * h)
+                up, down = list(x), list(x)
+                up[k] += h
+                down[k] -= h
+                fd = (barrier_value(p.free, up) - barrier_value(p.free, down)) / (2 * h)
                 assert g[k] == pytest.approx(fd, rel=1e-6)
 
     def test_solver_matches_closed_form_optimum(self):
@@ -93,11 +94,12 @@ class TestBarrier:
         # form  bound* = (a_p*outer + a_c*inner) / (a_p + a_c)
         a_p, a_c = 0.3, 0.6
         p = self._problem(a_p, a_c)
-        x, _ = solve_tradeoff(p)
+        chosen, iterations = solve_tradeoff(p)
         l_star = (a_p * 0.0 + a_c * 4.0) / (a_p + a_c)
         u_star = (a_p * 10.0 + a_c * 6.0) / (a_p + a_c)
-        assert x[0] == pytest.approx(l_star, rel=1e-6)
-        assert x[1] == pytest.approx(u_star, rel=1e-6)
+        assert chosen["y"].lo == pytest.approx(l_star, rel=1e-6)
+        assert chosen["y"].hi == pytest.approx(u_star, rel=1e-6)
+        assert iterations == 0
 
     @pytest.mark.parametrize("a_p, a_c, expected", [
         (0.0, 0.6, [4.0, 6.0]),      # only the consumers push: the inner wall
@@ -105,17 +107,17 @@ class TestBarrier:
         (0.0, 0.0, [2.0, 8.0]),      # constant barrier: the bracket midpoint
     ], ids=["inner-wall", "outer-wall", "midpoint"])
     def test_zero_weights_give_exact_walls_or_midpoint(self, a_p, a_c, expected):
-        x, _ = solve_tradeoff(self._problem(a_p, a_c))
-        assert list(x) == expected
+        chosen, _ = solve_tradeoff(self._problem(a_p, a_c))
+        assert [chosen["y"].lo, chosen["y"].hi] == expected
 
     def test_unconsumed_variable_drifts_to_the_outer_wall(self):
         # z has no consumers, so only the producer term pushes: toward FPS1
         brackets = {"z": Bracket("z", "", -50.0, -10.0, 10.0, 50.0)}
         p = BarrierProblem(_chain_arch(), brackets,
                            PreferenceWeights(producer={"z": 0.5}, consumer={}))
-        x, _ = solve_tradeoff(p)
-        assert x[0] == pytest.approx(-50.0, abs=1e-3)
-        assert x[1] == pytest.approx(50.0, abs=1e-3)
+        chosen, _ = solve_tradeoff(p)
+        assert chosen["z"].lo == pytest.approx(-50.0, abs=1e-3)
+        assert chosen["z"].hi == pytest.approx(50.0, abs=1e-3)
 
 
 class TestRestoration:
@@ -239,16 +241,22 @@ class TestCruiseTradeoff:
         {"default": -1.0},
         {"producer": [0.5]},
         {"consumer": {"f5": 0.5}},
+        {"producer": {"v": True}},
+        {"consumer": {"f5": {"v": "0.5"}}},
+        {"producer": {"v": 10 ** 400}},
     ], ids=["negative", "nan", "infinite", "not-a-number", "negative-default",
-            "producer-not-a-map", "consumer-not-a-map"])
+            "producer-not-a-map", "consumer-not-a-map", "bool", "numeric-string",
+            "beyond-float-range"])
     def test_weights_must_be_finite_and_non_negative(self, doc):
-        with pytest.raises(ValidationError, match="trade-off weight"):
+        with pytest.raises(ValidationError, match="^trade-off weight"):
             PreferenceWeights.from_dict(doc)
 
     @pytest.mark.parametrize("doc", [
         {"producer": {"Tq": 0.1}},
         {"consumer": {"f99": {"v": 0.5}}},
-    ], ids=["producer-not-a-performance-variable", "consumer-does-not-consume"])
+        {"consumer": {"f8": {"v_r": 0.5}}},
+    ], ids=["producer-not-a-performance-variable", "consumer-does-not-consume",
+            "consumer-of-a-top-input"])
     def test_weight_names_must_match_the_architecture(self, result, doc):
         arch, spaces, nres, _ = result
         with pytest.raises(ValidationError, match="trade-off weight"):
