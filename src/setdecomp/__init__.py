@@ -30,7 +30,7 @@ _EXPORTS = {name: module for module, names in {
     "requirements": ("FunctionalRequirement", "TimedOutputSpec", "check_composable",
                      "check_refines", "compose", "links"),
     "narrowing": ("FeasibleSpaces", "NarrowingResult", "initial_spaces", "narrow"),
-    "pipeline": ("PipelineReport", "run_pipeline"),
+    "pipeline": ("run_pipeline",),
     "simulation": ("Envelope", "SamplingPlan", "Trajectory", "build_ode",
                    "envelope_over_box", "integrate"),
     "tradeoff": ("PreferenceWeights", "TradeoffResult", "run_tradeoff"),

@@ -19,16 +19,14 @@ restoration both walk it.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import expr as ex
-from .errors import (AlgebraicCycle, CoverageViolation, ParseError,
-                     ProducerConflict, ValidationError)
+from .errors import AlgebraicCycle, CoverageViolation, ProducerConflict, ValidationError
 from .intervals import RangeMap
-from .requirements import FunctionalRequirement, _map_from_dict, fr_from_dict
+from .requirements import FunctionalRequirement, _map_from_dict, fr_from_dict, read_json
 
 __all__ = [
     "State", "SubFunction",
@@ -311,10 +309,5 @@ def architecture_from_dict(d: dict) -> Architecture:
 def load_architecture(path) -> tuple[Architecture, dict]:
     """Load an architecture file; returns (architecture, raw document) so the
     caller can pick up auxiliary sections such as trade-off weights."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    doc = read_json(path)
     return architecture_from_dict(doc), doc

@@ -97,7 +97,7 @@ def _cmd_decompose(args) -> int:
     render = {"json": report_to_json, "md": report_to_markdown,
               "csv": report_to_csv}[args.emit]
     _write(render(report), args.out)
-    if not report.law_checks["refinement"]["ok"]:
+    if not report["law_checks"]["refinement"]["ok"]:
         return EXIT_LAW
     return EXIT_OK
 
@@ -140,15 +140,19 @@ def _cmd_simulate(args) -> int:
     spaces = initial_spaces(arch)
     point = {v: iv.mid for v, iv in spaces.fds.items()}
     for item in args.overrides:
-        if "=" not in item:
+        name, eq, value = item.partition("=")
+        try:
+            number = float(value) if eq else None
+        except ValueError:
+            number = None
+        if number is None:
             print(f"bad override {item!r}, expected name=value", file=sys.stderr)
             return EXIT_VALIDATION
-        name, _, value = item.partition("=")
         if name not in point:
             print(f"unknown design variable {name!r}; have: "
                   f"{', '.join(sorted(point))}", file=sys.stderr)
             return EXIT_VALIDATION
-        point[name] = float(value)
+        point[name] = number
     sys_ = build_ode(arch, point)
     traj = integrate(sys_, horizon=args.horizon, step=args.step)
     names = sorted(traj.values)

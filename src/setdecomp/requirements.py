@@ -19,14 +19,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import NotComposable, UnitMismatch, ValidationError
+from .errors import NotComposable, ParseError, UnitMismatch, ValidationError
 from .intervals import Interval, RangeMap, rangemap_merge
 
 __all__ = [
     "TimedOutputSpec", "FunctionalRequirement",
     "RefinementResult", "ComposabilityResult",
     "check_refines", "check_composable", "links", "compose",
-    "fr_to_dict", "fr_from_dict", "load_fr", "save_fr",
+    "fr_to_dict", "fr_from_dict", "read_json", "load_fr", "save_fr",
 ]
 
 
@@ -271,9 +271,24 @@ def fr_from_dict(d: dict) -> FunctionalRequirement:
         raise ValidationError(f"bad requirement document: {e!r}") from e
 
 
+def read_json(path):
+    """The JSON document in the file ``path``, be it an architecture, a
+    contract or a golden report.  Malformed JSON raises :class:`ParseError`
+    naming the file, line and column; text that is not UTF-8 raises it
+    naming the file and byte."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+
+
 def load_fr(path) -> FunctionalRequirement:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fr_from_dict(json.load(fh))
+    return fr_from_dict(read_json(path))
 
 
 def save_fr(fr: FunctionalRequirement, path) -> None:

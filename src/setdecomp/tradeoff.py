@@ -186,7 +186,9 @@ def restore_feasibility(arch: Architecture, chosen: RangeMap, fds2: RangeMap,
                         brackets: dict[str, Bracket]) -> tuple[RangeMap, list[dict]]:
     """Make the chosen ranges containment-consistent for every static
     sub-function (one without states): the interval image of each bracketed
-    output's expression must fit in its chosen range.
+    output's expression must fit in its chosen range.  Every chosen
+    variable has a bracket, as :func:`solve_tradeoff` chooses one range per
+    bracket.
 
     One sweep walks the architecture's dependency order,
     ``Architecture.assignments`` (the order the ODE right-hand side is
@@ -212,9 +214,7 @@ def restore_feasibility(arch: Architecture, chosen: RangeMap, fds2: RangeMap,
 
     def pulled(t: float) -> RangeMap:
         def pull(v: str, got: Interval) -> Interval:
-            b = brackets.get(v)
-            if b is None:
-                return got
+            b = brackets[v]
             if t == 1.0:        # the attained range, which the sum can miss by an ulp
                 return Interval(b.l2, b.u2, got.unit)
             # clamped so that no pull overshoots the attained range

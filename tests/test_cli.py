@@ -102,6 +102,53 @@ class TestDecompose:
         report = json.loads(out.read_text())
         assert report["deltas"]["max"]["delta"] == 0.0
 
+    def test_compare_renders_in_markdown(self, tmp_path, capsys):
+        golden = tmp_path / "golden.json"
+        assert main(["decompose", CRUISE, *FAST, "--out", str(golden)]) == 0
+        assert main(["decompose", CRUISE, *FAST, "--compare", str(golden), "--emit", "md"]) == 0
+        md = capsys.readouterr().out
+        assert "## Comparison" in md
+        assert "- worst relative delta: 0.000e+00 at `" in md
+
+    def test_truncated_golden_fails_before_simulation(self, tmp_path, capsys, no_envelope):
+        golden = tmp_path / "golden.json"
+        golden.write_text('{"spaces": ')
+        assert main(["decompose", CRUISE, *FAST, "--compare", str(golden)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {golden}: line 1 column 12: Expecting value\n"
+        assert captured.out == ""
+
+    def test_strict_refinement_failure_exits_four_with_the_report(self, tmp_path, capsys):
+        # the top promises c in [1, 2]; the narrowed design space keeps the
+        # sub-function's wider [0, 10], so only the strict clauses fail
+        port = {"lo": -100.0, "hi": 100.0, "unit": ""}
+        doc = {"top": {"name": "tight", "inputs": {"x": {"lo": 0.0, "hi": 1.0, "unit": ""}},
+                       "controllables": {"c": {"lo": 1.0, "hi": 2.0, "unit": ""}},
+                       "outputs": {"y": port}},
+               "subfunctions": [{"id": "f", "kind": "algebraic",
+                                 "exprs": {"y": ["+", ["var", "c"], ["var", "x"]]},
+                                 "inputs": {"x": port},
+                                 "controllables": {"c": {"lo": 0.0, "hi": 10.0, "unit": ""}},
+                                 "outputs": {"y": port}}]}
+        arch = tmp_path / "tight.json"
+        arch.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["decompose", str(arch), "--horizon", "1", "--out", str(out)]) == 0
+        assert main(["decompose", str(arch), "--horizon", "1", "--strict-refinement",
+                     "--out", str(out)]) == 4
+        refinement = json.loads(out.read_text())["law_checks"]["refinement"]
+        assert refinement == {"ok": False, "strict": True, "witness": "c",
+                              "clause": "controllable-not-tightened"}
+
+    def test_unknown_subfunction_kind_fails_before_simulation(self, tmp_path, capsys,
+                                                              no_envelope):
+        doc = json.loads(open(CRUISE).read())
+        _sub(doc, "f2")["kind"] = "lookup"
+        path = tmp_path / "kind.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path), *FAST]) == 2
+        assert capsys.readouterr().err == "error: sub-function 'f2': unknown kind 'lookup'\n"
+
     def test_max_iters_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["decompose", CRUISE, "--max-iters", "5"])
@@ -490,6 +537,31 @@ class TestCheckLaws:
         assert "unit mismatch for 'v': 'm/s' vs 'mph'" in captured.err
         assert captured.out == ""
 
+    def test_truncated_contract_is_a_parse_error_naming_the_file(self, chain_files, tmp_path,
+                                                                 capsys):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"name": ')
+        assert main(["check-laws", str(path), chain_files["top"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: line 1 column 10: Expecting value\n"
+        assert captured.out == ""
+
+    def test_contract_that_is_not_utf8_is_a_parse_error_naming_the_file(self, chain_files,
+                                                                        tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        assert main(["check-laws", str(path), chain_files["top"]]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text: invalid continuation byte at byte 13\n")
+
+    def test_missing_top_output_fails_refinement(self, chain_files, tmp_path, capsys):
+        top = _fr("top", inputs={"x": (0.2, 0.8)}, outputs={"z": (-1.0, 10.0), "w": (0, 1)})
+        path = tmp_path / "top-w.json"
+        save_fr(top, path)
+        assert main(["check-laws", chain_files["a"], chain_files["b"], str(path)]) == 4
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "FAIL refines composite -> top: 'w' output-missing (None vs [0,1])")
+
     def test_one_file_is_usage_error(self, chain_files, capsys):
         assert main(["check-laws", chain_files["a"]]) == 2
 
@@ -538,6 +610,10 @@ class TestSimulate:
     def test_bad_override_shape(self, capsys):
         assert main(["simulate", CRUISE, "v_r:35"]) == 2
         assert "expected name=value" in capsys.readouterr().err
+
+    def test_non_numeric_override_is_a_bad_override(self, capsys):
+        assert main(["simulate", CRUISE, "v_r=abc"]) == 2
+        assert capsys.readouterr().err == "bad override 'v_r=abc', expected name=value\n"
 
     def test_unknown_variable(self, capsys):
         assert main(["simulate", CRUISE, "bogus=1"]) == 2

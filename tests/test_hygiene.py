@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports is used or re-exported,
 every name it exports exists, the README's Python examples import only
-exported names, the README's flag list is the CLI's, every function the
-benchmark's traced mode wraps exists with the arguments it reads, and the
-traced mode runs on one decompose."""
+exported names, the names the README says bring in numpy are exported, the
+README's flag list is the CLI's, the report is a plain JSON document, every
+function the benchmark's traced mode wraps exists with the arguments it
+reads, and the traced mode runs on one decompose."""
 
 import argparse
 import ast
@@ -17,8 +18,10 @@ import sys
 
 import pytest
 
+import setdecomp
 from setdecomp.cli import build_parser, main
 from setdecomp.intervals import RangeMap
+from setdecomp.pipeline import report_to_json, run_pipeline
 from setdecomp.simulation import SamplingPlan, design_samples
 
 SOURCES = sorted(p for p in importlib.resources.files("setdecomp").iterdir()
@@ -87,6 +90,34 @@ def test_readme_example_imports_exported_names(snippet):
                   for alias in node.names
                   if alias.name not in importlib.import_module(node.module).__all__]
     assert not unexported, f"README imports unexported {', '.join(unexported)}"
+
+
+def test_readme_numpy_names_are_exported():
+    (sentence,) = re.findall(r"Only the simulator names bring it in:(.*?)\.\s",
+                             README.read_text(encoding="utf-8"), re.DOTALL)
+    names = re.findall(r"`(\w+)`", sentence)
+    assert "run_pipeline" in names
+    assert sorted(set(names) - set(setdecomp.__all__)) == []
+
+
+def test_report_is_a_plain_json_document():
+    cruise = importlib.resources.files("setdecomp") / "data" / "cruise.json"
+    doc = run_pipeline(str(cruise), SamplingPlan(grid=2, step=0.05, horizon=30.0))
+    assert json.loads(report_to_json(doc)) == doc
+
+    def leaves(node):
+        if isinstance(node, dict):
+            assert all(type(k) is str for k in node)
+            node = list(node.values())
+        if type(node) is list:
+            for item in node:
+                yield from leaves(item)
+        else:
+            yield node
+
+    # a numpy float64 compares equal to its float, so the round trip alone
+    # would not see one
+    assert {type(v) for v in leaves(doc)} <= {str, int, float, bool, type(None)}
 
 
 def test_readme_flags_are_the_cli_options():

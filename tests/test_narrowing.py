@@ -218,6 +218,17 @@ class TestInitialSpaces:
             initial_spaces(bad)
 
 
+    def test_top_input_no_sub_function_consumes_is_a_coverage_violation(self):
+        # coverage is validated before any top range is pinned on
+        arch = _passthrough_arch()
+        extra = arch.top.inputs.with_entry("q", Interval(0, 1))
+        bad = Architecture(
+            top=FunctionalRequirement("top", inputs=extra, outputs=arch.top.outputs),
+            subfunctions=arch.subfunctions)
+        with pytest.raises(CoverageViolation, match=r"coverage violation: q \(input\)"):
+            initial_spaces(bad)
+
+
 class TestNarrow:
     def test_controllable_shrinks_until_feasible(self):
         arch = _passthrough_arch(c_range=(0.0, 10.0), top_out=(0.0, 5.0))
@@ -241,6 +252,20 @@ class TestNarrow:
         spaces = initial_spaces(arch)
         with pytest.raises(Infeasible, match=r"midpoints: y hi: simulated 25\.0 > allowed 5\.0$"):
             narrow(arch, spaces, SamplingPlan(grid=2, step=0.5, horizon=1.0))
+
+    def test_low_side_escape_grows_the_lower_bound_from_the_midpoint(self):
+        # y = c over c in [-4, 4] leaves [0, 5] below: every lo probe fails,
+        # every hi probe passes
+        arch = _passthrough_arch(c_range=(-4.0, 4.0), top_out=(0.0, 5.0))
+        res = narrow(arch, initial_spaces(arch), SamplingPlan(grid=2, step=0.5, horizon=1.0))
+        assert res.narrowed.fds["c"].lo == 0.0
+        assert res.narrowed.fds["c"].hi == pytest.approx(4.0, abs=0.01)
+        assert res.narrowed.fps["y"].lo == 0.0
+
+    def test_low_side_escape_of_the_midpoint_box_is_named(self):
+        arch = _passthrough_arch(c_range=(-30.0, -20.0), top_out=(0.0, 5.0))
+        with pytest.raises(Infeasible, match=r"midpoints: y lo: simulated -25\.0 < allowed 0\.0$"):
+            narrow(arch, initial_spaces(arch), SamplingPlan(grid=2, step=0.5, horizon=1.0))
 
     def test_attained_space_is_the_raw_envelope(self):
         # y = c over c in [1, 4] reaches the window bound 4 exactly
@@ -323,6 +348,38 @@ class TestNarrow:
         res = narrow(arch, spaces, plan)
         assert res.narrowed.fds == spaces.fds
         assert res.log[1] == {"step": "full-box-feasible", "narrowed": False}
+
+    def test_midpoint_nonfinite_is_raised_when_the_full_box_escapes(self):
+        # the spike of the test above, with y = c over c in [0, 10] leaving
+        # [0, 5]: the all-midpoint box is read, and its samples (0, 5) and
+        # (1, 5) divide by zero
+        x, c = Var("x"), Var("c")
+        spike = BinOp("/", Num(1.0), BinOp("-", BinOp("+", Pow(BinOp("-", c, Num(5.0)), 2),
+                                                      Pow(BinOp("-", x, Num(0.5)), 2)),
+                                           Num(0.25)))
+        arch = _probe_arch(spike)
+        spaces = initial_spaces(arch)
+        plan = SamplingPlan(grid=2, step=0.5, horizon=1.0)
+        with pytest.raises(NonFinite) as alone:
+            envelope_over_box(arch, spaces.fds.with_entry("c", Interval(5.0, 5.0)),
+                              plan.reduced())
+        with pytest.raises(NonFinite) as got:
+            narrow(arch, spaces, plan)
+        assert str(got.value) == str(alone.value)
+
+    def test_probe_nonfinite_the_walk_reaches_is_raised(self):
+        # z = 1 / (c - 7.5): the first hi trial, the box [0, 7.5], divides
+        # by zero at its corner c = 7.5, and the walk starts there
+        arch = _probe_arch(BinOp("/", Num(1.0), BinOp("-", Var("c"), Num(7.5))))
+        spaces = initial_spaces(arch)
+        plan = SamplingPlan(grid=2, step=0.5, horizon=1.0)
+        with pytest.raises(NonFinite) as alone:
+            envelope_over_box(arch, spaces.fds.with_entry("c", Interval(0.0, 7.5)),
+                              plan.reduced())
+        with pytest.raises(NonFinite) as got:
+            narrow(arch, spaces, plan)
+        assert "'z" in str(got.value)
+        assert str(got.value) == str(alone.value)
 
     def test_box_without_design_variables(self):
         # y' = -y from y = 1: the full and all-midpoint boxes are both the

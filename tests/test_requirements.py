@@ -65,6 +65,18 @@ class TestRefinement:
 
     @pytest.mark.parametrize("role", ["inputs", "outputs", "controllables",
                                       "uncontrollables"])
+    def test_variable_the_refiner_lacks_is_missing(self, role):
+        old = FunctionalRequirement("old", **{role: RangeMap.of(v=(0, 1), w=(2, 3))})
+        new = FunctionalRequirement("new", **{role: RangeMap.of(v=(0, 1))})
+        res = check_refines(new, old)
+        assert not res
+        assert (res.witness_var, res.clause) == ("w", f"{role[:-1]}-missing")
+        assert (res.refining, res.refined) == (None, Interval(2, 3))
+        assert bool(check_refines(new, old, strict=False)) == (role in ("controllables",
+                                                                       "uncontrollables"))
+
+    @pytest.mark.parametrize("role", ["inputs", "outputs", "controllables",
+                                      "uncontrollables"])
     def test_range_in_another_unit_raises(self, role):
         old = FunctionalRequirement("old", **{role: RangeMap.of(v=(0, 40, "m/s"))})
         new = FunctionalRequirement("new", **{role: RangeMap.of(v=(0, 40, "mph"))})
