@@ -156,6 +156,15 @@ class Architecture:
             raise AlgebraicCycle(sorted(out for (_, out, _), n in zip(entries, waiting) if n))
         return tuple(entries[k] for k in order)
 
+    @cached_property
+    def rhs_sources(self) -> dict:
+        """The right-hand-side sources ``codegen`` generates for this
+        architecture, by parameter names, outputs, mode and literal form,
+        each generated once per architecture as ``assignments`` is derived
+        once.  The parameters' values enter no source, so the envelopes of
+        all design points share them."""
+        return {}
+
     def producer_of(self) -> dict[str, str]:
         """Map variable name -> producing sub-function id (one per variable,
         checked at construction)."""

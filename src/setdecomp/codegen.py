@@ -7,7 +7,8 @@ every output.  A grid point has two modes, chosen at compile time.  The row
 mode writes every output into a buffer row.  The fold mode, for a bundle
 whose grid row is larger than the cache, writes no row: it passes each
 output to a callable right after the statement that computes it, while it
-is still in cache, and the caller folds it into its extrema.  The compiler
+is still in cache, and the caller folds it into its extrema; a stage call
+passes to a no-op, so no output costs a branch.  The compiler
 partially evaluates at the design point (the parameter-only outputs and
 subtrees once, a repeated subtree once per call) and keeps every
 operation, operand order and operand type, so every value is bit-identical
@@ -29,8 +30,18 @@ lanes floats, however many operations and states it has: on the
 benchmark's 200-link chain (10 000 lanes, ~400 operations, 20 states) 2
 slots, 160 KB, in either mode.
 
+A stage call may get the states as the rows of the very matrix it writes
+the derivatives into, as the march hands them over: the operation that
+writes a derivative row, or the statement that stores it there, runs only
+after the last read of that row's state, and every other statement keeps
+its place.  Where the derivatives can be so ordered, as on cruise and the
+chain, that costs no ufunc call.  Where they cannot, as for ``y' = z``,
+``z' = y``, a derivative goes through a scratch slot and is copied into
+its row.
+
 The generated source depends on the architecture, the parameters' names,
-the outputs and the mode, but not on the parameters' values, and is
+the outputs and the mode, but not on the parameters' values.  It is
+generated once per architecture, which holds it in ``rhs_sources``, and
 compiled once per source: the envelopes of one architecture at different
 design points share the code and bind their own values.
 
@@ -64,11 +75,13 @@ def _operand(v):
 
 #: what the generated source reads besides the parameters: the ufuncs a
 #: bundle's statements call with ``out`` (positional, which numpy parses
-#: faster than the keyword), float64 for literals, the converter of their
-#: scalar operands and the allocator of the scratch and stage arrays
+#: faster than the keyword; ``_positive`` copies a state into a slot),
+#: float64 for literals, the converter of their scalar operands, the
+#: allocator of the scratch and stage arrays, and the fold of a stage call
 _NAMESPACE = {"_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply,
               "_divide": np.divide, "_negative": np.negative, "_float64": np.float64,
-              "_operand": _operand, "_empty": np.empty}
+              "_positive": np.positive, "_operand": _operand, "_empty": np.empty,
+              "_skip": lambda j, value: None}
 _UFUNCS = {"+": "_add", "-": "_subtract", "*": "_multiply", "/": "_divide"}
 
 
@@ -85,20 +98,25 @@ def compile_rhs(arch: Architecture, params: dict, output_names, inplace: bool,
     ``grid(j, value)`` for every output and writes no row: right after the
     statement that computes the output, so that ``value`` is still in
     cache, and first of all for the outputs it does not compute (a state,
-    or a parameter-only value as its 0-d or lane array).  ``value`` is
-    scratch that the call itself overwrites later.  With ``inplace`` (a
-    bundle: the design values are arrays of lanes) and a
-    ``(states, *lanes)`` matrix ``d``, it writes the derivatives into ``d``
-    and returns it.  Otherwise it ignores ``d`` and every value keeps its
-    type: numpy scalars stay scalars, whose ``**`` rounds differently from
-    an array's.  The parameter-only values follow the march's non-finite
+    or a parameter-only value as its 0-d or lane array); a stage call,
+    ``grid`` None, folds nothing.  ``value`` is scratch that the call
+    itself overwrites later.  With ``inplace`` (a bundle: the design values
+    are arrays of lanes) and a ``(states, *lanes)`` matrix ``d``, it writes
+    the derivatives into ``d`` and returns it; at a stage call the states
+    may be the rows of ``d`` itself.  Otherwise it ignores ``d`` and every
+    value keeps its type: numpy scalars stay scalars, whose ``**`` rounds
+    differently from an array's.  The parameter-only values follow the march's non-finite
     rule: inf or NaN, never an exception or a numpy warning."""
     shape = np.broadcast_shapes(*(np.shape(v) for v in params.values())) if inplace else ()
 
-    def make(params, literal=repr):
+    def make(params, float64=False):
+        key = (tuple(sorted(params)), tuple(output_names), inplace, fold, float64)
+        source = arch.rhs_sources.get(key)
+        if source is None:
+            source = arch.rhs_sources[key] = _source(arch, params, output_names, inplace,
+                                                     fold, float64)
         ns = dict(_NAMESPACE)
-        code = _code(_source(arch, params.keys(), output_names, inplace, fold, literal))
-        exec(code, ns)  # noqa: S102
+        exec(_code(source), ns)  # noqa: S102
         return ns["_make"](params, shape)
 
     with np.errstate(all="ignore"):
@@ -108,7 +126,7 @@ def compile_rhs(arch: Architecture, params: dict, output_names, inplace: bool,
             # Python floats raise where float64 gives inf or NaN: evaluate
             # the parameters and literals in float64, as the states are
             return make({n: np.float64(v) if np.ndim(v) == 0 else v for n, v in params.items()},
-                        literal=lambda v: f"_float64({v!r})")
+                        float64=True)
 
 
 #: how many compiled sources ``_code`` keeps
@@ -123,7 +141,7 @@ def _code(source: str):
 
 
 def _source(arch: Architecture, params, output_names, inplace: bool, fold: bool,
-            literal) -> str:
+            float64: bool) -> str:
     """Python source of ``_make(params, lanes) -> (rhs, initial states)``.
 
     ``_make`` partially evaluates the right-hand side: it binds the
@@ -140,14 +158,17 @@ def _source(arch: Architecture, params, output_names, inplace: bool, fold: bool,
     grid point of the row mode into the buffer row of the output it is,
     else into a scratch slot (see the module docstring); an operand that
     rhs does not compute is read from its ``_operand`` copy, bound in
-    ``_make`` after the partial evaluation.  With ``fold`` every output is
-    folded by the statement right after the one that computes it.  Without
-    ``inplace``, a subtree read once is spelt inside the expression that
-    reads it.
+    ``_make`` after the partial evaluation; a statement that writes a
+    derivative row runs after the last read of that row's state.  With
+    ``fold`` every output is folded by the statement right after the one
+    that computes it.  Without ``inplace``, a subtree read once is spelt
+    inside the expression that reads it.  With ``float64`` every literal is
+    a float64 scalar, as the parameters are where Python floats raise.
     """
     states = [st for sf in arch.subfunctions for st in sf.states]
     names = sorted({*params, *(st.name for st in states), *(out for _, out, _ in arch.assignments)})
     rn = {n: f"_v{i}" for i, n in enumerate(names)}.__getitem__
+    literal = (lambda v: f"_float64({v!r})") if float64 else repr
 
     # Equal subtrees get one key, found once per node in linear time: a
     # variable's name, a literal as written (so 0.0 and -0.0 differ) or a
@@ -261,9 +282,13 @@ def _source(arch: Architecture, params, output_names, inplace: bool, fold: bool,
             if isinstance(t, int) and not pow_(t):
                 into.setdefault(t, i)
 
+    derived = {t for t in derivs if isinstance(t, int)}
+
     def inline(n) -> bool:
-        """Whether ``n`` is spelt inside the one expression that reads it."""
-        return count[n] == 1 and n not in roots and (not inplace or pow_(n))
+        """Whether ``n`` is spelt inside the one expression that reads it:
+        a bundle's derivative never is, so a store into ``_D`` only copies."""
+        return (count[n] == 1 and n not in roots
+                and (not inplace or pow_(n) and n not in derived))
 
     def text(t) -> str:
         if isinstance(t, str):
@@ -280,24 +305,108 @@ def _source(arch: Architecture, params, output_names, inplace: bool, fold: bool,
             return {t}
         return set().union(*(reads(a) for a in nodes[t][1]))
 
+    row_of = {rn(st.name): i for i, st in enumerate(states)}   # state token -> its row
+
+    def rows(t) -> set[int]:
+        """The state rows that reading ``t`` reads."""
+        if isinstance(t, str):
+            return {row_of[t]} if t in row_of else set()
+        return set().union(*map(rows, nodes[t][1])) if inline(t) else set()
+
+    # The statements of rhs as events: (n, None) computes the subtree n,
+    # (None, i) stores src[i] into the derivative row i of a bundle that is
+    # not computed there in place.
+    src = dict(enumerate(derivs))
+
+    def alias_safe(events) -> list:
+        """``events`` in their order, except that an event that writes a
+        derivative row waits until every other event that reads that row's
+        state has run (a stage call may get the states as the rows of
+        ``_D``), and an event that reads a waiting subtree waits for it; a
+        waiting event runs as soon as it can, before the next in order.
+        Where the waits close a cycle (``y' = z``, ``z' = y``), the first
+        waiting event not made here is split.  It computes its value into
+        a scratch slot instead (a state's by a copy), which it can do at
+        once: every event before it has run, or is a store made here, which
+        nothing reads.  A new store, waiting in its place, copies the slot
+        into the row."""
+        known: dict[tuple, tuple[set[int], set[int]]] = {}
+
+        def event_reads(e) -> tuple[set[int], set[int]]:
+            """The subtrees and the state rows event ``e`` reads."""
+            if e not in known:
+                tokens = (src[e[1]],) if e[0] is None else nodes[e[0]][1]
+                known[e] = set().union(*map(reads, tokens)), set().union(*map(rows, tokens))
+            return known[e]
+
+        readers = [set() for _ in states]       # per row: the events still to run that read it
+        for e in events:
+            for r in event_reads(e)[1]:
+                readers[r].add(e)
+        done: set[int] = set()
+        order, waiting, made = [], [], set()
+
+        def ready(e) -> bool:
+            needs, _ = event_reads(e)
+            row = into.get(e[0]) if e[1] is None else e[1]
+            return needs <= done and (row is None or readers[row] <= {e})
+
+        def run(e):
+            """Run ``e``, then every waiting event that can run, in order."""
+            while e is not None:
+                order.append(e)
+                done.add(e[0])
+                for r in event_reads(e)[1]:
+                    readers[r].discard(e)
+                k = next((k for k, w in enumerate(waiting) if ready(w)), None)
+                e = None if k is None else waiting.pop(k)
+
+        for e in events:
+            if ready(e):
+                run(e)
+            else:
+                waiting.append(e)
+        while waiting:
+            k = next(k for k, e in enumerate(waiting) if e not in made)
+            n, i = e = waiting.pop(k)
+            for r in event_reads(e)[1]:
+                readers[r].discard(e)
+            if n is None:                       # a state copied into a slot
+                nodes[len(count)] = (None, (src[i],))
+                count.append(0)
+                n = src[i] = len(count) - 1
+                del known[e]                    # the store now copies the slot
+            else:
+                i = into.pop(n)
+            made.add((None, i))
+            waiting.insert(k, (None, i))
+            run((n, None))
+        return order
+
+    events = [(n, None) for n in nodes if not inline(n)]
+    if inplace:
+        # the stores that read a state go first, so that one reading none
+        # is never the first waiting event of a cycle
+        stored = sorted((i for i, t in enumerate(derivs) if into.get(t) != i),
+                        key=lambda i: not rows(derivs[i]))
+        events = alias_safe(events + [(None, i) for i in stored])
+
     folds: dict = {}            # token -> the outputs it is, folded as it is computed
     for j, t in enumerate(outs if fold else ()):
         folds.setdefault(t, []).append(j)
 
-    # the statements of rhs: the computed subtrees, each followed by its
-    # folds, then a bundle's stores into the buffer row and the derivative
-    # matrix of what is not computed there in place
-    computed = [(n, nodes[n][1]) for n in nodes if not inline(n)]
+    # each computed subtree is followed by its folds; a bundle's row mode
+    # stores into the buffer row what is not computed there, and a call
+    # without a matrix returns the derivatives
     to_o = [(j, t) for j, t in enumerate(outs)
             if inplace and not fold and (roots.get(t) != j or t in into or pow_(t))]
-    to_d = [(i, t) for i, t in enumerate(derivs) if inplace and into.get(t) != i]
     statements = []
-    for n, args in computed:
-        statements.append((n, args))
+    for n, i in events:
+        statements.append((None, (src[i],)) if n is None else (n, nodes[n][1]))
         if n in folds:
             statements.append((None, (n,)))
-    slots = _slots(statements + [(None, (t,)) for _, t in to_o + to_d],
-                   {n for n, _ in computed if not pow_(n) and n not in into},
+    slots = _slots(statements + [(None, (t,)) for _, t in to_o] + [(None, tuple(derivs))],
+                   {n for n, i in events if n is not None and not pow_(n) and n not in into},
                    reads) if inplace else {}
 
     def target(n) -> str:
@@ -307,30 +416,32 @@ def _source(arch: Architecture, params, output_names, inplace: bool, fold: bool,
             return f"(_s{slots[n]} if _o is None else _o[{roots[n]}])"
         return f"_s{slots[n]}"
 
-    state_tokens = {rn(st.name) for st in states}
     operands: dict[str, str] = {}   # source text rhs does not compute -> its _operand copy
 
     def operand(t) -> str:
-        if isinstance(t, str) and t not in state_tokens:
+        if isinstance(t, str) and t not in row_of:
             return operands.setdefault(t, f"_k{len(operands)}")
         return text(t)
-
-    def folded(pairs) -> list[str]:
-        return ["if _o is not None:", *(f"    _o({j}, {v})" for j, v in pairs)] if pairs else []
 
     body: list[str] = []        # lines of rhs
     if inplace:                 # the caller's derivative matrix, or a fresh one
         body.append(f"_D = _empty(({len(states)}, *_shape)) if _d is None else _d")
-    body += folded([(j, operand(t)) for t, js in folds.items() if isinstance(t, str)
-                    for j in js])   # the outputs rhs does not compute
-    for n, args in computed:
-        e = nodes[n][0]
+    if fold:                    # a stage call folds nothing
+        body += ["if _o is None:", "    _o = _skip"]
+    body += [f"_o({j}, {operand(t)})" for t, js in folds.items() if isinstance(t, str)
+             for j in js]       # the outputs rhs does not compute
+    for n, i in events:
+        if n is None:
+            body.append(f"_D[{i}] = {text(src[i])}")
+            continue
+        e, args = nodes[n]
         if inplace and not pow_(n):
-            ufunc = _UFUNCS[e.op] if isinstance(e, ex.BinOp) else "_negative"
+            ufunc = ("_positive" if e is None else _UFUNCS[e.op] if isinstance(e, ex.BinOp)
+                     else "_negative")
             body.append(f"_t{n} = {ufunc}({', '.join([*map(operand, args), target(n)])})")
         else:
             body.append(f"_t{n} = {_spell(e, list(map(text, args)))}")
-        body += folded([(j, f"_t{n}") for j in folds.get(n, ())])
+        body += [f"_o({j}, _t{n})" for j in folds.get(n, ())]
     if inplace:
         stores = [f"_o[{j}] = {text(t)}" for j, t in to_o]
     else:                       # one statement stores a point's whole row
@@ -340,8 +451,7 @@ def _source(arch: Architecture, params, output_names, inplace: bool, fold: bool,
         body.extend(f"    {line}" for line in stores)
     values = f"({', '.join(map(text, derivs))}{',' if len(derivs) == 1 else ''})"
     if inplace:                 # without a matrix, the derivatives keep their types
-        body += ["if _d is None:", f"    return {values}",
-                 *(f"_d[{i}] = {text(t)}" for i, t in to_d), "return _d"]
+        body += ["if _d is None:", f"    return {values}", "return _d"]
     else:
         body.append(f"return {values}")
 

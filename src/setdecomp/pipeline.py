@@ -38,11 +38,14 @@ def run_pipeline(arch_file, plan: SamplingPlan | None = None, *,
     ``law_checks`` (``composability`` and ``refinement``), ``log``
     (``narrowing`` and ``tradeoff``) and ``deltas`` (the
     :func:`compare_reports` of the report against ``golden_file``, empty
-    without one).  The golden file is read, and fails if malformed, before
-    anything is simulated."""
+    without one).  The golden file is read, and fails if malformed or not
+    a JSON object, before anything is simulated; one that shares no number
+    with the report fails after the run."""
     plan = plan or SamplingPlan()
     arch, raw = load_architecture(arch_file)
     golden = None if golden_file is None else read_json(golden_file)
+    if golden is not None and not isinstance(golden, dict):
+        raise ValidationError(f"{golden_file}: a golden report must be a JSON object")
     tradeoff = raw.get("tradeoff", {})
     if not isinstance(tradeoff, dict):
         raise ValidationError("the 'tradeoff' section must be a JSON object")
@@ -80,6 +83,9 @@ def run_pipeline(arch_file, plan: SamplingPlan | None = None, *,
     }
     if golden is not None:
         report["deltas"] = compare_reports(report, golden)
+        if not report["deltas"]["per_number"]:
+            raise ValidationError(f"{golden_file}: the golden report shares no number "
+                                  "with this report")
     return report
 
 

@@ -51,12 +51,13 @@ lanes; a sample that several of the boxes share is marched once.
 A bundle's march allocates its arrays once and then nothing per step but
 the results of ``**`` (and, with several boxes, the gather of a grid
 row's or a folded output's lanes): the states are one (states, lanes)
-matrix, the stage input, the RK4 accumulator and one stage derivative are
-preallocated matrices of that shape, and the right-hand side computes
-every operation with ``out=`` into a stage matrix, a buffer row or one of
-its scratch slots.  Its memory is four state matrices and slots × lanes
-floats, the slot count being what the liveness of the compiled operations
-needs (2 on the benchmark's 200-link chain), plus a buffer of at most
+matrix, the RK4 accumulator and one stage matrix, both a stage's input
+and the derivative it writes, are preallocated matrices of that shape,
+and the right-hand side computes every operation with ``out=`` into a
+stage matrix, a buffer row or one of its scratch slots.  Its memory is
+three state matrices and slots × lanes floats, the slot count being what
+the liveness of the compiled operations needs (2 on the benchmark's
+200-link chain), plus a buffer of at most
 ``CHUNK_BYTES`` where the rows fit and, per grid time, a (outputs, boxes)
 table where the kernel folds.  The samples are one (samples, variables)
 matrix and the lanes' design point one (variables, lanes) matrix.  Every
@@ -102,8 +103,9 @@ class SamplingPlan:
     cap: int = 10_000          # hard cap on bundle size
 
     def __post_init__(self):
-        if not (self.step > 0 and self.horizon > 0 and self.grid >= 0):
-            raise ValidationError("SamplingPlan needs step > 0, horizon > 0 and grid >= 0")
+        if not (0 < self.step < math.inf and 0 < self.horizon < math.inf and self.grid >= 0):
+            raise ValidationError("SamplingPlan needs a finite step > 0, a finite horizon > 0 "
+                                  "and grid >= 0")
 
     def reduced(self) -> "SamplingPlan":
         """Cheaper plan for inner narrowing loops: corners + center only,
@@ -171,20 +173,28 @@ def _march(sys: OdeSystem, horizon: float, step: float, grid: Sequence, reduce) 
     them, and stops the march by returning True.  Non-finite values
     propagate silently; each reducer reports them as :class:`NonFinite`.
 
-    A bundle's march keeps four (states, *lanes) matrices, allocated once:
-    the states ``S``, the stage input ``x``, the accumulator ``acc`` and one
-    derivative ``k``.  ``k1`` is written into ``acc``; ``k2`` and ``k3``,
-    once their stage input is computed, are doubled in place and added to
-    it, and ``k4`` is added last, so the update is ``S + (h/6) * (((k1 +
-    2*k2) + 2*k3) + k4)``, the scalar form's operations in its order, and a
-    step allocates no lane array but the results of ``**``.  The right-hand
-    side gets the rows of ``S`` and ``x`` as views taken once, and the
-    update's scalars ``0.5*h``, ``h``, ``2`` and ``h/6`` as 0-d arrays.  One
-    design point keeps its states as a list of numpy scalars (0-d arrays at
-    t = 0), whose ``**`` rounds differently from an array's.
+    A bundle's march keeps three (states, *lanes) matrices, allocated
+    once: the states ``S``, the accumulator ``acc`` and one stage matrix
+    ``k``, which is both the stage input the right-hand side reads and the
+    derivative it writes (see ``codegen.compile_rhs``).  ``k1`` is written
+    into ``acc`` and the next stage input ``S + c*k1`` into ``k``.  ``k2``
+    and ``k3`` are doubled in place and added to ``acc``, and the next
+    stage input is ``S + (c/2) * (2*k)``: the same real product as ``c*k``,
+    so the same double wherever ``2*k`` is finite.  ``k4`` is added last.
+    So the update is ``S + (h/6) * (((k1 + 2*k2) + 2*k3) + k4)``, the
+    scalar form's operations in its order, and a step allocates no lane
+    array but the results of ``**``.  Where ``2*k`` overflows, ``acc``
+    turns inf or NaN there as in the scalar form, but the stage input is
+    inf where the scalar form's ``S + c*k`` is finite, so the lane's other
+    states can turn non-finite one step sooner than in that form, and a
+    :class:`NonFinite` error may name another output.  The right-hand side
+    gets the rows of ``S`` and ``k`` as views taken once, and the update's
+    scalars ``h/2``, ``h/4``, ``h``, ``2`` and ``h/6`` as 0-d arrays.  One
+    design point keeps its states as a list of numpy scalars (0-d arrays
+    at t = 0), whose ``**`` rounds differently from an array's.
     """
-    if not (step > 0 and horizon >= 0):
-        raise ValidationError("step must be positive and horizon not negative")
+    if not (0 < step < math.inf and 0 <= horizon < math.inf):
+        raise ValidationError("step must be positive and horizon not negative, both finite")
     n = int(round(horizon / step))
     h = step
     rhs = sys.rhs
@@ -194,18 +204,23 @@ def _march(sys: OdeSystem, horizon: float, step: float, grid: Sequence, reduce) 
         S = np.empty((len(sys.initial_state), *sys.shape))
         for s, v in zip(S, sys.initial_state):
             np.add(np.asarray(v, dtype=float), 0.0, out=s)
-        x, acc, k = np.empty((3, *S.shape))
+        acc, k = np.empty((2, *S.shape))
         ks = (acc, k, k, k)
         # the rows rhs reads, and the step's scalars as 0-d arrays, which
-        # numpy takes faster than Python floats
-        state, x_rows = tuple(S), tuple(x)
-        half, full, two, sixth = (np.array(c) for c in (0.5 * h, h, 2.0, h / 6.0))
+        # numpy takes faster than Python floats; a stage's c, with c/2 for
+        # the doubled derivative
+        state, k_rows = tuple(S), tuple(k)
+        half, full = ((np.array(c), np.array(c / 2)) for c in (0.5 * h, h))
+        two, sixth = np.array(2.0), np.array(h / 6.0)
 
-        def ahead(s, c, d):                     # s + c * d, into x; s is S's rows
-            np.add(S, np.multiply(c, d, out=x), out=x)
-            if d is k:                          # k2 or k3, no longer read: acc += 2 * d
-                np.add(acc, np.multiply(two, k, out=k), out=acc)
-            return x_rows
+        def ahead(s, c, d):                     # s + c * d, into k; s is S's rows
+            c, c2 = c
+            if d is k:                          # k2 or k3: acc += 2 * d, s + (c/2) * (2 * d)
+                np.multiply(two, k, out=k)
+                np.add(acc, k, out=acc)
+                c = c2
+            np.add(S, np.multiply(c, d, out=k), out=k)
+            return k_rows
 
         def advance(s, a, b, c, d):             # s + (h / 6) * (a + 2 * b + 2 * c + d)
             np.add(acc, k, out=acc)             # acc holds a + 2 * b + 2 * c, k holds d

@@ -118,6 +118,26 @@ class TestDecompose:
         assert captured.err == f"error: {golden}: line 1 column 12: Expecting value\n"
         assert captured.out == ""
 
+    def test_golden_that_is_not_an_object_fails_before_simulation(self, tmp_path, capsys,
+                                                                  no_envelope):
+        golden = tmp_path / "golden.json"
+        golden.write_text("[1, 2]")
+        assert main(["decompose", CRUISE, *FAST, "--compare", str(golden)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {golden}: a golden report must be a JSON object\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("emit", ["json", "md"])
+    def test_golden_sharing_no_number_exits_two(self, emit, tmp_path, capsys):
+        # a wrong golden file must not read like a run with nothing to report
+        golden = tmp_path / "golden.json"
+        golden.write_text(json.dumps({"spaces": {"fds1": "wide"}, "log": [1.0], "x": 2}))
+        assert main(["decompose", CRUISE, *FAST, "--compare", str(golden), "--emit", emit]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {golden}: the golden report shares no number "
+                                "with this report\n")
+        assert captured.out == ""
+
     def test_strict_refinement_failure_exits_four_with_the_report(self, tmp_path, capsys):
         # the top promises c in [1, 2]; the narrowed design space keeps the
         # sub-function's wider [0, 10], so only the strict clauses fail
@@ -701,6 +721,22 @@ class TestSimulate:
     def test_zero_step_is_validation_error(self, capsys):
         assert main(["simulate", CRUISE, "--step", "0"]) == 2
         assert "step must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--step", "--horizon"])
+@pytest.mark.parametrize("command", ["decompose", "simulate"])
+def test_non_finite_run_flag_fails_before_simulation(command, flag, capsys, monkeypatch,
+                                                      no_envelope):
+    calls = []
+    original = simulation.build_ode
+
+    def build_ode(arch, point, **kw):
+        sys_ = original(arch, point, **kw)
+        return dataclasses.replace(sys_, rhs=lambda *a: calls.append(None) or sys_.rhs(*a))
+
+    monkeypatch.setattr(simulation, "build_ode", build_ode)
+    assert main([command, CRUISE, flag, "inf"]) == 2
+    assert capsys.readouterr().err.startswith("error: ") and not calls
 
 
 def test_integrator_document_equals_its_algebraic_form(tmp_path):

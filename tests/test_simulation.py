@@ -14,7 +14,8 @@ from setdecomp import codegen
 from setdecomp import expr as ex
 from setdecomp import simulation
 
-from setdecomp.architecture import Architecture, State, SubFunction, load_architecture
+from setdecomp.architecture import (Architecture, State, SubFunction, aggregate_names,
+                                    load_architecture)
 from setdecomp.errors import AlgebraicCycle, NonFinite, ValidationError
 from setdecomp.expr import BinOp, Neg, Num, Pow, Var
 from setdecomp.intervals import Interval, RangeMap
@@ -115,7 +116,9 @@ class TestIntegrate:
             integrate(build_ode(_square_arch(), {"y0": np.array([1.0, 0.5])}),
                       horizon=2.0, step=0.001)
 
-    @pytest.mark.parametrize("step, horizon", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1.0)])
+    @pytest.mark.parametrize("step, horizon", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1.0),
+                                               (math.inf, 1.0), (0.1, math.inf),
+                                               (math.nan, 1.0), (0.1, math.nan)])
     def test_bad_step_or_horizon_is_validation_error(self, step, horizon):
         with pytest.raises(ValidationError):
             integrate(build_ode(_decay_arch(), {"y0": 1.0}), horizon=horizon, step=step)
@@ -223,7 +226,9 @@ class TestEnvelope:
                               for name, vals in traj.values.items()}
 
     def test_sampling_plan_is_validated(self):
-        for bad in ({"step": 0.0}, {"step": -0.01}, {"horizon": 0.0}, {"grid": -1}):
+        for bad in ({"step": 0.0}, {"step": -0.01}, {"horizon": 0.0}, {"grid": -1},
+                    {"step": math.inf}, {"horizon": math.inf}, {"step": math.nan},
+                    {"horizon": math.nan}):
             with pytest.raises(ValidationError):
                 SamplingPlan(**bad)
 
@@ -693,6 +698,25 @@ class TestCompiledRightHandSide:
             codegen._code.cache_clear()
             assert got.tobytes() == self._stage(arch, point).tobytes()
 
+    def test_one_architecture_generates_its_source_once(self, monkeypatch):
+        # the envelopes of one architecture at different design points (a
+        # check and the published envelope, a narrowing's probe rounds)
+        # share one source, and keep their bytes when it is generated anew
+        arch = _lagged_chain()
+        boxes = [RangeMap.of(a=(0.0, 1.0)), RangeMap.of(a=(-2.0, 7.0))]
+        plan = SamplingPlan(grid=3, step=0.05, horizon=1.0)
+        generated = []
+        source = codegen._source
+        monkeypatch.setattr(codegen, "_source", lambda *a: generated.append(a) or source(*a))
+        codegen._code.cache_clear()
+        warm = [_env_bits(envelope_over_box(arch, box, plan)) for box in boxes]
+        assert len(generated) == 1
+        for box, bits in zip(boxes, warm):
+            arch.rhs_sources.clear()
+            codegen._code.cache_clear()
+            assert _env_bits(envelope_over_box(arch, box, plan)) == bits
+        assert len(generated) == 3
+
     def test_architectures_differing_in_a_constant_share_the_code(self):
         point = {"a": np.linspace(0.0, 1.0, 3)}
         codegen._code.cache_clear()
@@ -769,7 +793,9 @@ class TestCompiledRightHandSide:
     def _check_bundle(self, arch, env: dict):
         """The stage and grid calls of ``arch``'s bundle at ``env`` (a, b,
         y, z over lanes; the constant c) against the evaluator, bit for bit,
-        twice over, so that no call depends on what the last left behind."""
+        twice over, so that no call depends on what the last left behind.
+        The stage call gets the states as the rows of the matrix it writes
+        the derivatives into, as the march hands them over."""
         f = arch.subfunctions[0]
         exprs = [*f.exprs, *(("d" + st.name, st.derivative) for st in f.states)]
         with np.errstate(all="ignore"):
@@ -780,8 +806,8 @@ class TestCompiledRightHandSide:
                 want = _evaluated(exprs, env, float64=True)
             states = np.array([env["y"], env["z"]])
             for _ in range(2):
-                stage = np.full_like(states, np.nan)
-                assert sys_.rhs(None, *states, stage) is stage
+                stage = states.copy()
+                assert sys_.rhs(None, *stage, stage) is stage
                 grid, row = np.full_like(states, np.nan), np.full((4, states.shape[1]), np.nan)
                 assert sys_.rhs(row, *states, grid) is grid
                 for got in (stage, grid):
@@ -823,6 +849,48 @@ class TestCompiledRightHandSide:
         for j, name in enumerate(sys_.output_names):
             assert _same_bits(row[j], want[name]), name
 
+    @pytest.mark.parametrize("dy, dz", [
+        (Var("z"), Var("y")),
+        (BinOp("*", Var("z"), Var("c")), BinOp("-", Var("y"), Var("z"))),
+        (Var("q"), BinOp("/", Var("y"), Var("w"))),
+        (BinOp("-", Var("z"), Var("a")), Pow(Var("y"), 2)),
+    ], ids=["states-swap", "each-reads-the-other", "output-reads-both-states", "power"])
+    def test_derivatives_that_read_each_others_state(self, dy, dz):
+        # a stage writes each derivative row after the last read of its
+        # state, in a cycle through a scratch slot
+        w = BinOp("+", Var("y"), Var("a"))
+        q = BinOp("*", Var("w"), Var("z"))
+        lanes = np.array(_VALUES + [-3.0, 7.25])
+        env = {"c": 2.0, "a": lanes[::-1].copy(), "b": np.roll(lanes, 3), "y": lanes,
+               "z": np.roll(lanes, 5)}
+        self._check_bundle(_two_state_arch(w, q, dy, dz, c=2.0), env)
+
+    def test_states_that_swap_take_one_slot(self):
+        wide = (-1e308, 1e308)
+        f = SubFunction(id="f", states=(State("y", Var("z"), Var("a")),
+                                        State("z", Var("y"), Var("b"))),
+                        inputs=RangeMap.of(a=wide, b=wide), outputs=RangeMap.of(y=wide, z=wide))
+        arch = Architecture(top=FunctionalRequirement("t", inputs=RangeMap.of(a=wide, b=wide)),
+                            subfunctions=(f,))
+        sys_ = build_ode(arch, {"a": np.array([1.0, -0.0]), "b": np.array([2.0, np.nan])})
+        states = np.array([[1.0, -0.0], [2.0, np.nan]])
+        stage = states.copy()
+        assert sys_.rhs(None, *stage, stage) is stage
+        assert _same_bits(stage, states[::-1])
+        assert _scratch_slots(sys_) == 1
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_ordered_derivatives_are_computed_in_place(self, fold):
+        # where the derivatives can be ordered after the reads of their
+        # states, as on cruise and the chain, no derivative is copied
+        cruise, _ = load_architecture(CRUISE)
+        for arch in (_lagged_chain(), cruise):
+            xs, ys, cs, us = aggregate_names(arch)
+            params = [*dict(arch.constants), *((xs | cs | us) - ys)]
+            source = codegen._source(arch, params, tuple(sorted(ys)), True, fold, False)
+            assert "_positive" not in source
+            assert not re.search(r"^ *_D\[\d+\] = ", source, re.MULTILINE)
+
     @pytest.mark.parametrize("exponent", [2, 3, -2])
     def test_bundle_powers_equal_the_evaluator_bit_for_bit(self, exponent):
         # a power as an output, inside an operation, as a derivative and
@@ -853,6 +921,73 @@ class TestCompiledRightHandSide:
         env = {"c": c, "a": lanes[::-1].copy(), "b": np.roll(lanes, 3), "y": lanes,
                "z": np.roll(lanes, 5)}
         self._check_bundle(_two_state_arch(w, q, dy, dz, c=c), env)
+
+
+def _marched(arch, point: dict, horizon: float, step: float, fold: bool = False) -> np.ndarray:
+    """The (times, outputs, *lanes) grid rows of the march of ``arch`` at
+    ``point``, to the horizon whatever turns non-finite: written into a
+    buffer row, or with ``fold`` handed over output by output."""
+    sys_ = build_ode(arch, point, fold=fold)
+    row = np.full((len(sys_.output_names), *sys_.shape), np.nan)
+    rows: list = []
+    simulation._march(sys_, horizon, step, [row.__setitem__ if fold else row],
+                      lambda times, state: rows.append(row.copy()))
+    return np.array(rows)
+
+
+def _reference_march(arch, point: dict, horizon: float, step: float) -> np.ndarray:
+    """Classical RK4 with a fresh array for every stage value, in the
+    scalar form's operations and order: what ``_marched`` must equal."""
+    sys_ = build_ode(arch, point)
+    S = np.empty((len(sys_.initial_state), *sys_.shape))
+    for s, v in zip(S, sys_.initial_state):
+        s[...] = np.asarray(v, dtype=float) + 0.0
+    h, rows = step, []
+    with np.errstate(all="ignore"):
+        for i in range(int(round(horizon / step)) + 1):
+            rows.append(np.empty((len(sys_.output_names), *sys_.shape)))
+            k1 = sys_.rhs(rows[-1], *S, np.empty_like(S))
+            k2 = sys_.rhs(None, *(S + 0.5 * h * k1), np.empty_like(S))
+            k3 = sys_.rhs(None, *(S + 0.5 * h * k2), np.empty_like(S))
+            k4 = sys_.rhs(None, *(S + h * k3), np.empty_like(S))
+            S = S + h / 6.0 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+    return np.array(rows)
+
+
+# y' = z, z' = y through outputs; and y' = y^2, z' = z * y^2, which diverge
+_SWAP = (Var("y"), BinOp("*", Var("w"), Var("z")), Var("z"), Var("w"))
+_DIVERGING = (BinOp("*", Var("y"), Var("y")), BinOp("*", Var("z"), Var("w")), Var("w"), Var("q"))
+
+
+class TestKernel:
+    """A bundle's march keeps three matrices and hands the right-hand side
+    the stage matrix as both its states and its derivatives; every lane
+    must march as if alone, and as the textbook RK4 with fresh arrays."""
+
+    @staticmethod
+    def _check(arch, point: dict, horizon: float, step: float):
+        bundle = _marched(arch, point, horizon, step)
+        assert _same_bits(bundle, _reference_march(arch, point, horizon, step))
+        assert _same_bits(_marched(arch, point, horizon, step, fold=True), bundle)
+        for lane in range(bundle.shape[-1]):
+            alone = _marched(arch, {k: v[lane:lane + 1] for k, v in point.items()}, horizon, step)
+            assert _same_bits(alone[..., 0], bundle[..., lane]), lane
+
+    @settings(max_examples=100, deadline=None)
+    @given(system=st.one_of(_bundle_systems(), st.just(_SWAP), st.just(_DIVERGING)),
+           values=st.lists(st.sampled_from(_VALUES + [1.5, -0.75]), min_size=7, max_size=7))
+    def test_lanes_march_as_if_alone(self, system, values):
+        point = {"a": np.array(values[1:4]), "b": np.array(values[4:7])}
+        self._check(_two_state_arch(*system, c=values[0]), point, 1.0, 0.25)
+
+    def test_lagged_chain_lanes_march_as_if_alone(self):
+        self._check(_lagged_chain(), {"a": np.array([-1.0, 0.0, 0.5, 3.0])}, 0.5, 0.05)
+
+    def test_diverging_lanes_march_as_if_alone(self):
+        # y' = y^2 from y(0) = a blows up at t = 1/a: one lane within the
+        # horizon, one after it, one never
+        self._check(_two_state_arch(*_DIVERGING, c=1.0),
+                    {"a": np.array([4.0, 0.5, -1.0]), "b": np.array([1.0, 2.0, 3.0])}, 1.0, 0.01)
 
 
 def _links_arch(links: int = 30) -> Architecture:
@@ -909,10 +1044,10 @@ class TestAllocation:
         sys_ = build_ode(_links_arch(), {"a": np.linspace(0.0, 1.0, self.LANES)}, fold=True)
         assert simulation._rows_per_chunk(len(sys_.output_names), self.LANES) == 0
         lane = 8 * self.LANES
-        # the states, the stage input, the RK4 accumulator and one stage
-        # derivative; the scratch slots are allocated with the system,
-        # before the march
-        matrices = 4 * len(sys_.initial_state) * lane
+        # the states, the RK4 accumulator and one stage matrix, which is
+        # both a stage's input and its derivative; the scratch slots are
+        # allocated with the system, before the march
+        matrices = 3 * len(sys_.initial_state) * lane
         grid = [lambda j, v: (np.minimum.reduce(v), np.maximum.reduce(v))]
         simulation._march(sys_, 0.02, 0.01, grid, lambda times, state: False)
         for steps in (5, 50):
